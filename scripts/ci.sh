@@ -40,6 +40,11 @@
 #      which fails if the ladder queue is < 1.2x the heap on the serial
 #      line n=100000 config (and re-checks the small-n geomean so the
 #      ladder can't buy large-n throughput with a small-n regression).
+#   9. Repository benchmark self-test: perfbench/run.py --self-test
+#      builds the benchmark driver (Release, under .bench_build/) against
+#      the current src/ and runs every workload at tiny size, so a library
+#      change that breaks the benchmark's build, its metrics, or its
+#      verification fails here rather than in a benchmark run.
 #
 # Usage: scripts/ci.sh [jobs]     (default: nproc)
 set -euo pipefail
@@ -105,6 +110,10 @@ echo
 echo "=== large-n queue gate ==="
 SMOKE_BENCH_LARGE=1 bash scripts/smoke_bench.sh \
   build/bench/bench_core_hotpath BENCH_pr2.json
+
+echo
+echo "=== repository benchmark self-test ==="
+python3 perfbench/run.py --self-test
 
 echo
 echo "ci.sh: all green"

@@ -2,15 +2,16 @@
 # Churned-run determinism smoke: node joins/leaves and edge churn at
 # production rate must not cost a single byte of determinism.
 #
-#   1. serial vs --shards 1: the execution record and the flight-recorder
+#   1. serial (--shards 0: the same window loop as one unpartitioned
+#      lane) vs --shards 1: the execution record and the flight-recorder
 #      trace (tbcs_trace --diff) must match, and the stats JSON must match
 #      after stripping the "engine"/"queue_impl" blocks and normalizing
-#      queue peak_size.  The peak is the one sanctioned difference: the
-#      sharded engine reports a canonical pending count sampled at window
-#      barriers, which legitimately under-reads the serial per-push peak —
-#      churn's up-front event flood makes the transient serial high-water
-#      mark routinely exceed any barrier sample.  Pushes/pops and every
-#      churn counter stay byte-compared.
+#      queue peak_size.  The peak is the one sanctioned difference: a
+#      sharded run reports a canonical pending count sampled at
+#      observation barriers, which legitimately under-reads the unsharded
+#      per-push peak — churn's up-front event flood makes the transient
+#      high-water mark routinely exceed any barrier sample.  Pushes/pops
+#      and every churn counter stay byte-compared.
 #   2. --shards 1 vs 2 vs 4: record, stats JSON (engine/queue_impl
 #      stripped), and trace dump byte-identical — including the
 #      watermark-triggered repartitions the churn driver performs.

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Sharded-engine smoke: --shards N must reproduce the serial execution.
+# Sharded smoke: --shards N must reproduce the unsharded execution.  Both
+# run the same window loop; "serial" below is the unsharded run
+# (--shards 0: one lane, no partition, per-event observer).
 #
-#   1. serial vs --shards 1: the execution record and the flight-recorder
-#      trace (tbcs_trace --diff) must match.  Stats JSON is *not* compared
-#      here: the sharded engine reports queue peak depth as a canonical
-#      pending count sampled at window barriers, which legitimately
-#      under-reads the serial per-pop peak (pushes/pops do match, and the
-#      equivalence unit suite asserts that).
+#   1. serial vs --shards 1: the execution record, the flight-recorder
+#      trace (tbcs_trace --diff), and the stats JSON must match.  Stats
+#      are compared with queue peak_size normalized: the unsharded run
+#      reports the exact per-push peak, a sharded run the canonical
+#      pending count sampled at observation barriers, which legitimately
+#      under-reads it (pushes/pops stay byte-compared).
 #   2. --shards 1 vs 2 vs 4: record, stats JSON, and trace dump must all
 #      be byte-identical.
 #   3. Both gates again with a mixed fault plan (crash/recover, link
@@ -60,12 +62,15 @@ check_case() {  # check_case <topology> <label> [extra flags...]
     run_sim "$topo" "$n" "$label-s$n" "$@"
   done
 
-  # Gate 1: serial vs one shard (record + trace).
+  # Gate 1: serial vs one shard (record + trace + peak-normalized stats).
   cmp "$TMPDIR_SMOKE/$label-serial.rec" "$TMPDIR_SMOKE/$label-s1.rec" \
     || { echo "FAIL($label): record serial != --shards 1"; exit 1; }
   "$TRACE_BIN" --diff "$TMPDIR_SMOKE/$label-serial.bin" \
                "$TMPDIR_SMOKE/$label-s1.bin" \
     || { echo "FAIL($label): trace serial != --shards 1"; exit 1; }
+  cmp <(canon_stats "$TMPDIR_SMOKE/$label-serial.stats" norm) \
+      <(canon_stats "$TMPDIR_SMOKE/$label-s1.stats" norm) \
+    || { echo "FAIL($label): stats serial != --shards 1"; exit 1; }
 
   # Gate 2: shard counts agree on everything, byte for byte (stats via
   # canon_stats, which drops the blocks that are *supposed* to differ

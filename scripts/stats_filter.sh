@@ -2,21 +2,22 @@
 # Shared stats-JSON canonicalizer for the smoke scripts (sourced, not run).
 #
 # The byte-identity gates compare `tbcs_sim --stats-json` output across
-# engines and shard counts.  Two blocks are *supposed* to differ and are
-# stripped before the comparison:
+# shard counts (unsharded included) and queue implementations.  Two
+# blocks are *supposed* to differ and are stripped before the comparison:
 #
-#   "engine"      — records the requested shard count / engine flavor
+#   "engine"      — records the requested and effective shard counts
 #   "queue_impl"  — per-lane bucket/wheel internals of the active queue
 #
 # Everything else (message counters, skew figures, churn/fault ledgers,
-# the "obs" backend block) is engine-invariant by contract and stays in.
+# the "obs" backend block) is shard-count-invariant by contract and stays
+# in.
 #
 # canon_stats <file> [normalize_peak]
 #   Prints the canonical form of a stats JSON file.  With a second
-#   argument, additionally zeroes the queue "peak_size": the sharded
-#   engine reports a canonical pending count sampled at window barriers,
-#   which legitimately under-reads the serial per-push peak (pushes and
-#   pops stay byte-compared).
+#   argument, additionally zeroes the queue "peak_size": a sharded run
+#   reports a canonical pending count sampled at observation barriers,
+#   which legitimately under-reads the unsharded per-push peak (pushes
+#   and pops stay byte-compared).
 #
 # Usage from a smoke script:
 #   . "$(dirname "$0")/stats_filter.sh"

@@ -149,9 +149,9 @@ void SkewTracker::do_sample(const sim::Simulator& sim, double t,
   if (t < opt_.warmup) return;
   if (opt_.stride > 1 && (calls_++ % opt_.stride) != 0) return;
   // Grid mode: take only the first sample at/after each grid point.  The
-  // probe event (serial) / probe barrier (sharded) at exactly the grid
-  // time is that sample in both engines, so everything downstream is
-  // engine-invariant.  The early return is what makes large-n runs
+  // probe barrier at exactly the grid time is that sample for every shard
+  // count, so everything downstream is shard-count-invariant.  The early
+  // return is what makes large-n runs
   // affordable: all other events cost one comparison.
   if (opt_.sample_grid > 0.0 && t < next_grid_t_) return;
   ++samples_;

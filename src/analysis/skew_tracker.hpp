@@ -97,10 +97,10 @@ class SkewTracker {
     /// call with t >= the next grid point is taken, all others are
     /// skipped, and every taken sample is recorded into the history
     /// stores.  Pair it with SimConfig::probe_interval == sample_grid so
-    /// both engines deliver a sample at exactly every grid point (the
-    /// serial probe events and the sharded probe barriers fire at
-    /// bit-equal times), which keeps the sketch byte-identical serial vs
-    /// any --shards count.  Maxima become grid maxima; the gap to the
+    /// every run delivers a sample at exactly every grid point (probes
+    /// fire at barriers at bit-equal times for every shard count), which
+    /// keeps the sketch byte-identical unsharded vs any --shards count.
+    /// Maxima become grid maxima; the gap to the
     /// exact figures is bounded by skew_error_bound().  Disables the
     /// incremental engine (the grid is sparse, so the few scans are
     /// cheap) and ignores series_interval.
@@ -135,12 +135,12 @@ class SkewTracker {
 
     /// Classify recovery samples only on the fixed grid k * interval
     /// (<= 0: classify every sample).  Pair it with the same
-    /// SimConfig::probe_interval so BOTH engines deliver a sample at
+    /// SimConfig::probe_interval so every run delivers a sample at
     /// exactly every grid point with exactly the events before it
-    /// applied: the serial engine's per-event samples and the sharded
-    /// engine's extra barriers then skip classification, and
-    /// recovery_time() / stabilization_time() come out byte-identical
-    /// serial vs any --shards count (at grid resolution).  tbcs_sim and
+    /// applied: unsharded per-event samples and sharded extra barriers
+    /// then skip classification, and recovery_time() /
+    /// stabilization_time() come out byte-identical unsharded vs any
+    /// --shards count (at grid resolution).  tbcs_sim and
     /// the sweep runner set both knobs whenever a fault plan is active.
     double recovery_classify_interval = 0.0;
 

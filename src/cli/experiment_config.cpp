@@ -1,5 +1,6 @@
 #include "cli/experiment_config.hpp"
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -84,7 +85,22 @@ void apply_model_flags(ArgParser& args, ExperimentConfig& cfg) {
 }
 
 graph::Graph build_topology(const ExperimentConfig& cfg) {
+  // Size flags are checked against each builder's precondition, so a bad
+  // value is a usage error rather than a crash or a node-less graph.
+  const std::string& t = cfg.topology;
+  const auto need = [&t](bool ok, const char* what) {
+    if (!ok) throw ConfigError("--topology " + t + " needs " + what);
+  };
   const auto n = static_cast<graph::NodeId>(cfg.nodes);
+  if (t == "path" || t == "complete" || t == "er") need(n >= 1, "--nodes >= 1");
+  if (t == "ring") need(n >= 3, "--nodes >= 3");
+  if (t == "star") need(n >= 2, "--nodes >= 2");
+  if (t == "grid") need(cfg.rows >= 1 && cfg.cols >= 1, "--rows, --cols >= 1");
+  if (t == "torus") need(cfg.rows >= 3 && cfg.cols >= 3, "--rows, --cols >= 3");
+  if (t == "hypercube") need(cfg.dims >= 1 && cfg.dims < 20, "--dims in 1..19");
+  if (t == "tree") {
+    need(cfg.arity >= 1 && cfg.levels >= 1, "--arity, --levels >= 1");
+  }
   if (cfg.topology == "path") return graph::make_path(n);
   if (cfg.topology == "ring") return graph::make_ring(n);
   if (cfg.topology == "star") return graph::make_star(n);
@@ -302,6 +318,9 @@ std::unique_ptr<sim::Node> build_node(const ExperimentConfig& cfg,
 }  // namespace
 
 BuiltExperiment build_experiment(const ExperimentConfig& cfg) {
+  if (!std::isfinite(cfg.duration) || cfg.duration <= 0.0) {
+    throw ConfigError("--duration must be a finite number > 0");
+  }
   BuiltExperiment built;
   built.graph = std::make_unique<graph::Graph>(build_topology(cfg));
   built.params = resolve_params(cfg);

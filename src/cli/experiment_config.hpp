@@ -65,7 +65,7 @@ struct ExperimentConfig {
   bool wake_all = false;
   bool per_distance = false;
 
-  // Sharded engine: number of lanes (0 = classic serial engine) and the
+  // Sharding: number of lanes (0 = unsharded, one lane) and the
   // graph::Partition strategy ("auto" | "block" | "bands" | "ml"; auto
   // picks the multilevel partitioner for trees, contiguous blocks
   // elsewhere).  Requires a delay policy with a positive min_delay()

@@ -76,7 +76,7 @@ RunResult SweepRunner::run_one(const RunSpec& spec, std::size_t index,
       topt.recovery_local_bound = r.local_bound;
       // Classify on the probe grid (armed every cfg.delay by
       // build_experiment): recovery/stabilization metrics then match the
-      // serial engine byte-for-byte under --shards.
+      // unsharded run byte-for-byte under --shards.
       topt.recovery_classify_interval = cfg.delay;
       // Correct-subgraph figures only: liars are not part of the guarantee.
       for (const fault::ByzantineSpec& s : built.timeline.byzantine) {

@@ -25,7 +25,7 @@ enum class EventKind : std::uint8_t {
   kTimer,            // timer `slot` of `node` fires (synthesized by the wheel)
   kRateChange,       // hardware clock rate of `node` changes to `rate`
   kLinkChange,       // link {node, node2} = edge `edge` goes up/down
-  kProbe,            // periodic observer callback
+  kProbe,            // periodic observer sample (fired at barriers, unqueued)
   kCrash,            // `node` crashes: silent, timers suppressed, links cut
   kRecover,          // `node` re-joins: links restored, on_rejoin() runs
   kJoin,             // churn: `node` (re)enters the network (departed bit cleared)
@@ -47,7 +47,7 @@ struct Event {
     MessageSlab::Handle msg;    // kMessageDelivery: payload handle
   };
   std::uint32_t edge = 0xffffffffu;  // kMessageDelivery / kLinkChange
-  NodeId source = kInvalidNode;  // causing node (kInvalidNode: system, e.g. probes)
+  NodeId source = kInvalidNode;  // causing node (stamped at push)
   EventKind kind = EventKind::kProbe;
   std::uint8_t slot = 0;         // kTimer
   bool link_up = true;           // kLinkChange: target state

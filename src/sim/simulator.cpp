@@ -6,9 +6,10 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
-#include <tuple>
+#include <type_traits>
 
 #include "obs/flight_recorder.hpp"
 
@@ -58,6 +59,22 @@ Simulator::Simulator(const graph::Graph& g, SimConfig cfg)
       nodes_(static_cast<std::size_t>(g.num_nodes())),
       drift_(std::make_shared<ConstantDrift>(1.0)),
       delay_(std::make_shared<FixedDelay>(0.0)) {
+  if (g.num_nodes() <= 0) {
+    throw std::invalid_argument("Simulator: the graph has no nodes");
+  }
+  const auto in_range = [&g](NodeId v) { return v >= 0 && v < g.num_nodes(); };
+  if (!in_range(cfg_.root)) {
+    throw std::invalid_argument("Simulator: root " +
+                                std::to_string(cfg_.root) +
+                                " is not a node of the graph");
+  }
+  for (const NodeId v : cfg_.extra_roots) {
+    if (!in_range(v)) {
+      throw std::invalid_argument("Simulator: extra root " +
+                                  std::to_string(v) +
+                                  " is not a node of the graph");
+    }
+  }
   const auto n = static_cast<std::size_t>(g.num_nodes());
   switch (cfg_.queue) {
     case QueueSelect::kHeap:
@@ -82,7 +99,7 @@ Simulator::Simulator(const graph::Graph& g, SimConfig cfg)
   // Sized here, not in setup(): schedule_link_change()/schedule_crash()
   // stamp event keys before the first run_until(), and the counters must
   // never reset once keys have been handed out.
-  next_seq_.assign(n + 1, 0);
+  next_seq_.assign(n, 0);
   init_lanes(1);
 }
 
@@ -106,16 +123,12 @@ void Simulator::configure_shards(int shards, const std::string& strategy,
     throw std::logic_error(
         "Simulator::configure_shards must be called before the first run");
   }
-  const auto n = static_cast<std::size_t>(graph_.num_nodes());
   if (shards <= 0) {
-    windowed_ = false;
     part_.reset();
     shards_requested_ = 0;
     partition_strategy_.clear();
     cut_dist_.clear();
-    for (std::size_t v = 0; v < n; ++v) {
-      slot_of_[v] = static_cast<std::uint32_t>(v);
-    }
+    install_slots();
     init_lanes(1);
     return;
   }
@@ -154,24 +167,43 @@ void Simulator::configure_shards(int shards, const std::string& strategy,
   }
   part_ = std::make_unique<graph::Partition>(
       graph::Partition::make(graph_, effective, partition_strategy_));
-  windowed_ = true;
-  link_up_.assign(graph_.num_edges(), 1);
-  // Slot permutation: each shard's members become one contiguous block of
-  // the hot arrays, in member (ascending id) order.  With one shard this
-  // is the identity.  Status bits survive the permutation (a churn plan
-  // may mark nodes initially absent before configuring shards); clocks and
-  // timers are still default-constructed here, so only status moves.
-  std::vector<std::uint8_t> status_by_node(n);
-  for (std::size_t v = 0; v < n; ++v) status_by_node[v] = status_slots_[slot(v)];
-  std::uint32_t next_slot = 0;
-  for (int s = 0; s < part_->num_shards(); ++s) {
-    for (const NodeId v : part_->members(s)) {
-      slot_of_[static_cast<std::size_t>(v)] = next_slot++;
-    }
-  }
-  for (std::size_t v = 0; v < n; ++v) status_slots_[slot(v)] = status_by_node[v];
+  install_slots();  // status bits move too: churn may mark absences first
   compute_cut_dist();
   init_lanes(static_cast<std::size_t>(effective));
+}
+
+void Simulator::install_slots() {
+  // Each shard's members become one contiguous block of the hot arrays, in
+  // member (ascending id) order — the identity with one shard or none —
+  // and every node's slot state moves with it.  Before setup only status
+  // bits can be set (a churn plan may mark absences first); clocks and
+  // timers are still default-constructed and stay put.
+  const std::size_t n = slot_of_.size();
+  std::vector<std::uint32_t> next(n);
+  std::iota(next.begin(), next.end(), 0u);
+  if (part_) {
+    std::uint32_t s = 0;
+    for (int sh = 0; sh < part_->num_shards(); ++sh) {
+      for (const NodeId v : part_->members(sh)) {
+        next[static_cast<std::size_t>(v)] = s++;
+      }
+    }
+  }
+  const auto move_slots = [&](auto& slots, std::size_t per) {
+    std::remove_reference_t<decltype(slots)> moved(slots.size());
+    for (std::size_t v = 0; v < n; ++v) {
+      for (std::size_t i = 0; i < per; ++i) {
+        moved[next[v] * per + i] = slots[slot_of_[v] * per + i];
+      }
+    }
+    slots.swap(moved);
+  };
+  move_slots(status_slots_, 1);
+  if (setup_done_) {
+    move_slots(clock_slots_, 1);
+    move_slots(timer_slots_, static_cast<std::size_t>(kMaxTimerSlots));
+  }
+  slot_of_.swap(next);
 }
 
 void Simulator::compute_cut_dist() {
@@ -182,10 +214,11 @@ void Simulator::compute_cut_dist() {
   // scheduled against the partition — at configure_shards, and again at
   // repartition (whose event migration re-files every queued time into
   // the boundary heaps) — so every queue push and timer arm lands in the
-  // right heap.
-  const auto n = static_cast<std::size_t>(graph_.num_nodes());
-  cut_dist_.assign(n, static_cast<std::uint8_t>(kMaxCutDist));
+  // right heap.  A single lane has no cut and keeps the table empty.
+  cut_dist_.clear();
   if (part_->num_shards() > 1) {
+    cut_dist_.assign(static_cast<std::size_t>(graph_.num_nodes()),
+                     static_cast<std::uint8_t>(kMaxCutDist));
     std::vector<NodeId> frontier;
     for (const graph::Partition::CutEdge& ce : part_->cut_edges()) {
       for (const NodeId v : {ce.u, ce.v}) {
@@ -250,13 +283,13 @@ ClockValue Simulator::logical_at(NodeId v, RealTime t) const {
       clock_slots_[sl].value_at(t));
 }
 
-ClockValue Simulator::logical(NodeId v) const { return logical_at(v, now_); }
+ClockValue Simulator::logical(NodeId v) const { return logical_at(v, now()); }
 
 void Simulator::setup() {
   if (setup_done_) return;
   setup_done_ = true;
   delay_->prepare(graph_.num_nodes());
-  if (windowed_) {
+  if (part_) {
     lookahead_ = delay_->min_delay();
     if (!(lookahead_ > 0.0)) {
       throw std::invalid_argument(
@@ -266,19 +299,7 @@ void Simulator::setup() {
     }
     compute_lane_lookahead();
   }
-  // Pre-size the per-lane hot structures from the topology so warm-up
-  // never pays growth, and calibrate each lane's timer wheel to its
-  // member count (must precede the first arm below).
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    Lane& ln = lanes_[i];
-    const std::size_t members =
-        windowed_ ? part_->members(static_cast<int>(i)).size()
-                  : static_cast<std::size_t>(graph_.num_nodes());
-    ln.queue.reserve(members * 2);
-    ln.slab.reserve(members);
-    ln.wheel.configure(members);
-    ln.wheel.reserve(members * 2);
-  }
+  size_lanes();
   for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
     if (!nodes_[static_cast<std::size_t>(v)]) {
       throw std::logic_error("Simulator: node " + std::to_string(v) +
@@ -305,18 +326,24 @@ void Simulator::setup() {
       }
     }
   }
-  if (cfg_.probe_interval > 0.0) {
-    if (windowed_) {
-      // Probes never enter a lane queue: the coordinator holds the next
-      // probe time and fires it at the matching window barrier.
-      probe_next_ = cfg_.probe_interval;
-      ++probe_canon_pushes_;
-    } else {
-      Event probe;
-      probe.time = cfg_.probe_interval;
-      probe.kind = EventKind::kProbe;
-      push_event(probe, kInvalidNode);
-    }
+  // Probes never enter a lane queue: the coordinator holds the next probe
+  // time and fires it at the matching barrier.  Armed after the wakes, so
+  // their trace records do not count it as pending.
+  if (cfg_.probe_interval > 0.0) probe_next_ = cfg_.probe_interval;
+}
+
+void Simulator::size_lanes() {
+  // Pre-size the per-lane hot structures from the topology so warm-up
+  // never pays growth, and calibrate each lane's timer wheel to its
+  // member count (must precede the lane's first arm).
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    Lane& ln = lanes_[i];
+    const std::size_t members =
+        part_ ? part_->members(static_cast<int>(i)).size() : slot_of_.size();
+    ln.queue.reserve(members * 2);
+    ln.slab.reserve(members);
+    ln.wheel.configure(members);
+    ln.wheel.reserve(members * 2);
   }
 }
 
@@ -353,10 +380,10 @@ void Simulator::compute_lane_lookahead() {
 // ---- event creation ---------------------------------------------------------
 
 void Simulator::note_queued(Lane& dest, NodeId a, NodeId b, RealTime t) {
-  // Only called when windowed with >1 lane (cut_dist_ is empty
-  // otherwise).  A push during a window only ever targets the pushing
-  // lane's own queue, so the heaps need no locking.
-  if (cut_dist_.empty() || a == kInvalidNode) return;
+  // A no-op with fewer than two lanes (cut_dist_ is empty).  A push during
+  // a window only ever targets the pushing lane's own queue, so the heaps
+  // need no locking.
+  if (cut_dist_.empty()) return;
   std::uint8_t d = cut_dist_[static_cast<std::size_t>(a)];
   if (b != kInvalidNode) {
     d = std::min(d, cut_dist_[static_cast<std::size_t>(b)]);
@@ -368,46 +395,42 @@ void Simulator::push_event(Event e, NodeId source) {
   stamp(e, source);
   Lane& dest = lane_of(e.node);
   dest.queue.push(e);
-  if (windowed_) {
-    ++dest.canon_pushes;
-    note_queued(dest, e.node, kInvalidNode, e.time);
-  }
+  ++dest.tally.canon_pushes;
+  note_queued(dest, e.node, kInvalidNode, e.time);
 }
 
-void Simulator::push_link_change(Event e, NodeId source) {
-  stamp(e, source);
+void Simulator::push_link_change(NodeId u, NodeId v, std::uint32_t edge,
+                                 bool up, RealTime at) {
+  Event e = node_event(EventKind::kLinkChange, u, at);
+  e.node2 = v;
+  e.edge = edge;
+  e.link_up = up;
+  stamp(e, u);
   Lane& dest = lane_of(e.node);
   dest.queue.push(e);
-  if (windowed_) {
-    ++dest.canon_pushes;
-    // A link-change callback can broadcast from either endpoint, so the
-    // horizon treats the event as sitting at the better (lower) of the
-    // two boundary levels.
-    note_queued(dest, e.node, e.node2, e.time);
-    Lane& other = lane_of(e.node2);
-    if (&other != &dest) {
-      // Cut edge: mirror the flip into the second endpoint's lane under the
-      // same key so both lanes apply it at the same point of their local
-      // order.  The twin is excluded from all canonical accounting.
-      Event tw = e;
-      tw.twin = true;
-      other.queue.push(tw);
-      ++other.twins_in_queue;
-      note_queued(other, e.node, e.node2, e.time);
-    }
+  ++dest.tally.canon_pushes;
+  // A link-change callback can broadcast from either endpoint, so the
+  // horizon treats the event as sitting at the better (lower) of the two
+  // boundary levels.
+  note_queued(dest, e.node, e.node2, e.time);
+  Lane& other = lane_of(e.node2);
+  if (&other != &dest) {
+    // Cut edge: mirror the flip into the second endpoint's lane under the
+    // same key so both lanes apply it at the same point of their local
+    // order.  The twin is excluded from all canonical accounting.
+    Event tw = e;
+    tw.twin = true;
+    other.queue.push(tw);
+    ++other.twins_in_queue;
+    note_queued(other, e.node, e.node2, e.time);
   }
 }
 
 void Simulator::push_delivery(Lane& ln, Event e, NodeId source,
                               const Message& m) {
   stamp(e, source);
-  if (!windowed_) {
-    e.msg = ln.slab.put(m, e.time);
-    ln.queue.push(e);
-    return;
-  }
-  ++ln.canon_pushes;
-  Lane& dest = lanes_[static_cast<std::size_t>(part_->shard_of(e.node))];
+  ++ln.tally.canon_pushes;
+  Lane& dest = lane_of(e.node);
   if (&dest == &ln || !in_window_) {
     // Local delivery, or coordinator context (setup / between windows):
     // straight into the destination queue.
@@ -476,47 +499,13 @@ void Simulator::prefetch_upcoming(Lane& ln) {
   std::size_t count = 0;
   const Event* up = ln.queue.upcoming(4, count);
   for (std::size_t i = 0; i < count; ++i) {
-    const NodeId v = up[i].node;
-    if (v == kInvalidNode) continue;
-    const std::size_t sl = slot(v);
+    const std::size_t sl = slot(up[i].node);
     __builtin_prefetch(&clock_slots_[sl]);
     __builtin_prefetch(&status_slots_[sl]);
   }
 #else
   (void)ln;
 #endif
-}
-
-void Simulator::run_until(RealTime t_end) {
-  // A Graph mutated after our CSR snapshot means every cached edge index
-  // and adjacency walk is suspect; the serial engine re-snapshots via
-  // grow_topology(), the sharded engine refuses mid-run growth outright.
-  assert(csr_->version() == graph_.version() &&
-         "Graph mutated after the CSR snapshot; call grow_topology() "
-         "before running");
-  setup();
-  if (windowed_) {
-    run_windowed(t_end);
-    return;
-  }
-  Lane& ln = lanes_[0];
-  RealTime t = 0.0;
-  TimerWheel::Fired tf;
-  bool timer_first = false;
-  while (next_key(ln, t, tf, timer_first) && t <= t_end) {
-    Event e = pop_next(ln, tf, timer_first);
-    assert(e.time >= now_ - kTimeTolerance && "event queue went backwards");
-    now_ = std::max(now_, e.time);
-    ln.now = now_;
-    ++ln.events;
-    const bool observable = process(ln, e);
-    if (observable && observer_) observer_(*this, now_);
-    if (progress_interval_ > 0.0 && (ln.events & 0x3fffu) == 0) {
-      maybe_progress(false);
-    }
-  }
-  now_ = std::max(now_, t_end);
-  ln.now = now_;
 }
 
 RealTime Simulator::safe_horizon() {
@@ -551,16 +540,25 @@ RealTime Simulator::safe_horizon() {
   return horizon;
 }
 
-void Simulator::run_windowed(RealTime t_end) {
+void Simulator::run_until(RealTime t_end) {
+  // A Graph mutated after our CSR snapshot means every cached edge index
+  // and adjacency walk is suspect; an unsharded simulator re-snapshots via
+  // grow_topology(), a sharded one refuses mid-run growth outright.
+  assert(csr_->version() == graph_.version() &&
+         "Graph mutated after the CSR snapshot; call grow_topology() "
+         "before running");
+  setup();
   start_workers();
   const bool probe_active = cfg_.probe_interval > 0.0;
+  // Observation barriers exist only to feed sharded observers at
+  // partition-invariant times; unsharded observers run inside the lane.
   // With nothing listening (no observer, no window observer, no recorder)
-  // the observation cadence is pointless — windows stretch to the full
-  // safe horizon.  The canonical peak is then sampled only at probes and
-  // t_end, both partition-invariant, so stats stay shard-count-identical.
-  const bool observed =
-      observer_ != nullptr || window_observer_ != nullptr ||
-      recorder_ != nullptr;
+  // the cadence is pointless too — windows stretch to the full safe
+  // horizon, and the canonical peak is sampled only at probes and t_end,
+  // both partition-invariant, so stats stay shard-count-identical.
+  const bool observed = part_ && (observer_ != nullptr ||
+                                  window_observer_ != nullptr ||
+                                  recorder_ != nullptr);
   const Duration obs_dt = !observed ? kInfinity
                           : cfg_.observation_interval > 0.0
                               ? cfg_.observation_interval
@@ -574,7 +572,7 @@ void Simulator::run_windowed(RealTime t_end) {
       if (ln.wheel.peek(tf)) t_next = std::min(t_next, tf.time);
     }
     if (probe_active) t_next = std::min(t_next, probe_next_);
-    if (t_next > t_end) break;
+    if (t_next > t_end || t_next == kInfinity) break;  // kInfinity: drained
     // Observation cadence: obs_next_ is (re)armed only at the first
     // window after an observation barrier, when the processed set is
     // exactly the canonical events before that barrier — so t_next, and
@@ -584,11 +582,12 @@ void Simulator::run_windowed(RealTime t_end) {
     // exchange outboxes and merge traces but never run observers.
     if (obs_next_ == kInfinity) obs_next_ = t_next + obs_dt;
     // Cut-aware safe horizon: nothing processed before W_end can cause an
-    // event before W_end in another lane.  Never below the classic global
-    // bound t_next + min_delay(); clipped by the observation cadence,
-    // probes, and the caller's horizon.  The final window is inclusive so
-    // events at exactly t_end are processed, matching the serial engine's
-    // run_until contract.
+    // event before W_end in another lane (infinite for a single lane).
+    // Never below the classic global bound t_next + min_delay(); clipped
+    // by the observation cadence, probes, and the caller's horizon.  A
+    // probe fires ahead of same-instant events, so its window stops short
+    // of it; otherwise the final window is inclusive so events at exactly
+    // t_end are processed.
     const RealTime horizon =
         std::max(safe_horizon(), t_next + lookahead_);
     RealTime w_end = std::min(std::min(horizon, obs_next_), t_end);
@@ -603,31 +602,45 @@ void Simulator::run_windowed(RealTime t_end) {
     if (w_end == obs_next_) obs_next_ = kInfinity;
     if (obs_fires && w_end == t_end) t_end_flushed = true;
   }
-  now_ = std::max(now_, t_end);
-  for (Lane& ln : lanes_) ln.now = now_;
-  // Canonical close: every run_until ends with exactly one observation
-  // flush at t_end (delivering any touches accumulated since the last
-  // obs barrier), whether or not a window happened to land there — the
-  // landing depends on the partition, the close must not.
-  if (!t_end_flushed) {
-    canon_stats_.pushes = probe_canon_pushes_;
-    canon_stats_.pops = probe_canon_pops_;
-    for (const Lane& ln : lanes_) {
-      canon_stats_.pushes += ln.canon_pushes;
-      canon_stats_.pops += ln.canon_pops;
-    }
-    canon_stats_.peak_size =
-        std::max(canon_stats_.peak_size, canonical_pending());
+  for (Lane& ln : lanes_) ln.now = std::max(ln.now, t_end);
+  // Sharded canonical close: every run_until ends with exactly one
+  // observation flush at t_end (delivering any touches accumulated since
+  // the last obs barrier), whether or not a window happened to land there
+  // — the landing depends on the partition, the close must not.
+  if (part_ && !t_end_flushed) {
+    canon_peak_ = std::max(canon_peak_, canonical_pending());
     flush_observers(t_end);
   }
 }
 
+EventQueue::Stats Simulator::queue_stats() const {
+  // Each probe is one push (armed at setup or by its predecessor) and one
+  // pop (fired), exactly as if it had been queued.
+  const std::uint64_t probe_pending = probe_next_ < kInfinity ? 1 : 0;
+  EventQueue::Stats s;
+  s.pushes =
+      probe_events_ + probe_pending + sum_lanes(&Tally::canon_pushes);
+  s.pops = probe_events_ + sum_lanes(&Tally::canon_pops);
+  // Unsharded the probe is pending from setup on, so the per-push peak of
+  // the queue plus the probe is the exact peak of every pending event.
+  s.peak_size = part_ ? canon_peak_
+                      : lanes_[0].queue.stats().peak_size + probe_pending;
+  return s;
+}
+
 void Simulator::process_window(Lane& ln) {
+  // Without a partition the lane is the whole run: the per-event observer
+  // runs right here, with now(), last_event() and the link view exact for
+  // the event.  Partitioned lanes log what each event touched instead, for
+  // the observation barrier.
+  const bool per_event = !part_;
+  const RealTime w_end = win_end_;
+  const bool inclusive = win_inclusive_;
   RealTime t = 0.0;
   TimerWheel::Fired tf;
   bool timer_first = false;
-  while (next_key(ln, t, tf, timer_first)) {
-    if (win_inclusive_ ? t > win_end_ : t >= win_end_) break;
+  while (next_key(ln, t, tf, timer_first) &&
+         (inclusive ? t <= w_end : t < w_end)) {
     Event e = pop_next(ln, tf, timer_first);
     assert(e.time >= ln.now - kTimeTolerance && "lane queue went backwards");
     ln.now = std::max(ln.now, e.time);
@@ -639,15 +652,20 @@ void Simulator::process_window(Lane& ln) {
       continue;
     }
     // Wheel fires are not queue traffic: canonical pops count queue events
-    // only, uniformly with the serial engine's queue stats.
-    if (!timer_first) ++ln.canon_pops;
-    ++ln.events;
+    // only.
+    if (!timer_first) ++ln.tally.canon_pops;
+    ++ln.tally.events;
     ln.cur_time = e.time;
     ln.cur_source = e.source;
     ln.cur_seq = e.seq;
     ln.cur_sub = 0;
     const bool observable = process(ln, e);
-    if (observable) {
+    if (per_event) {
+      if (observable && observer_) observer_(*this, ln.now);
+      if (progress_interval_ > 0.0 && (ln.tally.events & 0x3fffu) == 0) {
+        maybe_progress(false);
+      }
+    } else if (observable) {
       const LastEvent& le = ln.last_event;
       if (le.node != kInvalidNode) {
         ln.touched.push_back(WindowTouch{le.node, le.woke});
@@ -813,34 +831,10 @@ void Simulator::barrier_flush(RealTime w_end, bool probe_fires,
       src.outbox[d].clear();
     }
   }
-  // 2. Cut-edge flips fold into the barrier-reconciled global view, in key
-  // order so multiple flips of one edge within a window settle correctly.
-  std::size_t n_flips = 0;
-  for (const Lane& ln : lanes_) n_flips += ln.flips.size();
-  if (n_flips > 0) {
-    std::vector<Lane::LinkFlip> flips;
-    flips.reserve(n_flips);
-    for (Lane& ln : lanes_) {
-      flips.insert(flips.end(), ln.flips.begin(), ln.flips.end());
-      ln.flips.clear();
-    }
-    std::sort(flips.begin(), flips.end(),
-              [](const Lane::LinkFlip& a, const Lane::LinkFlip& b) {
-                return std::tie(a.time, a.source, a.seq) <
-                       std::tie(b.time, b.source, b.seq);
-              });
-    for (const Lane::LinkFlip& f : flips) {
-      link_up_[f.edge] = f.up ? 1 : 0;
-    }
-  }
-  // 3. Flight-recorder records, merged in canonical order.
-  if (obs::kTraceCompiled && recorder_ != nullptr) {
-    merge_lane_traces();
-  } else {
-    for (Lane& ln : lanes_) ln.trace.clear();
-  }
-  // 4. Advance time, then fire the probe scheduled for this barrier.
-  now_ = w_end;
+  // 2. Flight-recorder records buffered by concurrent lanes, merged in
+  // canonical order (a single lane records directly).
+  if (obs::kTraceCompiled && recorder_ != nullptr) merge_lane_traces();
+  // 3. Advance time, then fire the probe scheduled for this barrier.
   for (Lane& ln : lanes_) ln.now = w_end;
   if (probe_fires) {
     if (obs::kTraceCompiled && recorder_ != nullptr) {
@@ -849,25 +843,22 @@ void Simulator::barrier_flush(RealTime w_end, bool probe_fires,
                         static_cast<std::uint32_t>(canonical_pending()));
     }
     ++probe_events_;
-    ++probe_canon_pops_;
-    ++probe_canon_pushes_;
     probe_next_ += cfg_.probe_interval;
   }
-  // 5. Canonical queue statistics.  Pushes/pops are exact at any barrier;
-  // the *peak* is sampled only at observation barriers, whose times are
-  // shard-count invariant — sampling at horizon-clipped barriers would
-  // leak the partition into the stats.
-  canon_stats_.pushes = probe_canon_pushes_;
-  canon_stats_.pops = probe_canon_pops_;
-  for (const Lane& ln : lanes_) {
-    canon_stats_.pushes += ln.canon_pushes;
-    canon_stats_.pops += ln.canon_pops;
-  }
-  if (obs_fires) {
-    canon_stats_.peak_size =
-        std::max(canon_stats_.peak_size, canonical_pending());
-    // 6. Observers, only at observation barriers; plain barriers let the
-    // per-lane touched sets accumulate until the next one.
+  if (!part_) {
+    // 4. Unsharded: the per-event observer already ran inside the lane; a
+    // probe is one more observable event, touching no node.
+    if (probe_fires && observer_) {
+      lanes_[0].last_event = LastEvent{};
+      observer_(*this, w_end);
+    }
+  } else if (obs_fires) {
+    // 4. Sharded: the canonical queue peak and the observers, only at
+    // observation barriers, whose times are shard-count invariant —
+    // sampling at horizon-clipped barriers would leak the partition into
+    // the output.  Plain barriers let the per-lane touched sets accumulate
+    // until the next one.
+    canon_peak_ = std::max(canon_peak_, canonical_pending());
     flush_observers(w_end);
   } else if (!window_observer_) {
     for (Lane& ln : lanes_) ln.touched.clear();
@@ -933,11 +924,11 @@ bool Simulator::process(Lane& ln, Event& e) {
       const Message m = ln.slab.take(e.msg);
       const std::uint8_t st = status_slots_[slot(e.node)];
       if (!ln.link_up[e.edge] || (st & (kCrashedBit | kDepartedBit)) != 0) {
-        ++ln.dropped;  // link down while in flight, or receiver dead/gone
+        ++ln.tally.dropped;  // link down while in flight, or receiver dead/gone
         observable = false;
         break;
       }
-      ++ln.delivered;
+      ++ln.tally.delivered;
       le.node = e.node;
       if ((st & kAwakeBit) == 0) {
         le.woke = true;
@@ -959,7 +950,7 @@ bool Simulator::process(Lane& ln, Event& e) {
         // per outage instead of wakeups forever.  Recovery/rejoin
         // re-anchors the armed slots (armed stays set).  Counted as a
         // cancel: an armed deadline that never ran its callback.
-        ++ln.t_cancels;
+        ++ln.tally.t_cancels;
         observable = false;
         break;
       }
@@ -981,15 +972,9 @@ bool Simulator::process(Lane& ln, Event& e) {
       apply_link_change(ln, e);
       break;
     }
-    case EventKind::kProbe: {
-      // Serial engine only; the sharded coordinator fires probes at window
-      // barriers without queueing them.
-      Event probe;
-      probe.time = e.time + cfg_.probe_interval;
-      probe.kind = EventKind::kProbe;
-      push_event(probe, kInvalidNode);
+    case EventKind::kProbe:
+      assert(false && "probes fire at barriers and are never queued");
       break;
-    }
     case EventKind::kCrash: {
       std::uint8_t& st = status_slots_[slot(e.node)];
       if ((st & kCrashedBit) != 0) {
@@ -997,7 +982,7 @@ bool Simulator::process(Lane& ln, Event& e) {
         break;
       }
       st |= kCrashedBit;
-      ++ln.crashes;
+      ++ln.tally.crashes;
       le.node = e.node;  // leaves the awake set at this instant
       break;
     }
@@ -1008,21 +993,12 @@ bool Simulator::process(Lane& ln, Event& e) {
         break;
       }
       st &= static_cast<std::uint8_t>(~kCrashedBit);
-      ++ln.recoveries;
+      ++ln.tally.recoveries;
       le.node = e.node;  // re-enters the awake set: fold its clock
       if ((st & (kAwakeBit | kDepartedBit)) == kAwakeBit) {
-        // Re-anchor every armed timer (deadlines computed before the
-        // outage are meaningless now), then run the re-join handshake.
-        for (int sl = 0; sl < kMaxTimerSlots; ++sl) {
-          TimerState& ts = timer(e.node, sl);
-          if (!ts.armed) continue;
-          if (ts.pending != TimerWheel::kNull) {
-            lane_of(e.node).wheel.cancel(ts.pending);
-            ts.pending = TimerWheel::kNull;
-            ++ln.t_cancels;
-          }
-          schedule_timer_event(e.node, sl, ln.now);
-        }
+        // Deadlines computed before the outage are meaningless now:
+        // re-anchor them, then run the re-join handshake.
+        rearm_timers(ln, e.node);
         nodes_[static_cast<std::size_t>(e.node)]->on_rejoin(
             ln.services->pin(e.node));
       }
@@ -1035,26 +1011,16 @@ bool Simulator::process(Lane& ln, Event& e) {
         break;
       }
       st &= static_cast<std::uint8_t>(~kDepartedBit);
-      ++ln.joins;
+      ++ln.tally.joins;
       le.node = e.node;  // (re-)enters the awake set at this instant
       if ((st & kAwakeBit) == 0) {
         // First appearance: initialize like a spontaneous wake.
         le.woke = true;
         wake_node(ln, e.node, nullptr);
       } else if ((st & kCrashedBit) == 0) {
-        // Re-join after an absence: deadlines computed before departure
-        // are meaningless now — re-anchor the armed slots, then run the
-        // same handshake a crash recovery uses.
-        for (int sl = 0; sl < kMaxTimerSlots; ++sl) {
-          TimerState& ts = timer(e.node, sl);
-          if (!ts.armed) continue;
-          if (ts.pending != TimerWheel::kNull) {
-            lane_of(e.node).wheel.cancel(ts.pending);
-            ts.pending = TimerWheel::kNull;
-            ++ln.t_cancels;
-          }
-          schedule_timer_event(e.node, sl, ln.now);
-        }
+        // Re-join after an absence: the same re-anchor and handshake a
+        // crash recovery uses.
+        rearm_timers(ln, e.node);
         nodes_[static_cast<std::size_t>(e.node)]->on_rejoin(
             ln.services->pin(e.node));
       }
@@ -1067,7 +1033,7 @@ bool Simulator::process(Lane& ln, Event& e) {
         break;
       }
       st |= kDepartedBit;
-      ++ln.leaves;
+      ++ln.tally.leaves;
       le.node = e.node;  // leaves the awake set at this instant
       break;
     }
@@ -1077,7 +1043,7 @@ bool Simulator::process(Lane& ln, Event& e) {
         observable = false;  // no live state to corrupt
         break;
       }
-      ++ln.scrambles;
+      ++ln.tally.scrambles;
       le.node = e.node;  // its clock moves discontinuously: fold it
       const ScramblePayload& sp =
           scramble_payloads_[static_cast<std::size_t>(e.generation)];
@@ -1095,8 +1061,8 @@ bool Simulator::process(Lane& ln, Event& e) {
 void Simulator::emit(Lane& ln, obs::TracePoint tp, RealTime t, NodeId node,
                      std::uint32_t edge, double a, double b,
                      std::uint16_t flags, std::uint32_t aux) {
-  if (!windowed_ || !in_window_) {
-    // Serial engine, or coordinator context (setup wakes): straight to the
+  if (lanes_.size() == 1 || !in_window_) {
+    // A single lane, or coordinator context (setup wakes): straight to the
     // recorder — the call order is already canonical.
     recorder_->record(tp, t, node, edge, a, b, flags, aux);
     return;
@@ -1117,11 +1083,16 @@ void Simulator::emit(Lane& ln, obs::TracePoint tp, RealTime t, NodeId node,
   ln.trace.push_back(te);
 }
 
+std::uint32_t Simulator::trace_depth(const Lane& ln) const {
+  std::size_t depth = ln.queue.size();
+  if (!part_ && probe_next_ < kInfinity) ++depth;
+  return static_cast<std::uint32_t>(std::min<std::size_t>(depth, 0xffffffffu));
+}
+
 void Simulator::trace_event(Lane& ln, const Event& e, bool observable,
                             double mult_before) {
   using obs::TracePoint;
-  const auto qsize = static_cast<std::uint32_t>(
-      ln.queue.size() < 0xffffffffu ? ln.queue.size() : 0xffffffffu);
+  const std::uint32_t qsize = trace_depth(ln);
   TracePoint tp = TracePoint::kProbe;
   std::uint16_t flags = 0;
   double a = 0.0;
@@ -1142,8 +1113,7 @@ void Simulator::trace_event(Lane& ln, const Event& e, bool observable,
       tp = TracePoint::kLinkChange;
       if (e.link_up) flags |= obs::kFlagLinkUp;
       break;
-    case EventKind::kProbe:
-      tp = TracePoint::kProbe;
+    case EventKind::kProbe:  // never queued; barriers record probes
       break;
     case EventKind::kCrash:
       tp = TracePoint::kFault;
@@ -1188,12 +1158,17 @@ void Simulator::trace_event(Lane& ln, const Event& e, bool observable,
   emit(ln, tp, ln.now, e.node, e.edge, a, b, flags, qsize);
 }
 
-void Simulator::schedule_rate_change(NodeId v, RealTime at, double rate) {
-  assert(at >= now_ - kTimeTolerance);
+Event Simulator::node_event(EventKind kind, NodeId v, RealTime at) const {
+  assert(at >= now() - kTimeTolerance);
   Event e;
-  e.time = std::max(at, now_);
-  e.kind = EventKind::kRateChange;
+  e.time = std::max(at, now());
+  e.kind = kind;
   e.node = v;
+  return e;
+}
+
+void Simulator::schedule_rate_change(NodeId v, RealTime at, double rate) {
+  Event e = node_event(EventKind::kRateChange, v, at);
   e.rate = rate;
   e.rate_from_policy = false;
   push_event(e, v);
@@ -1201,11 +1176,7 @@ void Simulator::schedule_rate_change(NodeId v, RealTime at, double rate) {
 
 void Simulator::schedule_scramble(NodeId v, RealTime at, std::uint64_t seed,
                                   double magnitude) {
-  assert(at >= now_ - kTimeTolerance);
-  Event e;
-  e.time = std::max(at, now_);
-  e.kind = EventKind::kScramble;
-  e.node = v;
+  Event e = node_event(EventKind::kScramble, v, at);
   e.generation = scramble_payloads_.size();
   scramble_payloads_.push_back(ScramblePayload{seed, magnitude});
   push_event(e, v);
@@ -1238,60 +1209,28 @@ bool Simulator::link_up(NodeId u, NodeId v) const {
 }
 
 void Simulator::schedule_link_change(NodeId u, NodeId v, bool up, RealTime at) {
-  assert(at >= now_ - kTimeTolerance);
-  Event e;
-  e.time = std::max(at, now_);
-  e.kind = EventKind::kLinkChange;
-  e.node = u;
-  e.node2 = v;
-  e.edge = edge_index(u, v);  // resolved once, here
-  e.link_up = up;
-  push_link_change(e, u);
+  push_link_change(u, v, edge_index(u, v), up, at);  // edge resolved once
 }
 
 void Simulator::schedule_crash(NodeId v, RealTime at) {
-  assert(at >= now_ - kTimeTolerance);
   // The crash marker goes first (per-source seq order among same-time
   // events): the node is dead before its links report down, so only the
   // surviving endpoints get on_link_change callbacks.  Per-link events are
   // kept (rather than one bulk cut) so incremental observers fold each
   // neighbor's reaction.
-  Event c;
-  c.time = std::max(at, now_);
-  c.kind = EventKind::kCrash;
-  c.node = v;
-  push_event(c, v);
+  push_event(node_event(EventKind::kCrash, v, at), v);
   for (const graph::Graph::Arc* a = csr_->begin(v); a != csr_->end(v); ++a) {
-    Event e;
-    e.time = c.time;
-    e.kind = EventKind::kLinkChange;
-    e.node = v;
-    e.node2 = a->to;
-    e.edge = a->edge;
-    e.link_up = false;
-    push_link_change(e, v);
+    push_link_change(v, a->to, a->edge, false, at);
   }
 }
 
 void Simulator::schedule_recovery(NodeId v, RealTime at) {
-  assert(at >= now_ - kTimeTolerance);
   // Links come back first so the on_rejoin() re-announcement broadcast by
   // the kRecover event (same instant, seq order) reaches the neighbors.
   for (const graph::Graph::Arc* a = csr_->begin(v); a != csr_->end(v); ++a) {
-    Event e;
-    e.time = std::max(at, now_);
-    e.kind = EventKind::kLinkChange;
-    e.node = v;
-    e.node2 = a->to;
-    e.edge = a->edge;
-    e.link_up = true;
-    push_link_change(e, v);
+    push_link_change(v, a->to, a->edge, true, at);
   }
-  Event r;
-  r.time = std::max(at, now_);
-  r.kind = EventKind::kRecover;
-  r.node = v;
-  push_event(r, v);
+  push_event(node_event(EventKind::kRecover, v, at), v);
 }
 
 // ---- churn -------------------------------------------------------------------
@@ -1311,31 +1250,20 @@ void Simulator::set_link_initially_down(NodeId u, NodeId v) {
   }
   const std::uint32_t e = edge_index(u, v);
   for (Lane& ln : lanes_) ln.link_up[e] = 0;
-  if (windowed_) link_up_[e] = 0;
 }
 
 void Simulator::schedule_node_join(NodeId v, RealTime at) {
-  assert(at >= now_ - kTimeTolerance);
-  Event e;
-  e.time = std::max(at, now_);
-  e.kind = EventKind::kJoin;
-  e.node = v;
-  push_event(e, v);
+  push_event(node_event(EventKind::kJoin, v, at), v);
 }
 
 void Simulator::schedule_node_leave(NodeId v, RealTime at) {
-  assert(at >= now_ - kTimeTolerance);
-  Event e;
-  e.time = std::max(at, now_);
-  e.kind = EventKind::kLeave;
-  e.node = v;
-  push_event(e, v);
+  push_event(node_event(EventKind::kLeave, v, at), v);
 }
 
 void Simulator::grow_topology(bool new_edges_up) {
-  if (windowed_) {
+  if (part_) {
     throw std::logic_error(
-        "Simulator::grow_topology: the sharded engine pre-declares its edge "
+        "Simulator::grow_topology: a sharded simulator pre-declares its edge "
         "universe (cut tables and lookahead bounds are fixed at "
         "configure_shards); add the churnable edges to the Graph before "
         "constructing the Simulator, or rebalance with repartition()");
@@ -1350,9 +1278,8 @@ void Simulator::grow_topology(bool new_edges_up) {
 }
 
 void Simulator::repartition(const std::string& strategy) {
-  if (!windowed_) {
-    throw std::logic_error(
-        "Simulator::repartition requires the sharded engine");
+  if (!part_) {
+    throw std::logic_error("Simulator::repartition requires shards");
   }
   if (in_window_ || !setup_done_) {
     throw std::logic_error(
@@ -1360,16 +1287,19 @@ void Simulator::repartition(const std::string& strategy) {
   }
   const auto n = static_cast<std::size_t>(graph_.num_nodes());
   const auto k = static_cast<int>(lanes_.size());
+  const RealTime now_at = now();
   // 1. New assignment, guided by the *live* subgraph (links currently up —
   // under churn the dead weight of absent nodes and removed edges is
   // exactly what the old partition is mis-balanced around).  The installed
   // Partition must cover the full edge universe: its cut tables drive the
   // conservative horizons for every schedulable event, not just the live
-  // ones.
-  graph::Graph live(static_cast<graph::NodeId>(n));
+  // ones.  The owning lanes' views are exact here, between windows.
   const auto& universe = graph_.edges();
+  std::vector<std::uint8_t> links(universe.size());
+  graph::Graph live(static_cast<graph::NodeId>(n));
   for (std::uint32_t e = 0; e < universe.size(); ++e) {
-    if (link_up_[e]) live.add_edge(universe[e].first, universe[e].second);
+    links[e] = link_up(e) ? 1 : 0;
+    if (links[e]) live.add_edge(universe[e].first, universe[e].second);
   }
   const std::string strat = strategy.empty() ? partition_strategy_ : strategy;
   const graph::Graph& guide = live.num_edges() > 0 ? live : graph_;
@@ -1390,7 +1320,7 @@ void Simulator::repartition(const std::string& strategy) {
       (void)box;
       assert(box.empty() && "outboxes drain at every barrier");
     }
-    assert(ln.flips.empty() && ln.trace.empty());
+    assert(ln.trace.empty());
     old_arms += ln.wheel.stats().arms;
     old_fires += ln.wheel.stats().fires;
     while (!ln.queue.empty()) {
@@ -1419,89 +1349,25 @@ void Simulator::repartition(const std::string& strategy) {
       ts.pending = TimerWheel::kNull;  // re-armed on the new wheel below
     }
   }
-  // 3. Snapshot the slot-indexed hot state by node id, and the per-lane
-  // counters by lane index (only the sums are canonical; the per-lane
-  // split is partition-dependent bookkeeping).
-  std::vector<HardwareClock> clock_by_node(n);
-  std::vector<std::uint8_t> status_by_node(n);
-  std::vector<TimerState> tstate_by_node(
-      n * static_cast<std::size_t>(kMaxTimerSlots));
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t sl = slot(static_cast<NodeId>(v));
-    clock_by_node[v] = clock_slots_[sl];
-    status_by_node[v] = status_slots_[sl];
-    for (int s = 0; s < kMaxTimerSlots; ++s) {
-      tstate_by_node[v * static_cast<std::size_t>(kMaxTimerSlots) +
-                     static_cast<std::size_t>(s)] =
-          timer_slots_[sl * static_cast<std::size_t>(kMaxTimerSlots) +
-                       static_cast<std::size_t>(s)];
-    }
-  }
-  std::vector<Lane> old_counters = std::vector<Lane>();  // counters only
-  old_counters.reserve(lanes_.size());
-  for (Lane& ln : lanes_) {
-    Lane c;
-    c.broadcasts = ln.broadcasts;
-    c.delivered = ln.delivered;
-    c.dropped = ln.dropped;
-    c.events = ln.events;
-    c.t_cancels = ln.t_cancels;
-    c.crashes = ln.crashes;
-    c.recoveries = ln.recoveries;
-    c.joins = ln.joins;
-    c.leaves = ln.leaves;
-    c.canon_pushes = ln.canon_pushes;
-    c.canon_pops = ln.canon_pops;
-    old_counters.push_back(std::move(c));
-  }
-  // 4. Install the partition: new slot permutation, scattered hot state,
-  // fresh cut distances, fresh lanes with their link views restored from
-  // the barrier-reconciled global state.
+  // 3. Install the partition: the per-node hot state moves to the new slot
+  // permutation, cut distances are recomputed, and fresh lanes get their
+  // link views from the snapshot of step 1 and their counter blocks from
+  // the old lanes (only the sums are canonical).
+  std::vector<Tally> counts;
+  for (const Lane& ln : lanes_) counts.push_back(ln.tally);
   part_ = std::make_unique<graph::Partition>(std::move(next));
   if (!strategy.empty()) partition_strategy_ = strategy;
-  std::uint32_t next_slot = 0;
-  for (int s = 0; s < part_->num_shards(); ++s) {
-    for (const NodeId v : part_->members(s)) {
-      slot_of_[static_cast<std::size_t>(v)] = next_slot++;
-    }
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t sl = slot(static_cast<NodeId>(v));
-    clock_slots_[sl] = clock_by_node[v];
-    status_slots_[sl] = status_by_node[v];
-    for (int s = 0; s < kMaxTimerSlots; ++s) {
-      timer_slots_[sl * static_cast<std::size_t>(kMaxTimerSlots) +
-                   static_cast<std::size_t>(s)] =
-          tstate_by_node[v * static_cast<std::size_t>(kMaxTimerSlots) +
-                         static_cast<std::size_t>(s)];
-    }
-  }
+  install_slots();
   compute_cut_dist();
   init_lanes(static_cast<std::size_t>(k));
+  size_lanes();
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    Lane& ln = lanes_[i];
-    ln.now = now_;
-    ln.link_up.assign(link_up_.begin(), link_up_.end());
-    ln.broadcasts = old_counters[i].broadcasts;
-    ln.delivered = old_counters[i].delivered;
-    ln.dropped = old_counters[i].dropped;
-    ln.events = old_counters[i].events;
-    ln.t_cancels = old_counters[i].t_cancels;
-    ln.crashes = old_counters[i].crashes;
-    ln.recoveries = old_counters[i].recoveries;
-    ln.joins = old_counters[i].joins;
-    ln.leaves = old_counters[i].leaves;
-    ln.canon_pushes = old_counters[i].canon_pushes;
-    ln.canon_pops = old_counters[i].canon_pops;
-    const std::size_t members =
-        part_->members(static_cast<int>(i)).size();
-    ln.queue.reserve(members * 2);
-    ln.slab.reserve(members);
-    ln.wheel.configure(members);
-    ln.wheel.reserve(members * 2);
+    lanes_[i].now = now_at;
+    lanes_[i].link_up = links;
+    lanes_[i].tally = counts[i];
   }
   compute_lane_lookahead();
-  // 5. Re-file everything WITHOUT re-stamping: keys are immutable.  Twins
+  // 4. Re-file everything WITHOUT re-stamping: keys are immutable.  Twins
   // are recreated for link changes that are cut edges under the new
   // partition; canonical push counters are untouched (each logical event
   // was counted at creation).
@@ -1535,7 +1401,7 @@ void Simulator::repartition(const std::string& strategy) {
         lt.time, lt.seq, lt.node, static_cast<std::uint8_t>(lt.slot));
     note_queued(dest, lt.node, kInvalidNode, lt.time);
   }
-  // 6. Wheel-stat carry: the fresh wheels count one arm per live re-arm
+  // 5. Wheel-stat carry: the fresh wheels count one arm per live re-arm
   // and zero fires; the canonical totals must read as if nothing happened.
   std::uint64_t new_arms = 0;
   for (const Lane& ln : lanes_) new_arms += ln.wheel.stats().arms;
@@ -1548,13 +1414,8 @@ void Simulator::repartition(const std::string& strategy) {
 void Simulator::apply_link_change(Lane& ln, const Event& e) {
   if ((ln.link_up[e.edge] != 0) == e.link_up) return;  // no-op flip
   ln.link_up[e.edge] = e.link_up ? 1 : 0;
-  if (windowed_ && !e.twin) {
-    // Primary copy records the flip for the barrier's global reconcile.
-    ln.flips.push_back(
-        Lane::LinkFlip{e.time, e.seq, e.source, e.edge, e.link_up});
-  }
   for (const NodeId endpoint : {e.node, e.node2}) {
-    if (windowed_ && part_->shard_of(endpoint) != ln.index) {
+    if (&lane_of(endpoint) != &ln) {
       continue;  // the other lane's copy runs this endpoint's callback
     }
     if ((status_slots_[slot(endpoint)] &
@@ -1568,11 +1429,10 @@ void Simulator::apply_link_change(Lane& ln, const Event& e) {
 }
 
 void Simulator::do_broadcast(Lane& ln, NodeId v, const Message& m) {
-  ++ln.broadcasts;
+  ++ln.tally.broadcasts;
   if (obs::kTraceCompiled && recorder_ != nullptr) {
     emit(ln, obs::TracePoint::kBroadcast, ln.now, v, obs::kNoTraceEdge,
-         m.logical, m.logical_max, 0,
-         static_cast<std::uint32_t>(ln.queue.size()));
+         m.logical, m.logical_max, 0, trace_depth(ln));
   }
   for (const graph::Graph::Arc* a = csr_->begin(v); a != csr_->end(v); ++a) {
     if (!ln.link_up[a->edge]) continue;  // link currently down
@@ -1592,7 +1452,7 @@ void Simulator::do_broadcast(Lane& ln, NodeId v, const Message& m) {
     ln.plan_scratch.clear();
     delay_->plan_deliveries(v, a->to, ln.now, *this, ln.plan_scratch);
     if (ln.plan_scratch.empty()) {
-      ++ln.dropped;  // the channel ate it
+      ++ln.tally.dropped;  // the channel ate it
       continue;
     }
     for (const PlannedDelivery& pd : ln.plan_scratch) {
@@ -1610,16 +1470,19 @@ void Simulator::do_broadcast(Lane& ln, NodeId v, const Message& m) {
   }
 }
 
+void Simulator::drop_pending(Lane& ln, NodeId v, TimerState& ts) {
+  // The wheel removes the superseded deadline in O(1) (the pre-wheel
+  // engine left it in the heap to pop as stale); counted as a cancel.
+  if (ts.pending == TimerWheel::kNull) return;
+  lane_of(v).wheel.cancel(ts.pending);
+  ts.pending = TimerWheel::kNull;
+  ++ln.tally.t_cancels;
+}
+
 void Simulator::arm_timer(Lane& ln, NodeId v, int slot, ClockValue target) {
   assert(slot >= 0 && slot < kMaxTimerSlots);
   TimerState& ts = timer(v, slot);
-  if (ts.pending != TimerWheel::kNull) {
-    // Re-arm of a pending slot: the old deadline is removed in O(1) (the
-    // pre-wheel engine left it in the heap to pop as stale).
-    lane_of(v).wheel.cancel(ts.pending);
-    ts.pending = TimerWheel::kNull;
-    ++ln.t_cancels;
-  }
+  drop_pending(ln, v, ts);
   ts.target = target;
   ts.armed = true;
   schedule_timer_event(v, slot, ln.now);
@@ -1629,10 +1492,15 @@ void Simulator::disarm_timer(Lane& ln, NodeId v, int slot) {
   assert(slot >= 0 && slot < kMaxTimerSlots);
   TimerState& ts = timer(v, slot);
   ts.armed = false;
-  if (ts.pending != TimerWheel::kNull) {
-    lane_of(v).wheel.cancel(ts.pending);
-    ts.pending = TimerWheel::kNull;
-    ++ln.t_cancels;
+  drop_pending(ln, v, ts);
+}
+
+void Simulator::rearm_timers(Lane& ln, NodeId v) {
+  for (int slot = 0; slot < kMaxTimerSlots; ++slot) {
+    TimerState& ts = timer(v, slot);
+    if (!ts.armed) continue;
+    drop_pending(ln, v, ts);
+    schedule_timer_event(v, slot, ln.now);
   }
 }
 
@@ -1646,11 +1514,11 @@ void Simulator::schedule_timer_event(NodeId v, int slot, RealTime now) {
   // The arm consumes v's next sequence number exactly where the pre-wheel
   // engine stamped its timer-event push, so every event key in the run is
   // identical to the heap engine's.
-  const std::uint64_t seq = next_seq_[seq_index(v)]++;
+  const std::uint64_t seq = next_seq_[static_cast<std::size_t>(v)]++;
   Lane& dest = lane_of(v);
   ts.pending =
       dest.wheel.arm(deadline, seq, v, static_cast<std::uint8_t>(slot));
-  if (windowed_) note_queued(dest, v, kInvalidNode, deadline);
+  note_queued(dest, v, kInvalidNode, deadline);
 }
 
 void Simulator::apply_rate_change(Lane& ln, NodeId v, double rate) {
@@ -1659,20 +1527,9 @@ void Simulator::apply_rate_change(Lane& ln, NodeId v, double rate) {
   // Crashed/departed nodes keep drifting but reschedule nothing: their
   // timer fires are suppressed anyway, and recovery/rejoin re-anchors the
   // armed slots.
-  if ((status_slots_[sl] & (kAwakeBit | kCrashedBit | kDepartedBit)) !=
+  if ((status_slots_[sl] & (kAwakeBit | kCrashedBit | kDepartedBit)) ==
       kAwakeBit) {
-    return;
-  }
-  // Re-anchor all armed hardware-time timers onto the new rate.
-  for (int slot = 0; slot < kMaxTimerSlots; ++slot) {
-    TimerState& ts = timer(v, slot);
-    if (!ts.armed) continue;
-    if (ts.pending != TimerWheel::kNull) {
-      lane_of(v).wheel.cancel(ts.pending);
-      ts.pending = TimerWheel::kNull;
-      ++ln.t_cancels;
-    }
-    schedule_timer_event(v, slot, ln.now);
+    rearm_timers(ln, v);  // hardware-time deadlines move with the rate
   }
 }
 
@@ -1711,8 +1568,8 @@ void Simulator::maybe_progress(bool force) {
   std::fprintf(stderr,
                "[tbcs] wall=%.1fs sim_t=%.3f events=%llu (%.3g ev/s) "
                "queue=%zu",
-               wall, now_, static_cast<unsigned long long>(ev), rate, depth);
-  if (windowed_) {
+               wall, now(), static_cast<unsigned long long>(ev), rate, depth);
+  if (part_) {
     std::fprintf(stderr, " shards=%zu horizon=%.6f", lanes_.size(), win_end_);
   }
   std::fprintf(stderr, "\n");

@@ -13,8 +13,17 @@
 // Event identity: every event carries the key (time, source node,
 // per-source sequence number), stamped at creation.  The key is a pure
 // function of the causal history — independent of which queue the event
-// sits in or when it was pushed — which is what makes the sharded engine
-// below bit-identical to the serial one.
+// sits in or when it was pushed — which is what makes a run bit-identical
+// for every shard count.
+//
+// One engine: run_until repeatedly finds the earliest pending event
+// t_next, chooses a window end, runs every lane up to it, and flushes the
+// barrier (cross-lane mail, trace merge, probes, observers).  Probes never
+// enter a queue; they fire at barriers, ahead of same-instant events.  An
+// unsharded simulator (shards() == 0) is one lane with no partition: its
+// window runs straight to the next probe or the horizon, no lookahead is
+// required, and the per-event observer runs inside the lane after every
+// observable event.
 //
 // Sharded execution (configure_shards): the node set is split by a
 // graph::Partition into per-shard lanes, each with its own event queue and
@@ -109,14 +118,15 @@ struct SimConfig {
   /// several independent initialization floods that merge.
   std::vector<graph::NodeId> extra_roots;
 
-  /// If > 0, a probe event fires every `probe_interval` so observers get
-  /// called even during event-free stretches.
+  /// If > 0, a probe fires every `probe_interval` (at a barrier, ahead of
+  /// same-instant events) so observers get called even during event-free
+  /// stretches.
   Duration probe_interval = 0.0;
 
-  /// Sharded engine only: target spacing of observation barriers (the
+  /// Sharded only: target spacing of observation barriers (the
   /// partition-invariant barriers where observers run and the canonical
   /// queue peak is sampled).  <= 0 picks 4x the delay policy's global
-  /// min_delay().  The serial engine ignores it (observers run per event).
+  /// min_delay().  Unsharded runs ignore it (observers run per event).
   Duration observation_interval = 0.0;
 
   /// Event-queue implementation.  kAuto picks the ladder queue at or above
@@ -144,13 +154,13 @@ class Simulator {
   void set_drift_policy(std::shared_ptr<DriftPolicy> policy);
   void set_delay_policy(std::shared_ptr<DelayPolicy> policy);
 
-  /// Switches to the sharded time-window engine with `shards` lanes over a
-  /// graph::Partition (`strategy`: "block" | "bands" | "ml").  Must be
-  /// called before the first run; requires the delay policy to certify a
-  /// positive min_delay() (the lookahead), checked at setup.  `shards <= 0`
-  /// keeps the classic serial engine.  With shards == 1 the engine runs
-  /// the windowed code path on the calling thread — the reference that
-  /// larger shard counts are gated against.
+  /// Splits the nodes into `shards` lanes over a graph::Partition
+  /// (`strategy`: "block" | "bands" | "ml").  Must be called before the
+  /// first run; requires the delay policy to certify a positive
+  /// min_delay() (the lookahead), checked at setup.  `shards <= 0` keeps
+  /// the unsharded single lane.  With shards == 1 the one partitioned
+  /// lane runs on the calling thread with observation barriers — the
+  /// reference that larger shard counts are gated against.
   ///
   /// `min_nodes_per_shard > 0` auto-clamps the lane count to
   /// max(1, min(shards, n / min_nodes_per_shard)): below ~that many nodes
@@ -161,19 +171,18 @@ class Simulator {
   void configure_shards(int shards, const std::string& strategy = "block",
                         int min_nodes_per_shard = 0);
 
-  /// Number of lanes when sharded; 0 for the classic serial engine.
-  int shards() const {
-    return windowed_ ? static_cast<int>(lanes_.size()) : 0;
-  }
+  /// Number of lanes when sharded; 0 when unsharded.
+  int shards() const { return part_ ? static_cast<int>(lanes_.size()) : 0; }
   /// The shard count configure_shards() was asked for, before clamping
-  /// (equal to shards() when no clamp fired; 0 for the serial engine).
+  /// (equal to shards() when no clamp fired; 0 when unsharded).
   int shards_requested() const { return shards_requested_; }
-  /// Partition strategy name passed to configure_shards ("" when serial).
+  /// Partition strategy name passed to configure_shards ("" if unsharded).
   const std::string& partition_strategy() const { return partition_strategy_; }
   const graph::Partition* partition() const { return part_.get(); }
 
-  /// Called after every processed event (and probe) with the current time
-  /// in the serial engine; called once per window barrier when sharded.
+  /// Unsharded: called inside the lane after every observable event and
+  /// at every probe, nowhere else, with now(), last_event() and link_up()
+  /// exact for that event.  Sharded: called once per observation barrier.
   using Observer = std::function<void(const Simulator&, RealTime)>;
   void set_observer(Observer observer);
 
@@ -184,10 +193,11 @@ class Simulator {
     NodeId node = kInvalidNode;
     bool woke = false;
   };
-  /// Sharded-engine observer: invoked at every window barrier with the
-  /// barrier time and the touched-node set.  The set is identical for
-  /// every shard count (it is a pure function of the event set), which is
-  /// what lets incremental trackers produce shard-count-invariant output.
+  /// Sharded-only observer: invoked at every observation barrier with the
+  /// barrier time and the touched-node set (never called unsharded).  The
+  /// set is identical for every shard count (it is a pure function of the
+  /// event set), which is what lets incremental trackers produce
+  /// shard-count-invariant output.
   using WindowObserver = std::function<void(
       const Simulator&, RealTime, const std::vector<WindowTouch>&)>;
   void set_window_observer(WindowObserver observer);
@@ -234,11 +244,13 @@ class Simulator {
   bool link_up(NodeId u, NodeId v) const;
 
   /// Link state by undirected edge index (parallel to topology().edges());
-  /// the O(1) form used by the metrics layer.  When sharded, valid at
-  /// window barriers (lanes hold the authoritative per-edge views during
-  /// a window).
+  /// the O(1) form used by the metrics layer.  Read from the view of the
+  /// lane owning the edge's first endpoint, which is exact after every
+  /// unsharded event and, sharded, at every barrier.
   bool link_up(std::size_t edge) const {
-    return (windowed_ ? link_up_[edge] : lanes_[0].link_up[edge]) != 0;
+    const std::size_t owner =
+        part_ ? lane_index(graph_.edges()[edge].first) : 0;
+    return lanes_[owner].link_up[edge] != 0;
   }
 
   /// Crash failure injection: downs all of v's links at time `at` and
@@ -266,11 +278,11 @@ class Simulator {
   void schedule_scramble(NodeId v, RealTime at, std::uint64_t seed,
                          double magnitude);
 
-  std::uint64_t scrambles() const { return sum_lanes(&Lane::scrambles); }
+  std::uint64_t scrambles() const { return sum_lanes(&Tally::scrambles); }
 
-  std::uint64_t messages_dropped() const { return sum_lanes(&Lane::dropped); }
-  std::uint64_t crashes() const { return sum_lanes(&Lane::crashes); }
-  std::uint64_t recoveries() const { return sum_lanes(&Lane::recoveries); }
+  std::uint64_t messages_dropped() const { return sum_lanes(&Tally::dropped); }
+  std::uint64_t crashes() const { return sum_lanes(&Tally::crashes); }
+  std::uint64_t recoveries() const { return sum_lanes(&Tally::recoveries); }
 
   // ---- churn (dynamic membership) ------------------------------------------
   //
@@ -306,18 +318,18 @@ class Simulator {
     return (status_slots_[slot(v)] & kDepartedBit) != 0;
   }
 
-  std::uint64_t joins() const { return sum_lanes(&Lane::joins); }
-  std::uint64_t leaves() const { return sum_lanes(&Lane::leaves); }
+  std::uint64_t joins() const { return sum_lanes(&Tally::joins); }
+  std::uint64_t leaves() const { return sum_lanes(&Tally::leaves); }
 
-  /// Serial engine only: re-snapshots the topology after the caller grew
-  /// the Graph with add_edge(), sizing the link-state table so the new
-  /// edges are schedulable (they start `new_edges_up`).  The sharded
-  /// engine pre-declares its edge universe — cut tables and lookahead
-  /// bounds are fixed at configure_shards — so it refuses mid-run growth;
-  /// grow the graph before constructing the Simulator instead.
+  /// Unsharded only: re-snapshots the topology after the caller grew the
+  /// Graph with add_edge(), sizing the link-state table so the new edges
+  /// are schedulable (they start `new_edges_up`).  A sharded simulator
+  /// pre-declares its edge universe — cut tables and lookahead bounds are
+  /// fixed at configure_shards — so it refuses mid-run growth; grow the
+  /// graph before constructing the Simulator instead.
   void grow_topology(bool new_edges_up = true);
 
-  /// Sharded engine, between run_until calls only: recomputes the
+  /// Sharded only, between run_until calls: recomputes the
   /// partition over the *live* subgraph (links currently up) with
   /// `strategy` (empty: the configure_shards strategy) and migrates every
   /// queued event, armed timer, and per-node hot slot into the new lanes
@@ -331,7 +343,9 @@ class Simulator {
 
   // ---- inspection (metrics layer; not visible to algorithms) --------------
 
-  RealTime now() const { return now_; }
+  /// Lane 0's clock: the current event's time inside an unsharded run, and
+  /// the barrier time between windows (every barrier moves all lanes to it).
+  RealTime now() const { return lanes_[0].now; }
   const graph::Graph& topology() const { return graph_; }
   NodeId num_nodes() const { return graph_.num_nodes(); }
 
@@ -345,7 +359,7 @@ class Simulator {
   }
   const HardwareClock& clock(NodeId v) const { return clock_slots_[slot(v)]; }
   /// H_v(now).
-  ClockValue hardware(NodeId v) const { return clock(v).value_at(now_); }
+  ClockValue hardware(NodeId v) const { return clock(v).value_at(now()); }
   /// L_v(now); 0 for nodes that have not been initialized yet.
   ClockValue logical(NodeId v) const;
 
@@ -354,12 +368,12 @@ class Simulator {
   }
   Node& node_mutable(NodeId v) { return *nodes_[static_cast<std::size_t>(v)]; }
 
-  std::uint64_t broadcasts() const { return sum_lanes(&Lane::broadcasts); }
+  std::uint64_t broadcasts() const { return sum_lanes(&Tally::broadcasts); }
   std::uint64_t messages_delivered() const {
-    return sum_lanes(&Lane::delivered);
+    return sum_lanes(&Tally::delivered);
   }
   std::uint64_t events_processed() const {
-    return sum_lanes(&Lane::events) + probe_events_;
+    return sum_lanes(&Tally::events) + probe_events_;
   }
 
   /// Timer arms/fires/cancels on the wheel.  Cancels count every armed
@@ -379,7 +393,7 @@ class Simulator {
     for (const Lane& ln : lanes_) s += ln.wheel.stats().fires;
     return s;
   }
-  std::uint64_t timer_cancels() const { return sum_lanes(&Lane::t_cancels); }
+  std::uint64_t timer_cancels() const { return sum_lanes(&Tally::t_cancels); }
 
   QueueImpl queue_impl() const { return queue_impl_; }
 
@@ -418,24 +432,23 @@ class Simulator {
     return info;
   }
 
-  /// Serial engine: the exact queue statistics.  Sharded engine: the
-  /// canonical statistics — pushes/pops count each logical event once
-  /// (cut-edge twins excluded, outbox appends counted at append time,
-  /// probes counted by the coordinator), and peak is sampled at window
-  /// barriers over the canonical pending count.  The canonical numbers
-  /// are identical for every shard count.
-  const EventQueue::Stats& queue_stats() const {
-    return windowed_ ? canon_stats_ : lanes_[0].queue.stats();
-  }
+  /// Canonical queue statistics, valid between run_until calls and inside
+  /// observers: pushes/pops count each logical event once (cut-edge twins
+  /// excluded, outbox appends counted at append time, each probe counted
+  /// as one push and one pop), identical for every shard count.  The peak
+  /// is exact per push when unsharded (the pending probe counts as
+  /// queued); sharded, it is the canonical pending count sampled at
+  /// observation barriers.
+  EventQueue::Stats queue_stats() const;
 
   /// What the event that triggered the current/last observer call changed.
   /// Logical-clock state is mutated only through node callbacks, so the
   /// nodes listed here are the only ones whose (offset, rate) can have
   /// changed discontinuously since the previous observer call; events that
   /// change nothing (stale timers, dropped messages) never reach the
-  /// observer.  Incremental trackers key their dirty-set updates off this.
-  /// Sharded engine: meaningless mid-window; window observers get the
-  /// touched-node set instead.
+  /// observer, and a probe touches no node.  Incremental trackers key
+  /// their dirty-set updates off this.  Sharded: meaningless; window
+  /// observers get the touched-node set instead.
   struct LastEvent {
     EventKind kind = EventKind::kProbe;
     NodeId node = kInvalidNode;   // primary touched node (kInvalidNode: none)
@@ -453,7 +466,7 @@ class Simulator {
 
   // Per-node hot state lives in struct-of-arrays form, indexed by *slot*:
   // slot_of_ permutes node ids so each shard's members occupy a contiguous
-  // block (identity for the serial engine).  An event loop touching only
+  // block (identity when unsharded).  An event loop touching only
   // its own shard's clocks/timers/status then walks a dense range instead
   // of striding across an array-of-structs of the whole graph.
   static constexpr std::uint8_t kAwakeBit = 1;
@@ -491,7 +504,24 @@ class Simulator {
     std::uint32_t aux = 0;
   };
 
-  /// One shard's execution state.  The serial engine is lane 0 alone.
+  /// Per-lane counters, folded by the accessors.  Only the sums are
+  /// canonical; repartition carries each lane's block over whole.
+  struct Tally {
+    std::uint64_t broadcasts = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t events = 0;
+    std::uint64_t t_cancels = 0;  // see timer_cancels()
+    std::uint64_t crashes = 0;
+    std::uint64_t recoveries = 0;
+    std::uint64_t joins = 0;
+    std::uint64_t leaves = 0;
+    std::uint64_t scrambles = 0;
+    std::uint64_t canon_pushes = 0;
+    std::uint64_t canon_pops = 0;
+  };
+
+  /// One shard's execution state.  An unsharded simulator is lane 0 alone.
   struct Lane {
     Lane();
     ~Lane();
@@ -503,10 +533,9 @@ class Simulator {
     /// Periodic self-timers of this lane's nodes; merged with the queue's
     /// pop stream under the canonical key (timers never enter the queue).
     TimerWheel wheel;
-    /// This lane's view of per-edge link state.  Serial: the authoritative
-    /// state.  Sharded: cut-edge flips are applied by primary and twin
-    /// events in both endpoint lanes, so each lane's view is exact for
-    /// every edge incident to one of its nodes.
+    /// This lane's view of per-edge link state.  Cut-edge flips are applied
+    /// by primary and twin events in both endpoint lanes, so the view is
+    /// exact for every edge incident to one of the lane's nodes.
     std::vector<std::uint8_t> link_up;
     std::vector<PlannedDelivery> plan_scratch;
     std::unique_ptr<ServicesImpl> services;
@@ -514,20 +543,12 @@ class Simulator {
     RealTime now = 0.0;
     int index = 0;
 
-    // Sharded-engine window state ------------------------------------------
+    // Sharded window state -------------------------------------------------
     struct OutMsg {
       Event event;      // stamped, routed; msg handle assigned at flush
       Message payload;
     };
     std::vector<std::vector<OutMsg>> outbox;  // per destination lane
-    struct LinkFlip {
-      RealTime time = 0.0;
-      std::uint64_t seq = 0;
-      NodeId source = kInvalidNode;
-      std::uint32_t edge = 0;
-      bool up = false;
-    };
-    std::vector<LinkFlip> flips;   // actual state changes, for the barrier
     std::vector<WindowTouch> touched;  // accumulates until an obs barrier
     std::vector<TraceEntry> trace;
 
@@ -554,45 +575,38 @@ class Simulator {
     NodeId cur_source = kInvalidNode;
     std::uint32_t cur_sub = 0;
 
-    // Per-lane counters, folded by the accessors ---------------------------
-    std::uint64_t broadcasts = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t events = 0;
-    std::uint64_t t_cancels = 0;  // see timer_cancels()
-    std::uint64_t crashes = 0;
-    std::uint64_t recoveries = 0;
-    std::uint64_t joins = 0;
-    std::uint64_t leaves = 0;
-    std::uint64_t scrambles = 0;
-    std::uint64_t canon_pushes = 0;
-    std::uint64_t canon_pops = 0;
     std::size_t twins_in_queue = 0;
+    Tally tally;
   };
 
   void setup();
   void init_lanes(std::size_t count);
+  /// Lays each shard's members out contiguously in the hot arrays (the
+  /// identity when unsharded), moving every node's slot state along.
+  void install_slots();
+  /// Reserves each lane's queue, slab, and wheel for its member count.
+  void size_lanes();
   /// Multi-source BFS from the cut-edge endpoints over intra-shard edges,
   /// capped at kMaxCutDist; fills cut_dist_ (configure_shards/repartition).
   void compute_cut_dist();
   /// Per-lane la_out/delta_intra from the delay policy's per-edge bounds,
   /// floored at the global lookahead (setup/repartition).
   void compute_lane_lookahead();
-  Lane& lane_of(NodeId v) {
-    return windowed_ && v != kInvalidNode
-               ? lanes_[static_cast<std::size_t>(part_->shard_of(v))]
-               : lanes_[0];
+  std::size_t lane_index(NodeId v) const {
+    return part_ ? static_cast<std::size_t>(part_->shard_of(v)) : 0;
   }
-  std::size_t seq_index(NodeId source) const {
-    return source == kInvalidNode ? next_seq_.size() - 1
-                                  : static_cast<std::size_t>(source);
-  }
+  Lane& lane_of(NodeId v) { return lanes_[lane_index(v)]; }
   void stamp(Event& e, NodeId source) {
     e.source = source;
-    e.seq = next_seq_[seq_index(source)]++;
+    e.seq = next_seq_[static_cast<std::size_t>(source)]++;
   }
+  /// A `kind` event at node v, at time max(at, now()).
+  Event node_event(EventKind kind, NodeId v, RealTime at) const;
   void push_event(Event e, NodeId source);
-  void push_link_change(Event e, NodeId source);
+  /// Stamps (source u) and queues the flip of edge {u, v} to `up` at `at`,
+  /// with a twin in v's lane when the edge is cut.
+  void push_link_change(NodeId u, NodeId v, std::uint32_t edge, bool up,
+                        RealTime at);
   void push_delivery(Lane& ln, Event e, NodeId source, const Message& m);
   /// Bookkeeping for the cut-aware horizon: an event targeting a boundary
   /// node (level 0/1 — for link changes, the better of both endpoints)
@@ -624,6 +638,9 @@ class Simulator {
   /// before the callback (NaN when not sampled).
   void trace_event(Lane& ln, const Event& e, bool observable,
                    double mult_before);
+  /// Queue depth stamped into trace records.  Unsharded, the pending probe
+  /// counts as queued, so the depth is the run's whole pending set.
+  std::uint32_t trace_depth(const Lane& ln) const;
   void emit(Lane& ln, obs::TracePoint tp, RealTime t, NodeId node,
             std::uint32_t edge, double a, double b, std::uint16_t flags,
             std::uint32_t aux);
@@ -633,13 +650,17 @@ class Simulator {
   void apply_link_change(Lane& ln, const Event& e);
   void arm_timer(Lane& ln, NodeId v, int slot, ClockValue target);
   void disarm_timer(Lane& ln, NodeId v, int slot);
+  /// Removes the slot's pending wheel entry, if any (counted as a cancel).
+  void drop_pending(Lane& ln, NodeId v, TimerState& ts);
+  /// Re-anchors every armed timer of v at ln.now (after a rate change or
+  /// an outage, the old deadlines are meaningless).
+  void rearm_timers(Lane& ln, NodeId v);
   void schedule_timer_event(NodeId v, int slot, RealTime now);
   void apply_rate_change(Lane& ln, NodeId v, double rate);
   void schedule_next_rate_change(NodeId v, RealTime now);
   ClockValue logical_at(NodeId v, RealTime t) const;
 
-  // Sharded engine ---------------------------------------------------------
-  void run_windowed(RealTime t_end);
+  // Windows and barriers ------------------------------------------------------
   RealTime safe_horizon();
   void process_window(Lane& ln);
   void run_window_parallel();
@@ -651,9 +672,9 @@ class Simulator {
   void stop_workers();
   void maybe_progress(bool force);
 
-  std::uint64_t sum_lanes(std::uint64_t Lane::*field) const {
+  std::uint64_t sum_lanes(std::uint64_t Tally::*field) const {
     std::uint64_t s = 0;
-    for (const Lane& ln : lanes_) s += ln.*field;
+    for (const Lane& ln : lanes_) s += ln.tally.*field;
     return s;
   }
 
@@ -673,9 +694,9 @@ class Simulator {
   Observer observer_;
   WindowObserver window_observer_;
   obs::FlightRecorder* recorder_ = nullptr;
-  std::vector<Lane> lanes_;  // size 1 (serial) or shard count (windowed)
+  std::vector<Lane> lanes_;  // size 1 (unsharded) or the shard count
   QueueImpl queue_impl_ = QueueImpl::kHeap;  // resolved from cfg_.queue
-  std::vector<std::uint64_t> next_seq_;  // per-source counters; last = system
+  std::vector<std::uint64_t> next_seq_;  // per-source creation counters
   /// Scramble payloads, indexed by Event::generation (events must stay 48
   /// bytes, so the (seed, magnitude) pair lives out-of-line; the table is
   /// append-only and simulator-global, so lane migration never invalidates
@@ -685,30 +706,25 @@ class Simulator {
     double magnitude = 0.0;
   };
   std::vector<ScramblePayload> scramble_payloads_;
-  RealTime now_ = 0.0;
   bool setup_done_ = false;
+  RealTime probe_next_ = kInfinity;  // next probe barrier (kInfinity: none)
+  std::uint64_t probe_events_ = 0;   // probes fired so far
 
-  // Sharded engine ---------------------------------------------------------
-  bool windowed_ = false;
+  // Partition (null when unsharded) ------------------------------------------
   std::unique_ptr<graph::Partition> part_;
   int shards_requested_ = 0;
   std::string partition_strategy_;
-  std::vector<std::uint8_t> link_up_;  // barrier-reconciled global view
   Duration lookahead_ = 0.0;           // delay policy global min_delay()
   /// Intra-shard BFS distance to the nearest cut-edge endpoint, capped at
   /// kMaxCutDist (0 = endpoint of a cut edge).  Drives the per-lane bnd
-  /// heap pushes; empty when not windowed or with one lane.
+  /// heap pushes; empty with fewer than two lanes.
   std::vector<std::uint8_t> cut_dist_;
   /// Next observation barrier (kInfinity = not yet scheduled; set to
   /// t_next + observation interval at the first window after each obs
   /// barrier — a pure function of the event set, identical for every
   /// shard count).
   RealTime obs_next_ = kInfinity;
-  RealTime probe_next_ = kInfinity;
-  std::uint64_t probe_events_ = 0;
-  std::uint64_t probe_canon_pushes_ = 0;
-  std::uint64_t probe_canon_pops_ = 0;
-  EventQueue::Stats canon_stats_;
+  std::size_t canon_peak_ = 0;  // sharded queue peak, sampled at obs barriers
   bool in_window_ = false;
   RealTime win_end_ = 0.0;
   bool win_inclusive_ = false;

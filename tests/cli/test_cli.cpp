@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "analysis/skew_tracker.hpp"
@@ -127,6 +128,35 @@ TEST(ExperimentConfig, UnknownTopologyThrows) {
   ExperimentConfig cfg;
   cfg.topology = "moebius";
   EXPECT_THROW(build_topology(cfg), ConfigError);
+}
+
+// A node-less graph is a usage error, not a crash at the first run.
+TEST(ExperimentConfig, EmptyTopologiesThrow) {
+  for (const char* topo : {"path", "ring", "star", "complete", "er"}) {
+    ExperimentConfig cfg;
+    cfg.topology = topo;
+    cfg.nodes = 0;
+    EXPECT_THROW(build_topology(cfg), ConfigError) << topo;
+    EXPECT_THROW(build_experiment(cfg), ConfigError) << topo;
+  }
+  for (const char* topo : {"grid", "torus"}) {
+    ExperimentConfig cfg;
+    cfg.topology = topo;
+    cfg.rows = 0;
+    EXPECT_THROW(build_topology(cfg), ConfigError) << topo;
+  }
+  ExperimentConfig tree;
+  tree.topology = "tree";
+  tree.levels = 0;
+  EXPECT_THROW(build_topology(tree), ConfigError);
+}
+
+TEST(ExperimentConfig, NonPositiveOrNonFiniteDurationThrows) {
+  for (const double d : {0.0, -5.0, std::nan(""), HUGE_VAL}) {
+    ExperimentConfig cfg;
+    cfg.duration = d;
+    EXPECT_THROW(build_experiment(cfg), ConfigError) << d;
+  }
 }
 
 TEST(ExperimentConfig, ResolvesPaperDefaults) {

@@ -190,7 +190,7 @@ TEST(Simulator, MessageCountersTrackBroadcasts) {
   Simulator sim(g);
   auto nodes = install_script_nodes(sim, 5);
   nodes[0]->on_wake_hook = [](NodeServices& sv) { sv.broadcast(make_msg(0)); };
-  sim.run_until(1.0);
+  sim.run_until(kInfinity);  // a finite run drains and returns
   EXPECT_EQ(sim.broadcasts(), 1u);
   EXPECT_EQ(sim.messages_delivered(), 4u);
 }
@@ -217,9 +217,79 @@ TEST(Simulator, ProbeEventsFirePeriodically) {
     probe_times.push_back(t);
   });
   sim.run_until(5.5);
-  // Probes at 1, 2, 3, 4, 5 (plus the wake at 0).
-  ASSERT_GE(probe_times.size(), 5u);
-  EXPECT_DOUBLE_EQ(probe_times.back(), 5.0);
+  // Probes at 1, 2, 3, 4, 5 and nothing else: the wake at 0 happens
+  // during setup, before any event.
+  EXPECT_EQ(probe_times, (std::vector<RealTime>{1.0, 2.0, 3.0, 4.0, 5.0}));
+  EXPECT_EQ(sim.events_processed(), 5u);
+}
+
+// The unsharded observer contract: exactly one call per observable event,
+// in event-key order, plus one per probe — which fires ahead of events at
+// the same instant and touches no node — with now() and the link view
+// exact for the event, and no extra call at the end of run_until.
+TEST(Simulator, UnshardedObserverSeesEachEventInKeyOrder) {
+  const auto g = graph::make_path(3);  // edges (0,1), (1,2)
+  SimConfig cfg;
+  cfg.probe_interval = 1.0;
+  Simulator sim(g, cfg);
+  auto nodes = install_script_nodes(sim, 3);
+  for (auto* node : nodes) {
+    node->on_wake_hook = [](NodeServices& sv) { sv.broadcast(make_msg(sv.id())); };
+  }
+  sim.set_delay_policy(std::make_shared<FixedDelay>(0.5));
+  sim.schedule_link_change(1, 2, false, 2.0);
+  sim.schedule_crash(0, 2.5);
+
+  struct Call {
+    RealTime t, now;
+    EventKind kind;
+    NodeId node, node2;
+    bool woke, link12;
+    bool operator==(const Call&) const = default;
+  };
+  std::vector<Call> calls;
+  sim.set_observer([&calls](const Simulator& s, RealTime t) {
+    const Simulator::LastEvent& le = s.last_event();
+    calls.push_back(Call{t, s.now(), le.kind, le.node, le.node2, le.woke,
+                         s.link_up(1, 2)});
+  });
+  sim.run_until(1.75);
+  sim.run_until(3.0);
+
+  constexpr NodeId kNone = kInvalidNode;
+  const std::vector<Call> expected{
+      {0.5, 0.5, EventKind::kMessageDelivery, 1, kNone, true, true},
+      {1.0, 1.0, EventKind::kProbe, kNone, kNone, false, true},
+      {1.0, 1.0, EventKind::kMessageDelivery, 0, kNone, false, true},
+      {1.0, 1.0, EventKind::kMessageDelivery, 2, kNone, true, true},
+      {1.5, 1.5, EventKind::kMessageDelivery, 1, kNone, false, true},
+      {2.0, 2.0, EventKind::kProbe, kNone, kNone, false, true},
+      {2.0, 2.0, EventKind::kLinkChange, 1, 2, false, false},
+      {2.5, 2.5, EventKind::kCrash, 0, kNone, false, false},
+      {2.5, 2.5, EventKind::kLinkChange, 0, 1, false, false},
+      {3.0, 3.0, EventKind::kProbe, kNone, kNone, false, false},
+  };
+  ASSERT_EQ(calls.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(calls[i], expected[i]) << "observer call " << i;
+  }
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+}
+
+TEST(Simulator, RejectsEmptyGraphAndOutOfRangeRoots) {
+  const graph::Graph empty(0);
+  EXPECT_THROW({ Simulator sim(empty); }, std::invalid_argument);
+  const auto g = graph::make_path(3);
+  SimConfig cfg;
+  cfg.root = 3;
+  EXPECT_THROW({ Simulator sim(g, cfg); }, std::invalid_argument);
+  cfg.root = -1;
+  EXPECT_THROW({ Simulator sim(g, cfg); }, std::invalid_argument);
+  cfg.root = 2;
+  cfg.extra_roots = {0, 7};
+  EXPECT_THROW({ Simulator sim(g, cfg); }, std::invalid_argument);
+  cfg.extra_roots = {0, 1};
+  EXPECT_NO_THROW({ Simulator sim(g, cfg); });
 }
 
 TEST(Simulator, InjectedRateChangeApplies) {
