@@ -106,7 +106,7 @@ std::vector<Scenario> scenarios() {
   }
   {
     // Larger mu: smaller local skew bound; checks Inequality (6) headroom.
-    Scenario s{.name = "path12_bigmu",
+    Scenario s{.name = "path12_bigmu_randomwalk_uniform",
                .graph = graph::make_path(12),
                .drift = std::make_shared<sim::RandomWalkDrift>(0.01, 3.0, 71),
                .delay = std::make_shared<sim::UniformDelay>(0.0, t, 81),
