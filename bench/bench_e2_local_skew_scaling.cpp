@@ -50,9 +50,6 @@ int main() {
         eps, 2.0 * d * t, [n](sim::NodeId v) { return v < n / 2; });
     spec.delay = bench::skew_hiding_delays(g, 0, t);
     spec.duration = 8.0 * d * t;
-    // Stride 1 everywhere: the incremental tracker makes exact sampling
-    // cheaper than the old strided full rescans were.
-    spec.tracker_stride = 1;
     const auto m = bench::run(spec);
 
     const double lb = params.local_skew_bound(d, eps, t);

@@ -37,7 +37,6 @@ double forced_skew(const graph::Graph& g, double eps, double t, double c1,
   spec.delay = adv.delay_policy();
   spec.duration = adv.t0() * 1.02;
   spec.wake_all_at_zero = true;
-  spec.tracker_stride = g.num_nodes() >= 65 ? 4 : 1;
   return bench::run(spec).global_skew;
 }
 

@@ -37,7 +37,6 @@ int main() {
 
   analysis::SkewTracker::Options topt;
   topt.track_per_distance = true;
-  topt.stride = 4;
   analysis::SkewTracker tracker(sim, topt);
   tracker.attach(sim);
   sim.run_until(8.0 * d_max * t);

@@ -18,8 +18,8 @@
 //     stair_overhead = 1 - eps_stair / eps_exact; the PR-10 acceptance
 //     gate is <= 3%.  Best-of-N (--repeat) damps scheduler noise.
 //   * accept_*   — the acceptance run: line n = 100000, wake-all, stair
-//     backend on the probe grid with NO stride subsampling (the workload
-//     --skew-stride existed for), recording footprint vs budget and
+//     backend on the probe grid (a workload where the exact per-event
+//     tracker rescans on every event), recording footprint vs budget and
 //     events/sec.
 //
 // Results go to BENCH_pr10.json ("tbcs-bench-v1", see bench_json.hpp).
@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
   }
 
   // 3. Acceptance: line n = 1e5 wake-all on the stair backend, probe-grid
-  // sampling, no stride subsampling — the run --skew-stride existed for.
+  // sampling — a run the exact per-event tracker cannot afford.
   {
     const int n = quick ? 10000 : 100000;
     const tbcs::graph::Graph g = tbcs::graph::make_path(n);

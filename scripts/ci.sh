@@ -35,7 +35,7 @@
 #      must stay within its advertised error bound of exact, perturb the
 #      execution by zero bytes, report engine-invariant sketch figures
 #      serial vs --shards 4, sweep --jobs 1 == 4 with the sketch columns,
-#      and honor the --skew-stride deprecation.
+#      and reject the retired sampling flag as unknown.
 #   8. Large-n queue gate: smoke_bench.sh with SMOKE_BENCH_LARGE=1,
 #      which fails if the ladder queue is < 1.2x the heap on the serial
 #      line n=100000 config (and re-checks the small-n geomean so the

@@ -18,8 +18,8 @@
 #      the exact-backend header stays unchanged.
 #   5. Trace timeline: tbcs_trace --summary --obs-backend stair appends a
 #      bounded-memory event-rate timeline to the dump summary.
-#   6. Deprecation: --skew-stride warns and is ignored under the stair
-#      backend (the sketch subsumes it).
+#   6. Retired flag: the old every-Nth-event sampling flag (superseded by
+#      the stair backend's probe grid) is an unknown flag: exit 2, named.
 #
 # Usage: smoke_obs.sh /path/to/tbcs_sim /path/to/tbcs_trace /path/to/tbcs_sweep
 set -euo pipefail
@@ -118,17 +118,12 @@ esac
 grep -q "timeline (stair backend)" "$TMPDIR_SMOKE/trace-summary.out" \
   || { echo "FAIL: no stair timeline in tbcs_trace --summary"; exit 1; }
 
-# Gate 6: --skew-stride is deprecated and ignored under stair (and the
-# run must still match the stride-free stair run byte-for-byte).
-run_sim stair 0 stair-stride --skew-stride 8
-grep -q "deprecated" "$TMPDIR_SMOKE/stair-stride.err" \
-  || { echo "FAIL: no deprecation warning for --skew-stride"; exit 1; }
-grep -q "ignored with --obs-backend" "$TMPDIR_SMOKE/stair-stride.err" \
-  || { echo "FAIL: no stride-ignored warning under stair"; exit 1; }
-cmp "$TMPDIR_SMOKE/stair.rec" "$TMPDIR_SMOKE/stair-stride.rec" \
-  || { echo "FAIL: --skew-stride changed a stair execution"; exit 1; }
-cmp <(grep -v '^wrote ' "$TMPDIR_SMOKE/stair.out") \
-    <(grep -v '^wrote ' "$TMPDIR_SMOKE/stair-stride.out") \
-  || { echo "FAIL: --skew-stride changed a stair summary"; exit 1; }
+# Gate 6: the retired sampling flag is rejected as an unknown flag.
+status=0
+run_sim stair 0 retired --skew-stride 8 || status=$?
+[ "$status" -eq 2 ] \
+  || { echo "FAIL: retired flag exited $status, expected 2"; exit 1; }
+grep -q "unknown flag --skew-stride" "$TMPDIR_SMOKE/retired.err" \
+  || { echo "FAIL: retired flag not reported as unknown"; exit 1; }
 
-echo "smoke_obs: OK (bound, observer-only, engine-invariant, sweep, timeline, deprecation)"
+echo "smoke_obs: OK (bound, observer-only, engine-invariant, sweep, timeline, retired flag)"

@@ -25,6 +25,9 @@ SkewTracker::SkewTracker(const sim::Simulator& sim)
     : SkewTracker(sim, Options()) {}
 
 SkewTracker::SkewTracker(const sim::Simulator& sim, Options opt) : opt_(opt) {
+  if (opt_.stride != 1) {
+    throw std::invalid_argument("SkewTracker: stride must be 1");
+  }
   const auto n = static_cast<std::size_t>(sim.num_nodes());
   logical_scratch_.resize(n);
   if (!opt_.exclude.empty()) {
@@ -52,13 +55,7 @@ SkewTracker::SkewTracker(const sim::Simulator& sim, Options opt) : opt_(opt) {
     next_grid_t_ = opt_.sample_grid;
     while (next_grid_t_ < opt_.warmup) next_grid_t_ += opt_.sample_grid;
   }
-  incremental_ = opt_.mode != Mode::kFullRescan && opt_.stride <= 1 &&
-                 opt_.sample_grid <= 0.0;
-  degraded_to_full_rescan_ = opt_.mode != Mode::kFullRescan && opt_.stride > 1;
-  if (degraded_to_full_rescan_) {
-    fallback_counter_ =
-        obs::MetricsRegistry::global().counter("skew.full_rescan_fallback");
-  }
+  incremental_ = opt_.mode != Mode::kFullRescan && opt_.sample_grid <= 0.0;
   if (incremental_ && opt_.track_local) csr_ = sim.topology().csr();
   if (opt_.mode == Mode::kAuditOracle) {
     Options oracle_opt = opt_;
@@ -98,7 +95,6 @@ const std::vector<SkewTracker::Sample>& SkewTracker::series() const {
 }
 
 double SkewTracker::skew_error_bound() const {
-  if (opt_.stride > 1) return std::numeric_limits<double>::quiet_NaN();
   if (opt_.sample_grid <= 0.0) return 0.0;
   if (opt_.error_rate_span <= 0.0) {
     return std::numeric_limits<double>::quiet_NaN();
@@ -147,7 +143,6 @@ void SkewTracker::do_sample(const sim::Simulator& sim, double t,
                             const sim::Simulator::WindowTouch* touched,
                             std::size_t n_touched) {
   if (t < opt_.warmup) return;
-  if (opt_.stride > 1 && (calls_++ % opt_.stride) != 0) return;
   // Grid mode: take only the first sample at/after each grid point.  The
   // probe barrier at exactly the grid time is that sample for every shard
   // count, so everything downstream is shard-count-invariant.  The early
@@ -155,7 +150,6 @@ void SkewTracker::do_sample(const sim::Simulator& sim, double t,
   // affordable: all other events cost one comparison.
   if (opt_.sample_grid > 0.0 && t < next_grid_t_) return;
   ++samples_;
-  if (degraded_to_full_rescan_) fallback_counter_.inc();
 
   bool scanned_exactly = false;
   if (!incremental_) {

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "obs/history_store.hpp"
-#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace tbcs::analysis {
@@ -48,9 +47,7 @@ class SkewTracker {
   };
 
   struct Options {
-    /// Scan engine.  Incremental requires stride == 1 (any stride > 1
-    /// silently uses the full-rescan engine: strided sampling already
-    /// breaks the one-event-per-sample dirty-set invariant).
+    /// Scan engine.
     Mode mode = Mode::kIncremental;
 
     /// Track the per-edge (local) skew.  O(|E|) per full scan.
@@ -80,8 +77,8 @@ class SkewTracker {
     /// adopt L^max at wake.
     double audit_beta = 0.0;
 
-    /// Sample only every `stride`-th observer call (maxima become lower
-    /// bounds).  1 = exact.
+    /// Must be 1; the constructor throws std::invalid_argument otherwise.
+    /// Only perfbench/ still names this member.
     std::uint64_t stride = 1;
 
     /// Record a (t, global, local) time-series point at most every
@@ -226,8 +223,8 @@ class SkewTracker {
 
   /// Worst-case gap between the reported skew maxima and the exact
   /// (every-breakpoint) figures.  0 for exact every-sample tracking, NaN
-  /// when unknown (stride > 1, or grid sampling without an
-  /// error_rate_span), else error_rate_span * sample_grid.
+  /// when unknown (grid sampling without an error_rate_span), else
+  /// error_rate_span * sample_grid.
   double skew_error_bound() const;
 
   /// Bytes held by the series history stores.
@@ -318,15 +315,8 @@ class SkewTracker {
   double next_series_t_ = 0.0;
   double next_grid_t_ = 0.0;  // next sample_grid point (grid mode only)
   double next_per_distance_t_ = 0.0;
-  std::uint64_t calls_ = 0;
   std::uint64_t samples_ = 0;
   std::uint64_t full_scans_ = 0;
-  /// Set when an incremental engine was requested but stride > 1 silently
-  /// degraded it to full rescans; every degraded sample bumps the
-  /// `skew.full_rescan_fallback` counter so sweeps surface the hidden
-  /// O(n + E)-per-sample cost.
-  bool degraded_to_full_rescan_ = false;
-  obs::Counter fallback_counter_;
 
   // ---- recovery-probe state -------------------------------------------------
   bool have_fault_ = false;

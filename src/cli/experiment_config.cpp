@@ -79,7 +79,6 @@ void apply_model_flags(ArgParser& args, ExperimentConfig& cfg) {
   cfg.stab_tolerance = args.get_double("stab-tolerance", cfg.stab_tolerance);
   cfg.stab_time = args.get_double("stab-time", cfg.stab_time);
   cfg.stab_bound = args.get_double("stab-bound", cfg.stab_bound);
-  cfg.skew_stride = args.get_int("skew-stride", cfg.skew_stride);
   cfg.obs_backend = args.get_string("obs-backend", cfg.obs_backend);
   cfg.obs_memory_kb = args.get_int("obs-memory-kb", cfg.obs_memory_kb);
 }
@@ -192,6 +191,48 @@ obs::HistoryConfig resolve_history(const ExperimentConfig& cfg) {
   h.memory_budget_bytes =
       static_cast<std::size_t>(cfg.obs_memory_kb) * 1024;
   return h;
+}
+
+Bounds resolve_bounds(const ExperimentConfig& cfg,
+                      const BuiltExperiment& built) {
+  const graph::Graph& g = *built.graph;
+  Bounds b;
+  b.diameter = g.num_nodes() > 65536 ? g.diameter_2sweep() : g.diameter();
+  b.global = built.params.global_skew_bound(b.diameter, cfg.eps, cfg.delay);
+  b.local = built.params.local_skew_bound(b.diameter, cfg.eps, cfg.delay);
+  return b;
+}
+
+analysis::SkewTracker::Options resolve_tracker(const ExperimentConfig& cfg,
+                                               const BuiltExperiment& built,
+                                               const Bounds& bounds) {
+  analysis::SkewTracker::Options topt;
+  topt.history = resolve_history(cfg);
+  if (topt.history.backend == obs::HistoryConfig::Backend::kStair) {
+    // Sample on the probe grid k * delay (build_experiment arms probes
+    // every cfg.delay): the same instants in every engine, so the sketch
+    // is byte-identical across --shards/--queue/--jobs.  Between grid
+    // points logical rates stay within [1-eps, (1+eps)(1+mu)], which
+    // bounds how far a skew extremum can drift: that span times the grid
+    // step is the advertised error bound.
+    topt.sample_grid = cfg.delay;
+    topt.error_rate_span =
+        (1.0 + cfg.eps) * (1.0 + built.params.mu) - (1.0 - cfg.eps);
+  }
+  if (!built.timeline.empty()) {
+    // "Recovered" = back inside the paper's envelope (Thm 5.5 / 5.10),
+    // classified on the probe grid so recovery/stabilization times are
+    // byte-identical between the unsharded and sharded engines.
+    topt.recovery_global_bound = bounds.global;
+    topt.recovery_local_bound = bounds.local;
+    topt.recovery_classify_interval = cfg.delay;
+    // Liars are not part of the guarantee: every skew figure is over the
+    // correct subgraph only.
+    for (const fault::ByzantineSpec& s : built.timeline.byzantine) {
+      topt.exclude.push_back(s.node);
+    }
+  }
+  return topt;
 }
 
 namespace {

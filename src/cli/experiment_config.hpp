@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "analysis/skew_tracker.hpp"
 #include "core/ftgcs.hpp"
 #include "core/params.hpp"
 #include "dyn/churn_plan.hpp"
@@ -66,7 +67,7 @@ struct ExperimentConfig {
   bool per_distance = false;
 
   // Sharding: number of lanes (0 = unsharded, one lane) and the
-  // graph::Partition strategy ("auto" | "block" | "bands" | "ml"; auto
+  // graph::Partition strategy ("auto" | "block" | "ml"; auto
   // picks the multilevel partitioner for trees, contiguous blocks
   // elsewhere).  Requires a delay policy with a positive min_delay()
   // (fixed / band), checked at setup.  min_shard_nodes auto-clamps the
@@ -127,15 +128,6 @@ struct ExperimentConfig {
   // when its skew stays <= this (0 = the Thm 5.10 local bound).
   double stab_bound = 0.0;
 
-  // Skew-tracker sampling stride: observe every Nth event only (> 1
-  // degrades the incremental engine to strided full rescans and reported
-  // maxima become lower bounds, but large-n serial runs stop paying a
-  // rescan per event; execution bytes are unaffected).  1 = exact.
-  // DEPRECATED: serial-engine only and no error bound — prefer
-  // obs_backend = "stair", which grid-samples with a queryable bound and
-  // works identically under --shards.
-  int skew_stride = 1;
-
   // Telemetry history backend ("exact" | "stair") and the stair sketch's
   // per-stream memory budget.  Observer-only: record/trace bytes are
   // identical across backends.
@@ -163,6 +155,13 @@ struct BuiltExperiment {
   // already installed it into the simulator; it is exposed for probes
   // (StabilizationProbe::preload) and pacing (dyn::ChurnDriver).
   dyn::ChurnSchedule churn;
+};
+
+/// The diameter of a run's topology and the paper bounds at it.
+struct Bounds {
+  int diameter = 0;
+  double global = 0.0;  // Thm 5.5
+  double local = 0.0;   // Thm 5.10
 };
 
 /// Thrown when an option value is not recognized.
@@ -205,5 +204,22 @@ core::FtGcsOptions resolve_ftgcs(const ExperimentConfig& cfg);
 /// onto an obs::HistoryConfig; throws ConfigError on a bad backend name
 /// or a non-positive budget).
 obs::HistoryConfig resolve_history(const ExperimentConfig& cfg);
+
+/// Diameter of built's topology and the Thm 5.5 / 5.10 bounds at it.  The
+/// exact diameter is O(n (n + m)); above 65536 nodes this takes the
+/// O(n + m) two-sweep estimate instead (exact on trees and paths, a lower
+/// bound otherwise), so million-node runs don't stall before the first
+/// event.
+Bounds resolve_bounds(const ExperimentConfig& cfg,
+                      const BuiltExperiment& built);
+
+/// The SkewTracker options every run of cfg shares: the history backend;
+/// under stair, the probe-grid sampling and its error_rate_span; with a
+/// fault plan loaded, the recovery probe (bounds, classify grid) and the
+/// Byzantine exclusions.  Callers add their own audit, mode, series and
+/// per-distance settings.
+analysis::SkewTracker::Options resolve_tracker(const ExperimentConfig& cfg,
+                                               const BuiltExperiment& built,
+                                               const Bounds& bounds);
 
 }  // namespace tbcs::cli

@@ -61,7 +61,6 @@ void StabilizationProbe::preload(const ChurnSchedule& schedule) {
 
 void StabilizationProbe::observe(const sim::Simulator& sim, double t) {
   if (opt_.bound <= 0.0) return;
-  if (opt_.stride > 1 && (calls_++ % opt_.stride) != 0) return;
   if (opt_.sample_grid > 0.0) {
     if (t < next_grid_t_) return;
     while (next_grid_t_ <= t) next_grid_t_ += opt_.sample_grid;

@@ -39,11 +39,6 @@ class StabilizationProbe {
     double bound = 0.0;
     /// For the prediction skew_at_insert / mu; <= 0 leaves it NaN.
     double mu = 0.0;
-    /// Sample only every `stride`-th observer call (stabilization times
-    /// coarsen and short-lived windows may go unsampled; counters that
-    /// depend on sampling stop being cadence-invariant).  1 = exact.
-    std::uint64_t stride = 1;
-
     /// History backend.  Exact (default) retains every Record forever —
     /// bit-identical to the pre-backend probe.  Stair folds finished
     /// records (t past t_end) into running aggregates plus a bounded
@@ -128,7 +123,6 @@ class StabilizationProbe {
   Options opt_;
   std::vector<Record> records_;
   std::size_t live_floor_ = 0;  // records before this are past t_end
-  std::uint64_t calls_ = 0;     // observer calls seen (stride counter)
   double next_grid_t_ = 0.0;    // next sample_grid point (grid mode only)
 
   // ---- folded aggregates (stair mode) -------------------------------------

@@ -48,41 +48,18 @@ RunResult SweepRunner::run_one(const RunSpec& spec, std::size_t index,
     cfg.seed = r.seed;
 
     auto built = cli::build_experiment(cfg);
-    r.diameter = built.graph->diameter();
-    r.global_bound =
-        built.params.global_skew_bound(r.diameter, cfg.eps, cfg.delay);
-    r.local_bound =
-        built.params.local_skew_bound(r.diameter, cfg.eps, cfg.delay);
+    const cli::Bounds bounds = cli::resolve_bounds(cfg, built);
+    r.diameter = bounds.diameter;
+    r.global_bound = bounds.global;
+    r.local_bound = bounds.local;
 
-    analysis::SkewTracker::Options topt;
+    analysis::SkewTracker::Options topt =
+        cli::resolve_tracker(cfg, built, bounds);
     topt.audit_epsilon = opt.audit_epsilon;
-    topt.stride = opt.tracker_stride;
-    const obs::HistoryConfig hcfg = cli::resolve_history(cfg);
-    const bool stair = hcfg.backend == obs::HistoryConfig::Backend::kStair;
-    topt.history = hcfg;
-    if (stair) {
-      // Grid-sample on the probe grid (armed every cfg.delay by
-      // build_experiment) so the sketch is a pure function of the spec —
-      // byte-identical across --jobs and --shards.  Strided sampling is
-      // superseded by the grid.
-      topt.stride = 1;
-      topt.sample_grid = cfg.delay;
-      topt.error_rate_span =
-          (1.0 + cfg.eps) * (1.0 + built.params.mu) - (1.0 - cfg.eps);
-    }
+    topt.stride = opt.tracker_stride;  // anything but 1 throws: the run fails
+    const bool stair =
+        topt.history.backend == obs::HistoryConfig::Backend::kStair;
     const bool faulty = !built.timeline.empty();
-    if (faulty) {
-      topt.recovery_global_bound = r.global_bound;
-      topt.recovery_local_bound = r.local_bound;
-      // Classify on the probe grid (armed every cfg.delay by
-      // build_experiment): recovery/stabilization metrics then match the
-      // unsharded run byte-for-byte under --shards.
-      topt.recovery_classify_interval = cfg.delay;
-      // Correct-subgraph figures only: liars are not part of the guarantee.
-      for (const fault::ByzantineSpec& s : built.timeline.byzantine) {
-        topt.exclude.push_back(s.node);
-      }
-    }
     analysis::SkewTracker tracker(*built.simulator, topt);
     tracker.attach_auto(*built.simulator);
     fault::FaultScheduler faults(built.timeline);

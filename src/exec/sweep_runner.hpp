@@ -29,7 +29,8 @@ struct SweepOptions {
   /// Forwarded to SkewTracker::Options::audit_epsilon (<= 0 disables).
   double audit_epsilon = 0.0;
 
-  /// Tracker sampling stride (1 = exact maxima).
+  /// Forwarded to SkewTracker::Options::stride, which must be 1 (a run
+  /// with any other value fails).  Only perfbench/ still names this.
   std::uint64_t tracker_stride = 1;
 };
 

@@ -6,22 +6,19 @@
 // off shard_of(); the fault layer and the analysis layer use the same
 // assignment so every consumer agrees on which lane owns a node.
 //
-// Three strategies are provided:
+// Two strategies are provided:
 //   - block:      contiguous id ranges [i*n/k, (i+1)*n/k).  Optimal for
 //                 the generated topologies (line/ring/torus/trees), whose
 //                 id order is already locality-preserving — cut edges are
 //                 O(k) on a line.
-//   - bfs_bands:  BFS layers from node 0, grouped into k bands of roughly
-//                 equal size.  Cuts follow the graph metric instead of the
-//                 id order, which helps when ids are shuffled.
 //   - multilevel: coarsen by repeated heavy-edge matching, split the
 //                 coarsest graph into weighted BFS-ordered blocks, then
 //                 project back up with Kernighan–Lin boundary refinement
 //                 at every level.  Cut-minimizing on graphs whose id
 //                 order carries no locality (ER, shuffled meshes), where
-//                 block/bands cut a constant fraction of all edges.
+//                 block cuts a constant fraction of all edges.
 //
-// All are pure functions of (graph, num_shards) — no RNG, id-ordered
+// Both are pure functions of (graph, num_shards) — no RNG, id-ordered
 // tie-breaking throughout — so a partition is reproducible from the CLI
 // flags alone.
 #pragma once
@@ -56,10 +53,6 @@ class Partition {
   /// Contiguous-block partition: shard i owns ids [i*n/k, (i+1)*n/k).
   static Partition block(const Graph& g, int num_shards);
 
-  /// BFS-band partition: nodes sorted by (BFS depth from node 0, id),
-  /// then split into k contiguous bands of balanced size.
-  static Partition bfs_bands(const Graph& g, int num_shards);
-
   /// Multilevel cut-minimizing partition: heavy-edge-matching coarsening,
   /// weighted BFS-block initial split of the coarsest graph, KL boundary
   /// refinement on the way back up.  Deterministic (id-ordered visiting
@@ -67,7 +60,7 @@ class Partition {
   /// weight at most ~1.1x the ideal n/k.
   static Partition multilevel(const Graph& g, int num_shards);
 
-  /// Dispatch by strategy name ("block" | "bands" | "ml"); throws
+  /// Dispatch by strategy name ("auto" | "block" | "ml"); throws
   /// std::invalid_argument on an unknown name or num_shards < 1 or
   /// num_shards > n.
   static Partition make(const Graph& g, int num_shards,

@@ -45,9 +45,6 @@ class MessageSlab {
     return c * kChunk + off;
   }
 
-  /// Legacy entry point for callers without a delivery time.
-  Handle put(const Message& m) { return put(m, 0.0); }
-
   /// Removes and returns the payload; the chunk recycles once drained.
   Message take(Handle h) {
     Chunk& ch = *chunks_[h / kChunk];

@@ -556,13 +556,11 @@ void Simulator::run_until(RealTime t_end) {
   // the cadence is pointless too — windows stretch to the full safe
   // horizon, and the canonical peak is sampled only at probes and t_end,
   // both partition-invariant, so stats stay shard-count-identical.
+  // Observed, the spacing is 4x the delay policy's global min_delay().
   const bool observed = part_ && (observer_ != nullptr ||
                                   window_observer_ != nullptr ||
                                   recorder_ != nullptr);
-  const Duration obs_dt = !observed ? kInfinity
-                          : cfg_.observation_interval > 0.0
-                              ? cfg_.observation_interval
-                              : 4.0 * lookahead_;
+  const Duration obs_dt = observed ? 4.0 * lookahead_ : kInfinity;
   bool t_end_flushed = false;
   for (;;) {
     RealTime t_next = kInfinity;

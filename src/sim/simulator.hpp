@@ -55,7 +55,7 @@
 // merged at barriers in event-key order, so `--shards N` output is
 // byte-identical for every N.  Observer callbacks and canonical peak
 // sampling fire only at *observation barriers*, whose times are a pure
-// function of the event set (next-event time + observation interval, plus
+// function of the event set (next-event time + 4x the lookahead, plus
 // probes and the run horizon) — never at intermediate horizon-clipped
 // barriers, whose times depend on the partition.
 //
@@ -123,12 +123,6 @@ struct SimConfig {
   /// stretches.
   Duration probe_interval = 0.0;
 
-  /// Sharded only: target spacing of observation barriers (the
-  /// partition-invariant barriers where observers run and the canonical
-  /// queue peak is sampled).  <= 0 picks 4x the delay policy's global
-  /// min_delay().  Unsharded runs ignore it (observers run per event).
-  Duration observation_interval = 0.0;
-
   /// Event-queue implementation.  kAuto picks the ladder queue at or above
   /// kLadderAutoThreshold nodes and the 4-ary heap below; both pop in the
   /// identical canonical order, so every output byte is the same either
@@ -155,7 +149,7 @@ class Simulator {
   void set_delay_policy(std::shared_ptr<DelayPolicy> policy);
 
   /// Splits the nodes into `shards` lanes over a graph::Partition
-  /// (`strategy`: "block" | "bands" | "ml").  Must be called before the
+  /// (`strategy`: "auto" | "block" | "ml").  Must be called before the
   /// first run; requires the delay policy to certify a positive
   /// min_delay() (the lookahead), checked at setup.  `shards <= 0` keeps
   /// the unsharded single lane.  With shards == 1 the one partitioned

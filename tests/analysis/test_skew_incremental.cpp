@@ -9,10 +9,10 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/skew_tracker.hpp"
-#include "obs/metrics.hpp"
 #include "baselines/blocking_gradient.hpp"
 #include "core/aopt.hpp"
 #include "core/params.hpp"
@@ -252,28 +252,20 @@ TEST(SkewIncremental, AuditOracleModePassesEndToEnd) {
   EXPECT_GT(tracker.max_global_skew(), 0.0);
 }
 
-// stride > 1 breaks the one-event-per-sample dirty-set invariant, so the
-// tracker must fall back to full rescans rather than report garbage.
-TEST(SkewIncremental, StrideForcesFullRescans) {
+// The tracker samples every event (or the probe grid); a stride other than
+// 1 is rejected rather than ignored.
+TEST(SkewIncremental, StrideOtherThanOneThrows) {
   Scenario sc;
   sc.graph = graph::make_path(12);
   sc.factory = aopt_factory();
   auto s = build(sc);
   SkewTracker::Options topt = options_for(sc, SkewTracker::Mode::kIncremental);
   topt.stride = 4;
-  const std::uint64_t fallback_before =
-      obs::MetricsRegistry::global().snapshot().counter(
-          "skew.full_rescan_fallback");
-  SkewTracker tracker(*s, topt);
-  tracker.attach(*s);
-  run(*s, sc);
-  EXPECT_EQ(tracker.full_scans(), tracker.samples_taken());
-  // Every degraded sample is surfaced in the metrics counter, so a sweep
-  // that silently lost the incremental engine is visible in --stats.
-  EXPECT_EQ(obs::MetricsRegistry::global().snapshot().counter(
-                "skew.full_rescan_fallback") -
-                fallback_before,
-            tracker.samples_taken());
+  EXPECT_THROW(SkewTracker(*s, topt), std::invalid_argument);
+  topt.stride = 0;
+  EXPECT_THROW(SkewTracker(*s, topt), std::invalid_argument);
+  topt.stride = 1;
+  EXPECT_NO_THROW(SkewTracker(*s, topt));
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/skew_tracker.hpp"
 #include "analysis/trace.hpp"
@@ -157,6 +160,54 @@ TEST(ExperimentConfig, NonPositiveOrNonFiniteDurationThrows) {
     cfg.duration = d;
     EXPECT_THROW(build_experiment(cfg), ConfigError) << d;
   }
+}
+
+// Above 65536 nodes the exact O(n (n + m)) diameter gives way to the
+// two-sweep estimate, which is exact on a path.
+TEST(ExperimentConfig, ResolveBoundsUsesTwoSweepAbove65536Nodes) {
+  ExperimentConfig cfg;
+  cfg.topology = "path";
+  cfg.nodes = 65537;
+  cfg.duration = 1.0;
+  const BuiltExperiment built = build_experiment(cfg);
+  const Bounds b = resolve_bounds(cfg, built);
+  EXPECT_EQ(b.diameter, 65536);
+  EXPECT_EQ(b.global,
+            built.params.global_skew_bound(65536, cfg.eps, cfg.delay));
+  EXPECT_EQ(b.local, built.params.local_skew_bound(65536, cfg.eps, cfg.delay));
+}
+
+TEST(ExperimentConfig, ResolveTrackerCarriesGridAndFaultSettings) {
+  ExperimentConfig cfg;
+  cfg.topology = "ring";
+  cfg.nodes = 8;
+  cfg.delay = 0.5;
+  {
+    const BuiltExperiment built = build_experiment(cfg);
+    const auto topt = resolve_tracker(cfg, built, resolve_bounds(cfg, built));
+    EXPECT_EQ(topt.history.backend, obs::HistoryConfig::Backend::kExact);
+    EXPECT_EQ(topt.sample_grid, 0.0);
+    EXPECT_EQ(topt.recovery_global_bound, 0.0);
+    EXPECT_TRUE(topt.exclude.empty());
+  }
+  const std::string plan = testing::TempDir() + "/tbcs_resolve_tracker.txt";
+  {
+    std::ofstream os(plan);
+    os << "byzantine node=3 from=0 until=10 mode=fixed offset=5\n"
+          "crash node=5 at=4\n";
+  }
+  cfg.faults_file = plan;
+  cfg.obs_backend = "stair";
+  const BuiltExperiment built = build_experiment(cfg);
+  const Bounds b = resolve_bounds(cfg, built);
+  const auto topt = resolve_tracker(cfg, built, b);
+  EXPECT_EQ(topt.history.backend, obs::HistoryConfig::Backend::kStair);
+  EXPECT_EQ(topt.sample_grid, 0.5);
+  EXPECT_GT(topt.error_rate_span, 0.0);
+  EXPECT_EQ(topt.recovery_global_bound, b.global);
+  EXPECT_EQ(topt.recovery_local_bound, b.local);
+  EXPECT_EQ(topt.recovery_classify_interval, 0.5);
+  EXPECT_EQ(topt.exclude, std::vector<sim::NodeId>{3});
 }
 
 TEST(ExperimentConfig, ResolvesPaperDefaults) {

@@ -206,6 +206,38 @@ TEST(SweepRunner, BoundsAndMetricsPopulated) {
   }
 }
 
+// run_one judges a run against exactly the bounds cli::resolve_bounds
+// gives its config, the figures tbcs_sim prints for the same flags.
+TEST(SweepRunner, RunOneReportsResolveBounds) {
+  cli::ExperimentConfig cfg;
+  cfg.topology = "grid";
+  cfg.rows = 3;
+  cfg.cols = 5;
+  cfg.eps = 0.02;
+  cfg.delay = 0.5;
+  cfg.duration = 20.0;
+  const RunResult r = SweepRunner::run_one(RunSpec{cfg, {}}, 0, SweepOptions{});
+  ASSERT_TRUE(r.ok) << r.error;
+  cfg.seed = r.seed;
+  const cli::BuiltExperiment built = cli::build_experiment(cfg);
+  const cli::Bounds b = cli::resolve_bounds(cfg, built);
+  EXPECT_EQ(r.diameter, 6);
+  EXPECT_EQ(r.diameter, b.diameter);
+  EXPECT_EQ(r.global_bound, b.global);
+  EXPECT_EQ(r.local_bound, b.local);
+}
+
+// The tracker accepts only stride 1; run_one forwards tracker_stride, so
+// any other value fails the run instead of being silently ignored.
+TEST(SweepRunner, TrackerStrideOtherThanOneFailsTheRun) {
+  const auto specs = small_sweep();
+  SweepOptions opt;
+  opt.tracker_stride = 4;
+  const RunResult r = SweepRunner::run_one(specs[0], 0, opt);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("stride"), std::string::npos) << r.error;
+}
+
 // ---- sinks -----------------------------------------------------------------
 
 TEST(Sinks, CsvSkipsFailedRunsJsonReportsThem) {

@@ -75,27 +75,11 @@ TEST(Partition, BlockAssignsContiguousRanges) {
   }
 }
 
-TEST(Partition, BandsOnTreeGroupByDepth) {
-  const Graph g = make_balanced_tree(2, 5);  // 31 nodes, depths 0..4
-  const Partition p = Partition::bfs_bands(g, 4);
-  check_invariants(g, p);
-  // BFS bands are monotone in depth: a deeper node never lands in an
-  // earlier shard than a shallower one.
-  const std::vector<int> depth = g.bfs_distances(0);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (depth[static_cast<std::size_t>(u)] < depth[static_cast<std::size_t>(v)]) {
-        EXPECT_LE(p.shard_of(u), p.shard_of(v));
-      }
-    }
-  }
-}
-
 TEST(Partition, InvariantsHoldOnRandomGraphs) {
   for (const std::uint64_t seed : {7u, 21u, 99u}) {
     const Graph g = make_connected_er(48, 0.12, seed);
     for (const int k : {2, 3, 5}) {
-      for (const char* strategy : {"block", "bands", "ml"}) {
+      for (const char* strategy : {"block", "ml"}) {
         SCOPED_TRACE(testing::Message()
                      << "seed=" << seed << " k=" << k << " " << strategy);
         const Partition p = Partition::make(g, k, strategy);
@@ -136,17 +120,17 @@ TEST(Partition, MakeRejectsBadArguments) {
   EXPECT_THROW(Partition::make(g, -2, "block"), std::invalid_argument);
   EXPECT_THROW(Partition::make(g, 9, "block"), std::invalid_argument);
   EXPECT_THROW(Partition::make(g, 2, "mystery"), std::invalid_argument);
-  // "" defaults to auto (ml on trees, block elsewhere); "bands" is the
-  // alias for bfs_bands, "ml" for multilevel.
+  EXPECT_THROW(Partition::make(g, 2, "bands"), std::invalid_argument);
+  // "" defaults to auto (ml on trees, block elsewhere); "ml" is the alias
+  // for multilevel.
   EXPECT_NO_THROW(Partition::make(g, 2, ""));
-  EXPECT_NO_THROW(Partition::make(g, 2, "bands"));
   EXPECT_NO_THROW(Partition::make(g, 2, "ml"));
   EXPECT_NO_THROW(Partition::make(g, 2, "multilevel"));
 }
 
 TEST(Partition, DeterministicAcrossCalls) {
   const Graph g = make_connected_er(32, 0.15, 11);
-  for (const char* strategy : {"block", "bands", "ml"}) {
+  for (const char* strategy : {"block", "ml"}) {
     const Partition a = Partition::make(g, 3, strategy);
     const Partition b = Partition::make(g, 3, strategy);
     EXPECT_EQ(a.shard_assignment(), b.shard_assignment()) << strategy;

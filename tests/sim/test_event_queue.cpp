@@ -211,7 +211,7 @@ TEST(EventQueue, CarriesPayloadThroughSlab) {
   Event e = at(1.0);
   e.kind = EventKind::kMessageDelivery;
   e.node = 42;
-  e.msg = slab.put(m);
+  e.msg = slab.put(m, e.time);
   q.push(e);
   const Event out = q.pop();
   EXPECT_EQ(out.kind, EventKind::kMessageDelivery);

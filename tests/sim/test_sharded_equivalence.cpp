@@ -164,12 +164,6 @@ TEST_P(ShardedEquivalence, MatchesSerialAtEveryShardCount) {
   }
 }
 
-TEST_P(ShardedEquivalence, BandsPartitionMatchesToo) {
-  cli::ExperimentConfig cfg = base_config(GetParam(), 24);
-  cfg.partition = "bands";
-  expect_equivalent(run_case(cfg, 0), run_case(cfg, 3));
-}
-
 // The multilevel partition reshuffles node->shard assignments (non-
 // contiguous blocks, KL-refined cuts); the run must still be identical.
 TEST_P(ShardedEquivalence, MultilevelPartitionMatchesToo) {

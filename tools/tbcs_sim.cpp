@@ -114,9 +114,9 @@ run:        --duration T --seed S --wake-all --per-distance
                                JSON "engine" block
             --partition P      shard assignment: auto (default: ml for
                                trees, block elsewhere) | block (contiguous
-                               id ranges) | bands (BFS layers) | ml
-                               (multilevel cut-minimizing; best when node
-                               ids carry no locality, e.g. ER)
+                               id ranges) | ml (multilevel cut-minimizing;
+                               best when node ids carry no locality, e.g.
+                               ER)
             --queue Q          event-queue implementation: auto (default:
                                ladder at >= 32768 nodes, heap below) |
                                heap | ladder.  Pop order is identical for
@@ -124,19 +124,6 @@ run:        --duration T --seed S --wake-all --per-distance
             --progress[=SECS]  stderr heartbeat every SECS wall seconds
                                (default 5): wall time, sim time, events/s,
                                queue depth, current shard horizon
-            --skew-stride N    DEPRECATED: prefer --obs-backend stair,
-                               which samples on a fixed time grid with a
-                               queryable error bound and is byte-identical
-                               under --shards.  Strided sampling keeps
-                               every Nth event only; reported maxima
-                               become lower bounds with no bound on the
-                               error, and the flag is ignored when
-                               sharded (that engine samples per window
-                               barrier, not per event).  Execution bytes
-                               (--record / --trace) are unaffected.
-            note: a skew-tracker stride > 1 silently degrades the
-            incremental engine to full rescans; such samples are counted
-            in the `skew.full_rescan_fallback` metrics counter (--stats)
 output:     --series-csv FILE --profile-csv FILE --snapshot-csv FILE
 record:     --record FILE      save this execution (rates + delays)
             --replay FILE      re-run a saved execution (overrides the
@@ -206,27 +193,23 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const obs::HistoryConfig hcfg = cli::resolve_history(cfg);
-    const bool stair = hcfg.backend == obs::HistoryConfig::Backend::kStair;
-    if (cfg.skew_stride > 1) {
-      std::cerr << "warning: --skew-stride is deprecated; prefer "
-                   "--obs-backend stair (grid sampling with a queryable "
-                   "error bound, engine-invariant)\n";
-      if (cfg.shards > 0) {
-        std::cerr << "warning: --skew-stride is ignored with --shards "
-                  << cfg.shards
-                  << " (the sharded engine samples per window barrier, "
-                     "not per event)\n";
-      }
-      if (stair) {
-        std::cerr << "warning: --skew-stride is ignored with --obs-backend "
-                     "stair (the sketch samples on the probe grid)\n";
-      }
-    }
-
     auto built = cli::build_experiment(cfg);
+    // The per-distance profile materializes all-pairs distances (O(n^2)
+    // memory); refuse outright where that is gigabytes, instead of
+    // thrashing for hours.
+    if (cfg.per_distance && built.graph->num_nodes() > 16384) {
+      std::cerr << "error: --per-distance stores all-pairs distances "
+                   "(O(n^2)); refusing at n > 16384.  Use the skew "
+                   "summary / --series-csv for large runs.\n";
+      return 2;
+    }
     sim::Simulator& sim = *built.simulator;
     if (progress_secs > 0.0) sim.set_progress(progress_secs);
+    const cli::Bounds bounds = cli::resolve_bounds(cfg, built);
+    analysis::SkewTracker::Options topt =
+        cli::resolve_tracker(cfg, built, bounds);
+    const obs::HistoryConfig& hcfg = topt.history;
+    const bool stair = hcfg.backend == obs::HistoryConfig::Backend::kStair;
 
     // With channel faults installed, record/replay policies go *inside*
     // the fault decorator: faults perturb the recorded honest delays, so
@@ -275,65 +258,11 @@ int main(int argc, char** argv) {
       sim.set_flight_recorder(&recorder);
     }
 
-    // Exact diameter is O(n^2) BFS; past ~64k nodes switch to the
-    // two-sweep estimate (exact on trees/paths, lower bound otherwise)
-    // so million-node runs don't stall before the first event.
-    const int d = built.graph->num_nodes() > 65536
-                      ? built.graph->diameter_2sweep()
-                      : built.graph->diameter();
-    const double g_bound =
-        built.params.global_skew_bound(d, cfg.eps, cfg.delay);
-    const double l_bound = built.params.local_skew_bound(d, cfg.eps, cfg.delay);
-
-    analysis::SkewTracker::Options topt;
     if (audit_oracle) topt.mode = analysis::SkewTracker::Mode::kAuditOracle;
-    // The stride exists for the serial per-event observer; the sharded
-    // engine already samples per window barrier (thousands of events per
-    // call), so striding there would only starve the reports.  The stair
-    // backend replaces it outright with grid sampling.
-    topt.stride =
-        cfg.skew_stride > 1 && cfg.shards == 0 && !stair
-            ? static_cast<std::uint64_t>(cfg.skew_stride)
-            : 1;
     topt.audit_epsilon = cfg.eps;
-    topt.history = hcfg;
-    if (stair) {
-      // Sample on the probe grid k * delay — the same instants in every
-      // engine (serial probe events, sharded probe barriers), so the
-      // sketch is byte-identical across --shards/--queue.  Between grid
-      // points logical rates stay within [1-eps, (1+eps)(1+mu)], which
-      // bounds how far a skew extremum can drift: that span times the
-      // grid step is the advertised error bound.
-      topt.sample_grid = cfg.delay;
-      topt.error_rate_span =
-          (1.0 + cfg.eps) * (1.0 + built.params.mu) - (1.0 - cfg.eps);
-    }
-    // The per-distance profile materializes all-pairs distances (O(n^2)
-    // memory); refuse outright where that is gigabytes, instead of
-    // thrashing for hours.
-    if (cfg.per_distance && built.graph->num_nodes() > 16384) {
-      std::cerr << "error: --per-distance stores all-pairs distances "
-                   "(O(n^2)); refusing at n > 16384.  Use the skew "
-                   "summary / --series-csv for large runs.\n";
-      return 2;
-    }
     topt.track_per_distance = cfg.per_distance;
     // Stair mode: the grid drives the series cadence instead.
     topt.series_interval = stair ? 0.0 : cfg.duration / 200.0;
-    if (!built.timeline.empty()) {
-      // "Recovered" = back inside the paper's envelope (Thm 5.5 / 5.10).
-      topt.recovery_global_bound = g_bound;
-      topt.recovery_local_bound = l_bound;
-      // Classify on the probe grid (build_experiment arms probes every
-      // cfg.delay), so recovery/stabilization times are byte-identical
-      // between the serial and sharded engines.
-      topt.recovery_classify_interval = cfg.delay;
-      // Liars are not part of the guarantee: every skew figure is over the
-      // correct subgraph only.
-      for (const fault::ByzantineSpec& s : built.timeline.byzantine) {
-        topt.exclude.push_back(s.node);
-      }
-    }
     analysis::SkewTracker tracker(sim, topt);
 
     // Churned runs share the observer slot between the tracker and the
@@ -342,11 +271,10 @@ int main(int argc, char** argv) {
     std::optional<dyn::StabilizationProbe> probe;
     if (!built.churn.empty()) {
       dyn::StabilizationProbe::Options popt;
-      popt.bound = cfg.stab_bound > 0.0 ? cfg.stab_bound : l_bound;
+      popt.bound = cfg.stab_bound > 0.0 ? cfg.stab_bound : bounds.local;
       popt.mu = built.params.mu;
-      popt.stride = topt.stride;
       popt.history = hcfg;
-      if (stair) popt.sample_grid = cfg.delay;
+      popt.sample_grid = topt.sample_grid;
       probe.emplace(popt);
       probe->preload(built.churn);
       dyn::attach_dyn_observers(sim, &tracker, &*probe);
@@ -384,7 +312,8 @@ int main(int argc, char** argv) {
     analysis::Table summary({"metric", "value"});
     summary.add_row({"topology", cfg.topology + " (n=" +
                                      std::to_string(built.graph->num_nodes()) +
-                                     ", D=" + std::to_string(d) + ")"});
+                                     ", D=" + std::to_string(bounds.diameter) +
+                                     ")"});
     summary.add_row({"algorithm", cfg.algorithm});
     if (sim.shards() > 0) {
       const auto bal = sim.partition()->balance();
@@ -403,9 +332,9 @@ int main(int argc, char** argv) {
     summary.add_row({"messages", analysis::Table::integer(
                                      static_cast<long long>(sim.messages_delivered()))});
     summary.add_row({"global skew", analysis::Table::num(tracker.max_global_skew(), 4)});
-    summary.add_row({"global bound G (Thm 5.5)", analysis::Table::num(g_bound, 4)});
+    summary.add_row({"global bound G (Thm 5.5)", analysis::Table::num(bounds.global, 4)});
     summary.add_row({"local skew", analysis::Table::num(tracker.max_local_skew(), 4)});
-    summary.add_row({"local bound (Thm 5.10)", analysis::Table::num(l_bound, 4)});
+    summary.add_row({"local bound (Thm 5.10)", analysis::Table::num(bounds.local, 4)});
     summary.add_row({"envelope violation",
                      analysis::Table::num(tracker.max_envelope_violation(), 6)});
     summary.add_row({"rates seen", "[" + analysis::Table::num(tracker.min_logical_rate(), 4) +
@@ -543,12 +472,12 @@ int main(int argc, char** argv) {
       std::cout << "\n";
       analysis::ChartOptions copt;
       copt.label = "global skew";
-      copt.reference = g_bound;
+      copt.reference = bounds.global;
       analysis::render_skew_chart(std::cout, tracker.series(), /*local=*/false,
                                   copt);
       std::cout << "\n";
       copt.label = "local skew";
-      copt.reference = l_bound;
+      copt.reference = bounds.local;
       analysis::render_skew_chart(std::cout, tracker.series(), /*local=*/true,
                                   copt);
     }
