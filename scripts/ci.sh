@@ -6,9 +6,10 @@
 #   2. Sanitizer smoke: rebuild the simulator tool, the trace tool, the
 #      runtime tests, and the obs tests with ASan+UBSan
 #      (-DTBCS_SANITIZE=address,undefined) and run them.  The threaded
-#      runtime and the sharded metrics registry are the pieces most at
-#      risk of memory/lifetime bugs, so they get sanitizer coverage even
-#      in a quick pass.
+#      runtime (detached wedged threads, leaked hosts) and the flight
+#      recorder's binary dump round trip are the pieces most at risk of
+#      memory/lifetime bugs, so they get sanitizer coverage even in a
+#      quick pass.
 #   3. TSan smoke: rebuild the threaded-runtime tests (including the
 #      fault-injection paths: partitions, link flips, the channel hook,
 #      and the stop() watchdog) and the sharded-engine tests (worker
@@ -61,7 +62,7 @@ echo
 echo "=== sanitizer smoke: ASan+UBSan (jobs=$JOBS) ==="
 cmake -B build-asan -S . -DTBCS_SANITIZE=address,undefined > /dev/null
 cmake --build build-asan -j "$JOBS" --target \
-  tbcs_sim_tool tbcs_trace test_runtime test_obs test_metrics test_trace_tools
+  tbcs_sim_tool tbcs_trace test_runtime test_obs test_trace_tools
 
 SAN_TMP="$(mktemp -d)"
 trap 'rm -rf "$SAN_TMP"' EXIT
@@ -71,7 +72,6 @@ build-asan/tools/tbcs_trace --summary "$SAN_TMP/t.bin" > /dev/null
 build-asan/tools/tbcs_trace --chrome "$SAN_TMP/t.bin" --out "$SAN_TMP/t.json"
 build-asan/tests/test_runtime
 build-asan/tests/test_obs
-build-asan/tests/test_metrics
 build-asan/tests/test_trace_tools
 
 echo

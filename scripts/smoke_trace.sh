@@ -7,7 +7,9 @@
 #   3. tbcs_trace --chrome converts it to Chrome/Perfetto trace_event
 #      JSON, which python3 must parse and find non-empty;
 #   4. tbcs_trace --diff of the dump against itself must report a match
-#      (exit 0), and against a different-seed dump must diverge (exit 1).
+#      (exit 0), and against a different-seed dump must diverge (exit 1);
+#   5. an output tbcs_sim cannot write (--series-csv, --record into a
+#      missing directory) fails the run: exit 1 and no "wrote" line.
 #
 # Usage: smoke_trace.sh /path/to/tbcs_sim /path/to/tbcs_trace
 set -euo pipefail
@@ -66,5 +68,17 @@ if "$TRACE_BIN" --diff "$TMPDIR_SMOKE/a.bin" "$TMPDIR_SMOKE/other.bin" \
   exit 1
 fi
 grep -q "divergent\|recorded" "$TMPDIR_SMOKE/diff.txt"
+
+for flag in --series-csv --record; do
+  code=0
+  "$SIM_BIN" --topology path --nodes 4 --duration 10 \
+             "$flag" "$TMPDIR_SMOKE/missing/out" \
+             > "$TMPDIR_SMOKE/unwritable.out" 2>&1 || code=$?
+  if [ "$code" -ne 1 ] || grep -q '^wrote ' "$TMPDIR_SMOKE/unwritable.out"; then
+    echo "FAIL: $flag into a missing directory exited $code:"
+    cat "$TMPDIR_SMOKE/unwritable.out"
+    exit 1
+  fi
+done
 
 echo "smoke_trace: OK"

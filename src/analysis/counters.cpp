@@ -1,6 +1,7 @@
 #include "analysis/counters.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <ostream>
 
 #include "obs/flight_recorder.hpp"
@@ -49,7 +50,7 @@ QueueReport QueueReport::capture(const sim::Simulator& sim) {
 }
 
 void write_stats_json(std::ostream& os, const sim::Simulator& sim,
-                      const obs::MetricsRegistry::Snapshot* metrics,
+                      const StatsMetrics* metrics,
                       const obs::FlightRecorder* recorder,
                       const ObsBackendReport* obs) {
   const CommunicationReport comm = CommunicationReport::capture(sim);
@@ -119,7 +120,20 @@ void write_stats_json(std::ostream& os, const sim::Simulator& sim,
   }
   os << "  \"metrics\": ";
   if (metrics != nullptr) {
-    write_metrics_json(os, *metrics);
+    os << "{\"counters\": {";
+    for (std::size_t i = 0; i < metrics->counters.size(); ++i) {
+      os << (i == 0 ? "" : ", ") << '"' << metrics->counters[i].first
+         << "\": " << metrics->counters[i].second;
+    }
+    os << "}, \"gauges\": {";
+    for (std::size_t i = 0; i < metrics->gauges.size(); ++i) {
+      const double v = metrics->gauges[i].second;
+      char buf[32] = "null";
+      if (std::isfinite(v)) std::snprintf(buf, sizeof buf, "%.17g", v);
+      os << (i == 0 ? "" : ", ") << '"' << metrics->gauges[i].first
+         << "\": " << buf;
+    }
+    os << "}, \"histograms\": {}}";
   } else {
     os << "null";
   }

@@ -4,8 +4,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace tbcs::obs {
@@ -66,16 +67,27 @@ struct ObsBackendReport {
   double coarsest_window_span = 0.0;  // widest merged window (time units)
 };
 
+/// End-of-run named figures for the stats "metrics" block, printed in
+/// list order.  Names are written verbatim, so they must be plain
+/// identifiers ("fault.crashes").
+struct StatsMetrics {
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::vector<std::pair<std::string, double>> gauges;  // non-finite -> null
+};
+
 /// One JSON object combining the communication report, the queue report,
-/// and (when given) a metrics-registry snapshot, flight-recorder trace
-/// info, and the telemetry-backend report — what `tbcs_sim --stats`
-/// prints on exit:
+/// and (when given) the run's named metrics, flight-recorder trace info,
+/// and the telemetry-backend report — what `tbcs_sim --stats` prints on
+/// exit:
 ///   {"communication": {...}, "queue": {...}, "engine": {...},
 ///    "queue_impl": {...}, "obs": {...}?,
-///    "metrics": {...} | null, "trace": {...} | null}
-/// The "obs" block is present only when `obs` is non-null.
+///    "metrics": {"counters": {...}, "gauges": {...}, "histograms": {}}
+///               | null,
+///    "trace": {...} | null}
+/// The "obs" block is present only when `obs` is non-null; gauges print
+/// as %.17g.
 void write_stats_json(std::ostream& os, const sim::Simulator& sim,
-                      const obs::MetricsRegistry::Snapshot* metrics = nullptr,
+                      const StatsMetrics* metrics = nullptr,
                       const obs::FlightRecorder* recorder = nullptr,
                       const ObsBackendReport* obs = nullptr);
 

@@ -1,5 +1,8 @@
 #include "cli/args.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 
 namespace tbcs::cli {
@@ -75,13 +78,36 @@ int ArgParser::get_int(const std::string& key, int fallback) {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
-  const long v = std::strtol(it->second.value.c_str(), &end, 10);
-  if (end == it->second.value.c_str() || *end != '\0') {
+  const long long v = std::strtoll(it->second.value.c_str(), &end, 10);
+  if (end == it->second.value.c_str() || *end != '\0' || v < INT_MIN ||
+      v > INT_MAX) {
     errors_.push_back("flag --" + key + " expects an integer, got '" +
                       it->second.value + "'");
     return fallback;
   }
   return static_cast<int>(v);
+}
+
+std::uint64_t ArgParser::get_uint64(const std::string& key,
+                                    std::uint64_t fallback) {
+  queried_.insert(key);
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  const std::string& s = it->second.value;
+  // strtoull would skip blanks and negate a leading '-' modulo 2^64, so
+  // only a value that starts with a digit is handed to it.
+  char* end = nullptr;
+  unsigned long long v = 0;
+  errno = 0;
+  if (!s.empty() && std::isdigit(static_cast<unsigned char>(s[0]))) {
+    v = std::strtoull(s.c_str(), &end, 10);
+  }
+  if (end == nullptr || *end != '\0' || errno == ERANGE) {
+    errors_.push_back("flag --" + key + " expects an unsigned integer, got '" +
+                      s + "'");
+    return fallback;
+  }
+  return v;
 }
 
 bool ArgParser::get_bool(const std::string& key, bool fallback) {

@@ -15,6 +15,7 @@
 //    "extra" as help's value.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -27,10 +28,13 @@ class ArgParser {
   ArgParser(int argc, const char* const* argv);
   explicit ArgParser(const std::vector<std::string>& args);
 
-  /// Value lookups; each records the key as known.
+  /// Value lookups; each records the key as known.  A malformed or
+  /// out-of-range value is reported in errors() and yields the fallback.
   std::string get_string(const std::string& key, const std::string& fallback);
   double get_double(const std::string& key, double fallback);
   int get_int(const std::string& key, int fallback);
+  /// A plain decimal in [0, 2^64): no sign, no leading blanks (seeds).
+  std::uint64_t get_uint64(const std::string& key, std::uint64_t fallback);
   bool get_bool(const std::string& key, bool fallback = false);
 
   bool has(const std::string& key) const { return values_.count(key) > 0; }

@@ -9,7 +9,6 @@
 #include "analysis/table.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/fault_scheduler.hpp"
-#include "obs/metrics.hpp"
 
 namespace tbcs::exec {
 
@@ -20,20 +19,6 @@ std::vector<RunResult> SweepRunner::run(
   pool.parallel_for(specs.size(), [this, &specs, &out](std::size_t i) {
     out[i] = run_one(specs[i], i, opt_);
   });
-  // Registry timelines for stair sweeps: per-run skew rollups through the
-  // bounded backend.  Recorded serially AFTER the parallel loop, in index
-  // order, so the stores' contents (a pure function of the append
-  // sequence) are byte-identical at every --jobs setting.
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (!out[i].ok) continue;
-    const obs::HistoryConfig hcfg = cli::resolve_history(specs[i].config);
-    if (hcfg.backend != obs::HistoryConfig::Backend::kStair) continue;
-    auto& reg = obs::MetricsRegistry::global();
-    if (!reg.timelines_enabled()) reg.enable_timelines(hcfg);
-    const double t = static_cast<double>(i);
-    reg.record_timeline("sweep.global_skew", t, out[i].global_skew);
-    reg.record_timeline("sweep.local_skew", t, out[i].local_skew);
-  }
   return out;
 }
 
@@ -125,19 +110,9 @@ RunResult SweepRunner::run_one(const RunSpec& spec, std::size_t index,
       }
     }
     r.ok = true;
-
-    // Process-wide rollups: worker threads write their own registry
-    // shards, so these cost nothing to the parallelism of the sweep.
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("sweep.runs_ok").inc();
-    reg.counter("sweep.events").inc(sim.events_processed());
-    reg.counter("sweep.messages").inc(sim.messages_delivered());
-    reg.histogram("sweep.global_skew").observe(r.global_skew);
-    reg.histogram("sweep.local_skew").observe(r.local_skew);
   } catch (const std::exception& e) {
     r.ok = false;
     r.error = e.what();
-    obs::MetricsRegistry::global().counter("sweep.runs_failed").inc();
   }
   return r;
 }

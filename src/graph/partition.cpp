@@ -387,20 +387,24 @@ Partition Partition::block(const Graph& g, int num_shards) {
   return p;
 }
 
+std::string Partition::resolve_strategy(const Graph& g,
+                                        const std::string& strategy) {
+  if (strategy != "auto" && !strategy.empty()) return strategy;
+  // Trees (m == n-1): block partitions of a BFS-numbered tree cut whole
+  // level bands, putting every node within a hop or two of a cut and
+  // collapsing the sharded engine's windows; the multilevel split keeps
+  // subtrees whole.  Everything else ships with locality-preserving ids
+  // where contiguous blocks are already near-optimal and free.
+  const bool tree =
+      g.num_edges() + 1 == static_cast<std::size_t>(g.num_nodes());
+  return tree ? "ml" : "block";
+}
+
 Partition Partition::make(const Graph& g, int num_shards,
                           const std::string& strategy) {
-  if (strategy == "auto" || strategy.empty()) {
-    // Trees (m == n-1): block partitions of a BFS-numbered tree cut whole
-    // level bands, putting every node within a hop or two of a cut and
-    // collapsing the sharded engine's windows; the multilevel split keeps
-    // subtrees whole.  Everything else ships with locality-preserving ids
-    // where contiguous blocks are already near-optimal and free.
-    const bool tree = g.num_edges() + 1 == static_cast<std::size_t>(
-                                               g.num_nodes());
-    return tree ? multilevel(g, num_shards) : block(g, num_shards);
-  }
-  if (strategy == "block") return block(g, num_shards);
-  if (strategy == "ml" || strategy == "multilevel") {
+  const std::string resolved = resolve_strategy(g, strategy);
+  if (resolved == "block") return block(g, num_shards);
+  if (resolved == "ml" || resolved == "multilevel") {
     return multilevel(g, num_shards);
   }
   throw std::invalid_argument("Partition: unknown strategy '" + strategy +

@@ -60,6 +60,12 @@ class Partition {
   /// weight at most ~1.1x the ideal n/k.
   static Partition multilevel(const Graph& g, int num_shards);
 
+  /// The strategy make() runs for `strategy` on `g`: "auto" (or empty)
+  /// is "ml" on a tree and "block" otherwise; any other name is returned
+  /// as given.
+  static std::string resolve_strategy(const Graph& g,
+                                      const std::string& strategy);
+
   /// Dispatch by strategy name ("auto" | "block" | "ml"); throws
   /// std::invalid_argument on an unknown name or num_shards < 1 or
   /// num_shards > n.

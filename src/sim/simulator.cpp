@@ -133,17 +133,9 @@ void Simulator::configure_shards(int shards, const std::string& strategy,
     return;
   }
   shards_requested_ = shards;
-  // Resolve "auto" here so partition_strategy() (and the stats "engine"
-  // block) reports the strategy actually used, matching Partition::make's
-  // dispatch: multilevel keeps subtrees whole where block partitions of a
-  // BFS-numbered tree would cut every level band.
-  if (strategy == "auto" || strategy.empty()) {
-    const bool tree =
-        graph_.num_edges() + 1 == static_cast<std::size_t>(graph_.num_nodes());
-    partition_strategy_ = tree ? "ml" : "block";
-  } else {
-    partition_strategy_ = strategy;
-  }
+  // Resolved, so partition_strategy() (and the stats "engine" block)
+  // names the strategy actually used.
+  partition_strategy_ = graph::Partition::resolve_strategy(graph_, strategy);
   int effective = std::min(shards, graph_.num_nodes());
   if (min_nodes_per_shard > 0) {
     const int cap = std::max(

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "analysis/ascii_chart.hpp"
 #include "analysis/convergence.hpp"
@@ -198,6 +199,43 @@ TEST(Counters, CaptureAndWindowDifference) {
   const auto window = late - early;
   EXPECT_DOUBLE_EQ(window.duration, 10.0);
   EXPECT_EQ(window.broadcasts, late.broadcasts - early.broadcasts);
+}
+
+// The "metrics" line of a write_stats_json document.
+std::string metrics_line(const std::string& json) {
+  const auto at = json.find("  \"metrics\": ");
+  return json.substr(at, json.find('\n', at) - at);
+}
+
+TEST(Counters, StatsJsonMetricsBlock) {
+  const auto g = graph::make_path(2);
+  auto sim = make_free_running_sim(g, {1.0, 1.0});
+  sim->run_until(5.0);
+  StatsMetrics m;
+  m.counters = {{"sim.messages_dropped", 0},
+                {"fault.crashes", 18446744073709551615ULL}};
+  m.gauges = {{"fault.last_fault_time", 0.1},
+              {"fault.recovery_time", -1.0},
+              {"fault.stabilization_time", std::nan("")}};
+  std::ostringstream full;
+  write_stats_json(full, *sim, &m);
+  EXPECT_EQ(metrics_line(full.str()),
+            "  \"metrics\": {\"counters\": {\"sim.messages_dropped\": 0, "
+            "\"fault.crashes\": 18446744073709551615}, \"gauges\": "
+            "{\"fault.last_fault_time\": 0.10000000000000001, "
+            "\"fault.recovery_time\": -1, \"fault.stabilization_time\": "
+            "null}, \"histograms\": {}},");
+
+  const StatsMetrics empty;
+  std::ostringstream bare;
+  write_stats_json(bare, *sim, &empty);
+  EXPECT_EQ(metrics_line(bare.str()),
+            "  \"metrics\": {\"counters\": {}, \"gauges\": {}, "
+            "\"histograms\": {}},");
+
+  std::ostringstream none;
+  write_stats_json(none, *sim);
+  EXPECT_EQ(metrics_line(none.str()), "  \"metrics\": null,");
 }
 
 // ---- stats --------------------------------------------------------------------------

@@ -108,7 +108,55 @@ TEST(ArgParser, BoolEqualsNonLiteralIsError) {
   EXPECT_NE(p.errors()[0].find("expects a boolean"), std::string::npos);
 }
 
+TEST(ArgParser, IntegerOutsideIntIsError) {
+  // Narrowed to int, 4294967299 would silently become 3.
+  ArgParser p({"--nodes=4294967299", "--jobs", "-2147483649",
+               "--rows=2147483647", "--cols=-2147483648"});
+  EXPECT_EQ(p.get_int("nodes", 7), 7);  // fallback
+  EXPECT_EQ(p.get_int("jobs", 1), 1);
+  EXPECT_EQ(p.get_int("rows", 0), 2147483647);
+  EXPECT_EQ(p.get_int("cols", 0), -2147483647 - 1);
+  ASSERT_EQ(p.errors().size(), 2u);
+  EXPECT_NE(p.errors()[0].find("--nodes expects an integer"), std::string::npos);
+  EXPECT_NE(p.errors()[1].find("--jobs expects an integer"), std::string::npos);
+}
+
+TEST(ArgParser, Uint64AcceptsOnlyPlainDecimalsInRange) {
+  ArgParser p({"--seed", "18446744073709551615", "--churn-seed=0"});
+  EXPECT_EQ(p.get_uint64("seed", 1), 18446744073709551615ULL);
+  EXPECT_EQ(p.get_uint64("churn-seed", 1), 0u);
+  EXPECT_EQ(p.get_uint64("absent", 5), 5u);
+  EXPECT_TRUE(p.ok());
+  for (const char* bad : {"-1", "18446744073709551616", "+1", " 1", "", "12x",
+                          "0x10"}) {
+    ArgParser q({std::string("--seed=") + bad});
+    EXPECT_EQ(q.get_uint64("seed", 9), 9u) << bad;  // fallback
+    ASSERT_EQ(q.errors().size(), 1u) << bad;
+    EXPECT_NE(q.errors()[0].find("--seed expects an unsigned integer"),
+              std::string::npos)
+        << bad;
+  }
+}
+
 // ---- ExperimentConfig -------------------------------------------------------
+
+TEST(ExperimentConfig, SeedFlagsAreUnsigned64Bit) {
+  // A per-run seed tbcs_sweep prints must pass back through --seed.
+  ArgParser p({"--seed=16834447057089888969", "--fault-seed=4294967297",
+               "--churn-seed=18446744073709551615"});
+  ExperimentConfig cfg;
+  apply_model_flags(p, cfg);
+  EXPECT_TRUE(p.ok());
+  EXPECT_EQ(cfg.seed, 16834447057089888969ULL);
+  EXPECT_EQ(cfg.fault_seed, 4294967297ULL);
+  EXPECT_EQ(cfg.churn_seed, 18446744073709551615ULL);
+
+  ArgParser negative({"--seed", "-1"});
+  ExperimentConfig kept;
+  apply_model_flags(negative, kept);
+  EXPECT_FALSE(negative.ok());
+  EXPECT_EQ(kept.seed, 1u);
+}
 
 TEST(ExperimentConfig, BuildsAllTopologies) {
   for (const char* topo : {"path", "ring", "star", "complete", "grid", "torus",

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "analysis/skew_tracker.hpp"
@@ -31,6 +32,11 @@ struct Combo {
   double envelope_slack = 0.0;
   double rate_floor_slack = 0.0;
 };
+
+// Prints the case name: without it gtest dumps the struct's bytes, heap
+// pointers included, into --gtest_list_tests and so into the ctest name,
+// which then changes on every build.
+void PrintTo(const Combo& c, std::ostream* os) { *os << c.name; }
 
 std::vector<Combo> combos() {
   std::vector<Combo> out;

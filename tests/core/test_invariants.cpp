@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "analysis/skew_tracker.hpp"
@@ -34,6 +35,11 @@ struct Scenario {
   SyncParams params;
   double duration = 300.0;
 };
+
+// Prints the case name: without it gtest dumps the struct's bytes, heap
+// pointers included, into --gtest_list_tests and so into the ctest name,
+// which then changes on every build.
+void PrintTo(const Scenario& s, std::ostream* os) { *os << s.name; }
 
 std::shared_ptr<sim::DelayPolicy> worst_toward(double t, graph::NodeId pivot,
                                                const graph::Graph& g) {

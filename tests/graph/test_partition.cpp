@@ -128,6 +128,20 @@ TEST(Partition, MakeRejectsBadArguments) {
   EXPECT_NO_THROW(Partition::make(g, 2, "multilevel"));
 }
 
+TEST(Partition, AutoIsMlOnTreesAndBlockElsewhere) {
+  const Graph tree = make_balanced_tree(2, 5);
+  const Graph ring = make_ring(16);
+  EXPECT_EQ(Partition::resolve_strategy(tree, "auto"), "ml");
+  EXPECT_EQ(Partition::resolve_strategy(tree, ""), "ml");
+  EXPECT_EQ(Partition::resolve_strategy(ring, "auto"), "block");
+  EXPECT_EQ(Partition::resolve_strategy(tree, "block"), "block");
+  EXPECT_EQ(Partition::resolve_strategy(ring, "multilevel"), "multilevel");
+  EXPECT_EQ(Partition::make(tree, 3, "auto").shard_assignment(),
+            Partition::multilevel(tree, 3).shard_assignment());
+  EXPECT_EQ(Partition::make(ring, 3, "auto").shard_assignment(),
+            Partition::block(ring, 3).shard_assignment());
+}
+
 TEST(Partition, DeterministicAcrossCalls) {
   const Graph g = make_connected_er(32, 0.15, 11);
   for (const char* strategy : {"block", "ml"}) {

@@ -236,6 +236,29 @@ TEST(StairHistory, TinyBudgetStillWorks) {
   EXPECT_EQ(total, 10000u);
 }
 
+TEST(Log2Buckets, IndexIsMonotoneAndBounded) {
+  int prev = log2_bucket_index(1e-9);
+  for (double v = 1e-9; v < 1e12; v *= 3.7) {
+    const int b = log2_bucket_index(v);
+    EXPECT_GE(b, prev);
+    EXPECT_GE(b, 1);
+    EXPECT_LT(b, kLog2Buckets);
+    prev = b;
+  }
+  EXPECT_EQ(log2_bucket_index(0.0), 0);
+  EXPECT_EQ(log2_bucket_index(-5.0), 0);
+  EXPECT_EQ(log2_bucket_index(std::nan("")), 0);
+
+  // A value sits in the bucket whose lower bound is just below it.
+  for (const double v : {0.001, 0.5, 1.0, 3.0, 1000.0}) {
+    const int b = log2_bucket_index(v);
+    EXPECT_LT(log2_bucket_lower_bound(b), v + 1e-15);
+    if (b + 1 < kLog2Buckets) {
+      EXPECT_LE(v, log2_bucket_lower_bound(b + 1) + 1e-15);
+    }
+  }
+}
+
 TEST(Log2Buckets, RoundTripFactorTwo) {
   EXPECT_EQ(log2_bucket_index(0.0), 0);
   EXPECT_EQ(log2_bucket_index(-1.0), 0);

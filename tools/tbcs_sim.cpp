@@ -13,6 +13,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/ascii_chart.hpp"
 #include "analysis/counters.hpp"
@@ -25,7 +27,6 @@
 #include "dyn/stabilization_probe.hpp"
 #include "fault/fault_scheduler.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
 #include "sim/recorder.hpp"
 
 namespace {
@@ -426,48 +427,6 @@ int main(int argc, char** argv) {
     }
     summary.print(std::cout);
 
-    // Surface the simulator drop/fault counters in the metrics registry so
-    // --stats JSON (and anything else reading the global snapshot) sees
-    // them alongside the runtime/sweep counters.
-    {
-      auto& reg = obs::MetricsRegistry::global();
-      reg.counter("sim.messages_dropped").inc(sim.messages_dropped());
-      reg.counter("sim.timer_cancels").inc(sim.timer_cancels());
-      if (!built.churn.empty()) {
-        // Canonical (shard-count-invariant) churn figures only; the
-        // repartition count is placement-dependent and stays out of the
-        // byte-compared stats JSON.
-        reg.counter("churn.joins").inc(sim.joins());
-        reg.counter("churn.leaves").inc(sim.leaves());
-        reg.counter("churn.ops_scheduled").inc(built.churn.ops.size());
-        if (probe) {
-          reg.counter("churn.edge_insertions").inc(probe->insertions());
-          reg.counter("churn.edges_stabilized").inc(probe->stabilized());
-        }
-      }
-      if (faults) {
-        reg.counter("fault.events_applied").inc(faults->applied());
-        reg.counter("fault.crashes").inc(sim.crashes());
-        reg.counter("fault.recoveries").inc(sim.recoveries());
-        const double rec = tracker.recovery_time();
-        reg.gauge("fault.last_fault_time").set(tracker.last_fault_time());
-        reg.gauge("fault.recovery_time").set(std::isnan(rec) ? -1.0 : rec);
-        if (sim.scrambles() > 0) {
-          const double stab = tracker.stabilization_time();
-          reg.counter("fault.scrambles").inc(sim.scrambles());
-          reg.gauge("fault.stabilization_time")
-              .set(std::isnan(stab) ? -1.0 : stab);
-        }
-        if (built.channel) {
-          reg.counter("fault.channel_dropped").inc(built.channel->dropped());
-          reg.counter("fault.channel_duplicated")
-              .inc(built.channel->duplicated());
-          reg.counter("fault.channel_corrupted")
-              .inc(built.channel->corrupted());
-        }
-      }
-    }
-
     if (chart) {
       std::cout << "\n";
       analysis::ChartOptions copt;
@@ -482,29 +441,29 @@ int main(int argc, char** argv) {
                                   copt);
     }
 
-    const auto write = [](const std::string& path, auto&& writer) {
+    // Every output file goes through one checked write: a stream that did
+    // not open, or went bad while writing, fails the run (exit 1) instead
+    // of printing a "wrote" line.
+    const auto write = [](const std::string& path, auto&& writer,
+                          const std::string& note = "") {
       if (path.empty()) return;
-      std::ofstream os(path);
+      std::ofstream os(path, std::ios::binary);
+      if (!os) throw std::runtime_error("cannot open " + path + " for writing");
       writer(os);
-      std::cout << "wrote " << path << "\n";
+      os.close();
+      if (!os) throw std::runtime_error("cannot write " + path);
+      std::cout << "wrote " << path << note << "\n";
     };
     write(series_csv, [&](std::ostream& os) { analysis::write_series_csv(os, tracker); });
     write(profile_csv,
           [&](std::ostream& os) { analysis::write_distance_profile_csv(os, tracker); });
     write(snapshot_csv, [&](std::ostream& os) { analysis::write_snapshot_csv(os, sim); });
-    if (!record_file.empty() && replay_file.empty()) {
+    if (replay_file.empty()) {
       write(record_file, [&](std::ostream& os) { record_log->save(os); });
     }
-    if (!trace_file.empty()) {
-      std::ofstream os(trace_file, std::ios::binary);
-      if (!os) {
-        std::cerr << "error: cannot open " << trace_file << " for writing\n";
-        return 1;
-      }
-      recorder.save(os);
-      std::cout << "wrote " << trace_file << " (" << recorder.size()
-                << " of " << recorder.total_recorded() << " records kept)\n";
-    }
+    write(trace_file, [&](std::ostream& os) { recorder.save(os); },
+          " (" + std::to_string(recorder.size()) + " of " +
+              std::to_string(recorder.total_recorded()) + " records kept)");
     if (stats || !stats_json.empty()) {
       // Every figure in the "obs" block is a pure function of the
       // grid-sampled append sequence, hence identical across
@@ -526,20 +485,51 @@ int main(int argc, char** argv) {
               obs_report.coarsest_window_span, s->coarsest_window_span());
         }
       }
-      const auto snap = obs::MetricsRegistry::global().snapshot();
+      // The run's drop, churn and fault figures.  Only canonical
+      // (shard-count-invariant) ones: the repartition count is
+      // placement-dependent and stays out of the byte-compared stats JSON.
+      analysis::StatsMetrics metrics;
+      auto& counters = metrics.counters;
+      auto& gauges = metrics.gauges;
+      counters = {{"sim.messages_dropped", sim.messages_dropped()},
+                  {"sim.timer_cancels", sim.timer_cancels()}};
+      if (!built.churn.empty()) {
+        counters.emplace_back("churn.joins", sim.joins());
+        counters.emplace_back("churn.leaves", sim.leaves());
+        counters.emplace_back("churn.ops_scheduled", built.churn.ops.size());
+        if (probe) {
+          counters.emplace_back("churn.edge_insertions", probe->insertions());
+          counters.emplace_back("churn.edges_stabilized", probe->stabilized());
+        }
+      }
+      if (faults) {
+        const double rec = tracker.recovery_time();
+        counters.emplace_back("fault.events_applied", faults->applied());
+        counters.emplace_back("fault.crashes", sim.crashes());
+        counters.emplace_back("fault.recoveries", sim.recoveries());
+        gauges.emplace_back("fault.last_fault_time", tracker.last_fault_time());
+        gauges.emplace_back("fault.recovery_time", std::isnan(rec) ? -1.0 : rec);
+        if (sim.scrambles() > 0) {
+          const double stab = tracker.stabilization_time();
+          counters.emplace_back("fault.scrambles", sim.scrambles());
+          gauges.emplace_back("fault.stabilization_time",
+                              std::isnan(stab) ? -1.0 : stab);
+        }
+        if (built.channel) {
+          counters.emplace_back("fault.channel_dropped", built.channel->dropped());
+          counters.emplace_back("fault.channel_duplicated",
+                                built.channel->duplicated());
+          counters.emplace_back("fault.channel_corrupted",
+                                built.channel->corrupted());
+        }
+      }
       obs::FlightRecorder* rec = trace_file.empty() ? nullptr : &recorder;
       if (stats) {
-        analysis::write_stats_json(std::cout, sim, &snap, rec, &obs_report);
+        analysis::write_stats_json(std::cout, sim, &metrics, rec, &obs_report);
       }
-      if (!stats_json.empty()) {
-        std::ofstream os(stats_json);
-        if (!os) {
-          std::cerr << "error: cannot open " << stats_json << " for writing\n";
-          return 1;
-        }
-        analysis::write_stats_json(os, sim, &snap, rec, &obs_report);
-        std::cout << "wrote " << stats_json << "\n";
-      }
+      write(stats_json, [&](std::ostream& os) {
+        analysis::write_stats_json(os, sim, &metrics, rec, &obs_report);
+      });
     }
     return 0;
   } catch (const std::exception& e) {

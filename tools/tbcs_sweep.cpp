@@ -47,10 +47,10 @@ observe:    --obs-backend exact|stair --obs-memory-kb N
                               telemetry history backend per run (see
                               tbcs_sim --help).  stair adds the metric
                               columns skew_error_bound /
-                              obs_history_bytes / obs_history_windows and
-                              per-sweep registry timelines; exact-mode
-                              output bytes are unchanged.  Results stay
-                              byte-identical for every --jobs/--shards
+                              obs_history_bytes / obs_history_windows;
+                              exact-mode output bytes are unchanged.
+                              Results stay byte-identical for every
+                              --jobs/--shards
 faults:     --faults FILE --fault-seed S    fault plan applied to every run
                               (adds faults_applied / crashes / recoveries /
                               recovery_time — and, with scramble directives,
