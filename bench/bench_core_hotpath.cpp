@@ -121,7 +121,7 @@ RunResult run_one(const graph::Graph& g, analysis::SkewTracker::Mode mode,
     topt.mode = mode;
     topt.audit_epsilon = 0.01;
     tracker = std::make_unique<analysis::SkewTracker>(sim, topt);
-    tracker->attach_auto(sim);
+    tracker->attach(sim);
   }
 
   const auto t0 = std::chrono::steady_clock::now();

@@ -84,7 +84,7 @@ RunOut run_tracked(const graph::Graph& g, double duration, int budget_kb,
     topt.error_rate_span = (1.0 + kEps) * (1.0 + params.mu) - (1.0 - kEps);
   }
   analysis::SkewTracker tracker(sim, topt);
-  tracker.attach_auto(sim);
+  tracker.attach(sim);
 
   const auto t0 = std::chrono::steady_clock::now();
   sim.run_until(duration);

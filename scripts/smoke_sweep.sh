@@ -53,4 +53,21 @@ if "$SWEEP_BIN" --no-such-flag >/dev/null 2>&1; then
   exit 1
 fi
 
+# Malformed or out-of-range sweep values are usage errors (exit 2): not an
+# abort, not a silently truncated value, not an out-of-range int cast.
+expect_usage_error() {
+  local rc=0
+  "$SWEEP_BIN" "$@" --topology ring --nodes 8 --duration 10 \
+    >/dev/null 2>&1 || rc=$?
+  if [[ "$rc" -ne 2 ]]; then
+    echo "FAIL: expected exit 2, got $rc: $*" >&2
+    exit 1
+  fi
+}
+expect_usage_error --param eps --values 0.01,abc
+expect_usage_error --param eps --values 0.01,1e999
+expect_usage_error --param eps --values 0.01x
+expect_usage_error --param nodes --values 1e12
+expect_usage_error --param eps --values 0.01 --param2 delay --values2 1,x
+
 echo "smoke_sweep: OK (8 runs, serial == 4 workers, CSV + JSON)"

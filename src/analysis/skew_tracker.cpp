@@ -68,14 +68,6 @@ void SkewTracker::attach(sim::Simulator& sim) {
   sim.set_observer([this](const sim::Simulator& s, double t) { observe(s, t); });
 }
 
-void SkewTracker::attach_windowed(sim::Simulator& sim) {
-  sim.set_window_observer(
-      [this](const sim::Simulator& s, double t,
-             const std::vector<sim::Simulator::WindowTouch>& touched) {
-        observe_window(s, t, touched);
-      });
-}
-
 const std::vector<SkewTracker::Sample>& SkewTracker::series() const {
   if (series_dirty_) {
     series_cache_.clear();
@@ -119,29 +111,11 @@ bool SkewTracker::per_distance_due(double t) const {
 }
 
 void SkewTracker::observe(const sim::Simulator& sim, double t) {
-  // The one-touched-node contract of the incremental engine: fold exactly
-  // what the triggering event changed.
-  const sim::Simulator::LastEvent& le = sim.last_event();
-  sim::Simulator::WindowTouch buf[2];
-  std::size_t n = 0;
-  if (le.node != sim::kInvalidNode) {
-    buf[n++] = sim::Simulator::WindowTouch{le.node, le.woke};
-  }
-  if (le.node2 != sim::kInvalidNode) {
-    buf[n++] = sim::Simulator::WindowTouch{le.node2, false};
-  }
-  do_sample(sim, t, buf, n);
-}
-
-void SkewTracker::observe_window(
-    const sim::Simulator& sim, double t,
-    const std::vector<sim::Simulator::WindowTouch>& touched) {
-  do_sample(sim, t, touched.data(), touched.size());
+  do_sample(sim, t, sim.touched());
 }
 
 void SkewTracker::do_sample(const sim::Simulator& sim, double t,
-                            const sim::Simulator::WindowTouch* touched,
-                            std::size_t n_touched) {
+                            const std::vector<sim::Simulator::Touch>& touched) {
   if (t < opt_.warmup) return;
   // Grid mode: take only the first sample at/after each grid point.  The
   // probe barrier at exactly the grid time is that sample for every shard
@@ -183,8 +157,8 @@ void SkewTracker::do_sample(const sim::Simulator& sim, double t,
 
     // Fold the touched nodes exactly: only they can have moved
     // discontinuously since the last sample.
-    for (std::size_t i = 0; i < n_touched; ++i) {
-      touch(sim, touched[i].node, touched[i].woke, t);
+    for (const sim::Simulator::Touch& tc : touched) {
+      touch(sim, tc.node, tc.woke, t);
     }
 
     // A full scan is needed exactly when some certificate no longer proves
@@ -227,7 +201,7 @@ void SkewTracker::do_sample(const sim::Simulator& sim, double t,
   }
 
   if (oracle_) {
-    oracle_->do_sample(sim, t, touched, n_touched);
+    oracle_->do_sample(sim, t, touched);
     assert_matches_oracle(t);
   }
 }

@@ -6,14 +6,17 @@
 // linear functions over an interval is attained at a breakpoint.  The
 // tracker is installed as the simulator's observer and therefore samples
 // every breakpoint: the reported maxima are exact, not approximations.
+// (Sharded, the observer runs at observation barriers instead, whose
+// grid is a pure function of the event set: maxima over that grid,
+// identical for every shard count.)
 //
 // Two engines produce those maxima:
 //
 //  * kFullRescan — the oracle: every sample scans all n nodes and all E
 //    edges.  O(events * (n + E)).
 //
-//  * kIncremental (default) — certificate-based: per event, only the
-//    touched node (Simulator::last_event()) is evaluated exactly, and a
+//  * kIncremental (default) — certificate-based: per sample, only the
+//    touched nodes (Simulator::touched()) are evaluated exactly, and a
 //    set of upper-bound certificates (last exact extrema extrapolated at
 //    the extreme observed clock rates, kinetic-tournament style) prove
 //    that the skipped full scan could not have raised any running
@@ -157,31 +160,22 @@ class SkewTracker {
   SkewTracker(const sim::Simulator& sim, Options opt);
   explicit SkewTracker(const sim::Simulator& sim);
 
-  /// Installs this tracker as the simulator's observer.
+  /// Installs this tracker as the simulator's observer: one sample per
+  /// observation point, sharded or not.
   void attach(sim::Simulator& sim);
 
-  /// Installs this tracker as the simulator's *window* observer (sharded
-  /// engine): one sample per window barrier, folding the barrier's
-  /// touched-node set.  Because the barrier grid and the touched sets are
-  /// shard-count invariant, so is every tracker output.
-  void attach_windowed(sim::Simulator& sim);
+  /// Kept for perfbench/, which names it: attach().
+  void attach_auto(sim::Simulator& sim) { attach(sim); }
 
-  /// attach_windowed() when the simulator is sharded, attach() otherwise.
-  void attach_auto(sim::Simulator& sim) {
-    if (sim.shards() > 0) {
-      attach_windowed(sim);
-    } else {
-      attach(sim);
-    }
-  }
-
-  /// Processes one sample at time t (called by the observer).
+  /// Processes one sample at time t, folding sim.touched() (called by the
+  /// observer).
   void observe(const sim::Simulator& sim, double t);
 
-  /// Processes one window-barrier sample: like observe(), but folds the
-  /// whole touched-node set instead of Simulator::last_event().
+  /// Kept for perfbench/, which names it: observe() folding `touched`.
   void observe_window(const sim::Simulator& sim, double t,
-                      const std::vector<sim::Simulator::WindowTouch>& touched);
+                      const std::vector<sim::Simulator::Touch>& touched) {
+    do_sample(sim, t, touched);
+  }
 
   // ---- results ------------------------------------------------------------
 
@@ -272,8 +266,7 @@ class SkewTracker {
  private:
   bool per_distance_due(double t) const;
   void do_sample(const sim::Simulator& sim, double t,
-                 const sim::Simulator::WindowTouch* touched,
-                 std::size_t n_touched);
+                 const std::vector<sim::Simulator::Touch>& touched);
   void full_scan(const sim::Simulator& sim, double t);
   void touch(const sim::Simulator& sim, sim::NodeId v, bool woke, double t);
   void assert_matches_oracle(double t) const;

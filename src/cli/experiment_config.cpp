@@ -13,7 +13,6 @@
 #include "core/envelope_sync.hpp"
 #include "core/external_sync.hpp"
 #include "graph/topologies.hpp"
-#include "sim/clock_model.hpp"
 #include "sim/rng.hpp"
 #include "sim/tick_quantizer.hpp"
 
@@ -235,37 +234,32 @@ analysis::SkewTracker::Options resolve_tracker(const ExperimentConfig& cfg,
 namespace {
 
 std::shared_ptr<sim::DriftPolicy> build_drift(const ExperimentConfig& cfg) {
-  // Every named drift model maps onto an OscillatorSpec so the CLI, sweep
-  // specs, and scenario tests construct byte-identical policies through
-  // sim::make_oscillator.  Legacy cadences (10 T / 40 T / 80 T) and seed
-  // offsets are preserved exactly when --drift-interval is absent.
-  using Kind = sim::OscillatorSpec::Kind;
-  sim::OscillatorSpec spec;
-  spec.epsilon = cfg.eps;
+  // --drift-interval overrides each model's cadence (walk/rwalk) or period
+  // (square/sine); without it the legacy 10 T / 40 T / 80 T apply.  These
+  // defaults and the per-model seed offsets fix every recorded run's
+  // rates, so they stay as they are.
   const double iv = cfg.drift_interval;
   if (cfg.drift == "walk") {
-    spec.kind = Kind::kWalk;
-    spec.interval = iv > 0.0 ? iv : 10.0 * cfg.delay;
-    spec.seed = cfg.seed + 1;
-  } else if (cfg.drift == "rwalk") {
-    spec.kind = Kind::kClampedWalk;
-    spec.interval = iv > 0.0 ? iv : 10.0 * cfg.delay;
-    spec.step = cfg.drift_step > 0.0 ? cfg.drift_step : cfg.eps / 2.0;
-    spec.seed = cfg.seed + 7;
-  } else if (cfg.drift == "square") {
-    spec.kind = Kind::kSquare;
-    spec.interval = iv > 0.0 ? iv : 40.0 * cfg.delay;
-    spec.fast_below = static_cast<sim::NodeId>(cfg.nodes / 2);
-  } else if (cfg.drift == "sine") {
-    spec.kind = Kind::kSine;
-    spec.interval = iv > 0.0 ? iv : 80.0 * cfg.delay;
-    spec.seed = cfg.seed + 2;
-  } else if (cfg.drift == "const") {
-    spec.kind = Kind::kConst;
-  } else {
-    throw ConfigError("unknown drift model: " + cfg.drift);
+    return std::make_shared<sim::RandomWalkDrift>(
+        cfg.eps, iv > 0.0 ? iv : 10.0 * cfg.delay, cfg.seed + 1);
   }
-  return std::shared_ptr<sim::DriftPolicy>(sim::make_oscillator(spec));
+  if (cfg.drift == "rwalk") {
+    return std::make_shared<sim::ClampedRandomWalkDrift>(
+        cfg.eps, iv > 0.0 ? iv : 10.0 * cfg.delay,
+        cfg.drift_step > 0.0 ? cfg.drift_step : cfg.eps / 2.0, cfg.seed + 7);
+  }
+  if (cfg.drift == "square") {
+    const auto fast_below = static_cast<sim::NodeId>(cfg.nodes / 2);
+    return std::make_shared<sim::SquareWaveDrift>(
+        cfg.eps, iv > 0.0 ? iv : 40.0 * cfg.delay,
+        [fast_below](sim::NodeId v) { return v < fast_below; });
+  }
+  if (cfg.drift == "sine") {
+    return std::make_shared<sim::SinusoidalDrift>(
+        cfg.eps, iv > 0.0 ? iv : 80.0 * cfg.delay, cfg.seed + 2);
+  }
+  if (cfg.drift == "const") return std::make_shared<sim::ConstantDrift>(1.0);
+  throw ConfigError("unknown drift model: " + cfg.drift);
 }
 
 std::shared_ptr<sim::DelayPolicy> build_delays(const ExperimentConfig& cfg,

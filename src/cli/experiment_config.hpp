@@ -53,7 +53,7 @@ struct ExperimentConfig {
   std::string delays = "uniform";
   double band_min = 0.5;  // for delays=band
 
-  // Oscillator-family knobs (sim/clock_model.hpp).  drift_interval
+  // Oscillator-family knobs (sim/drift_policy.hpp).  drift_interval
   // overrides the drift model's rate-change cadence / period (0 keeps the
   // legacy per-model default: 10 T walk/rwalk, 40 T square, 80 T sine);
   // drift_step is the max |rate increment| per change for drift=rwalk

@@ -164,20 +164,10 @@ void attach_dyn_observers(sim::Simulator& sim,
                           analysis::SkewTracker* tracker,
                           StabilizationProbe* probe) {
   if (tracker == nullptr && probe == nullptr) return;
-  if (sim.shards() > 0) {
-    sim.set_window_observer(
-        [tracker, probe](const sim::Simulator& s, double t,
-                         const std::vector<sim::Simulator::WindowTouch>&
-                             touched) {
-          if (tracker != nullptr) tracker->observe_window(s, t, touched);
-          if (probe != nullptr) probe->observe(s, t);
-        });
-  } else {
-    sim.set_observer([tracker, probe](const sim::Simulator& s, double t) {
-      if (tracker != nullptr) tracker->observe(s, t);
-      if (probe != nullptr) probe->observe(s, t);
-    });
-  }
+  sim.set_observer([tracker, probe](const sim::Simulator& s, double t) {
+    if (tracker != nullptr) tracker->observe(s, t);
+    if (probe != nullptr) probe->observe(s, t);
+  });
 }
 
 }  // namespace tbcs::dyn

@@ -12,10 +12,9 @@
 // predicted.
 //
 // The probe shares the simulator's single observer slot with SkewTracker
-// (which owns it by convention); attach_dyn_observers composes the two —
-// one barrier-driven callback when sharded, the per-event observer
-// otherwise.  Everything the probe reports derives from barrier-time
-// clock reads, which are shard-count invariant.
+// (which owns it by convention); attach_dyn_observers composes the two
+// into one callback.  Everything the probe reports derives from
+// barrier-time clock reads, which are shard-count invariant.
 #pragma once
 
 #include <cmath>
@@ -138,9 +137,9 @@ class StabilizationProbe {
   std::unique_ptr<obs::HistoryStore> history_;
 };
 
-/// Installs tracker and/or probe as the simulator's (window) observer in
-/// one composed callback — the simulator has a single observer slot and
-/// SkewTracker::attach* would otherwise claim it whole.  Either pointer
+/// Installs tracker and/or probe as the simulator's observer in one
+/// composed callback — the simulator has a single observer slot and
+/// SkewTracker::attach would otherwise claim it whole.  Either pointer
 /// may be null.  Both must outlive the simulator's runs.
 void attach_dyn_observers(sim::Simulator& sim,
                           analysis::SkewTracker* tracker,

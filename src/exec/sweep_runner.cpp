@@ -1,9 +1,10 @@
 #include "exec/sweep_runner.hpp"
 
-#include <cstdio>
-#include <sstream>
-
+#include <climits>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <sstream>
 
 #include "analysis/skew_tracker.hpp"
 #include "analysis/table.hpp"
@@ -46,7 +47,7 @@ RunResult SweepRunner::run_one(const RunSpec& spec, std::size_t index,
         topt.history.backend == obs::HistoryConfig::Backend::kStair;
     const bool faulty = !built.timeline.empty();
     analysis::SkewTracker tracker(*built.simulator, topt);
-    tracker.attach_auto(*built.simulator);
+    tracker.attach(*built.simulator);
     fault::FaultScheduler faults(built.timeline);
     if (faulty) {
       faults.set_listener([&tracker](const fault::FaultEvent& e, double t) {
@@ -134,17 +135,30 @@ std::vector<double> parse_values(const std::string& csv) {
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::stod(item));
+    if (item.empty()) continue;
+    char* end = nullptr;
+    const double v = std::strtod(item.c_str(), &end);
+    if (end == item.c_str() || *end != '\0' || !std::isfinite(v)) {
+      throw cli::ConfigError("sweep value '" + item +
+                             "' is not a finite number");
+    }
+    out.push_back(v);
   }
   return out;
 }
 
 void apply_sweep_param(cli::ExperimentConfig& cfg, const std::string& param,
                        double value) {
-  if (param == "diameter") {
-    cfg.nodes = static_cast<int>(value) + 1;
-  } else if (param == "nodes") {
-    cfg.nodes = static_cast<int>(value);
+  if (param == "diameter" || param == "nodes") {
+    // The node count must fit an int (diameter D needs D + 1 nodes);
+    // converting a double outside that range is undefined.
+    const int extra = param == "diameter" ? 1 : 0;
+    if (!(value >= static_cast<double>(INT_MIN) &&
+          value <= static_cast<double>(INT_MAX - extra))) {
+      throw cli::ConfigError("sweep value " + format_value(value) +
+                             " is out of range for '" + param + "'");
+    }
+    cfg.nodes = static_cast<int>(value) + extra;
   } else if (param == "eps") {
     cfg.eps = value;
   } else if (param == "mu") {

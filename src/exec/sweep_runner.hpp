@@ -50,12 +50,15 @@ class SweepRunner {
   SweepOptions opt_;
 };
 
-/// Parses a comma-separated list of numbers ("8,16,32").
+/// Parses a comma-separated list of numbers ("8,16,32"; empty items are
+/// skipped).  Throws cli::ConfigError on an item that is not entirely a
+/// finite number ("abc", "0.01x", "1e999").
 std::vector<double> parse_values(const std::string& csv);
 
 /// Sets one sweepable parameter on cfg.  Parameters: diameter (sets
 /// nodes = value + 1; the topology is left untouched), nodes, eps, mu,
-/// h0, delay, duration.  Throws cli::ConfigError on anything else.
+/// h0, delay, duration.  Throws cli::ConfigError on anything else, and on
+/// a node count (diameter + 1 for diameter) outside the range of int.
 void apply_sweep_param(cli::ExperimentConfig& cfg, const std::string& param,
                        double value);
 

@@ -7,6 +7,7 @@
 // each change, so algorithms never observe a discontinuity.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <optional>
@@ -87,6 +88,57 @@ class RandomWalkDrift final : public DriftPolicy {
   Duration interval_;
   Rng root_;
   std::vector<Rng> rngs_;
+};
+
+/// Rate random walk with a saturating clamp at the model bounds:
+/// rate' = clamp(rate + U(-step, +step), 1-eps, 1+eps), updated
+/// every `interval` with per-node staggered phases (same stagger/split
+/// idiom as RandomWalkDrift so streams stay order-independent).  Unlike
+/// RandomWalkDrift's i.i.d. re-draws, consecutive rates are correlated —
+/// a physical oscillator's regime, where long-horizon gradient properties
+/// show up.
+class ClampedRandomWalkDrift final : public DriftPolicy {
+ public:
+  ClampedRandomWalkDrift(double epsilon, Duration interval, double step,
+                         std::uint64_t seed)
+      : epsilon_(epsilon), interval_(interval), step_(step), root_(seed) {}
+
+  double initial_rate(NodeId v) override {
+    double& r = node_rate(v);
+    r = node_rng(v).uniform(1.0 - epsilon_, 1.0 + epsilon_);
+    return r;
+  }
+
+  std::optional<RateStep> next_change(NodeId v, RealTime now) override {
+    Rng& rng = node_rng(v);
+    const RealTime at =
+        now == 0.0 ? interval_ * rng.next_double() : now + interval_;
+    double& r = node_rate(v);
+    r += rng.uniform(-step_, step_);
+    r = std::min(1.0 + epsilon_, std::max(1.0 - epsilon_, r));
+    return RateStep{at, r};
+  }
+
+ private:
+  Rng& node_rng(NodeId v) {
+    const auto idx = static_cast<std::size_t>(v);
+    while (rngs_.size() <= idx) {
+      rngs_.push_back(root_.split(rngs_.size() + 1));
+    }
+    return rngs_[idx];
+  }
+  double& node_rate(NodeId v) {
+    const auto idx = static_cast<std::size_t>(v);
+    while (rates_.size() <= idx) rates_.push_back(1.0);
+    return rates_[idx];
+  }
+
+  double epsilon_;
+  Duration interval_;
+  double step_;
+  Rng root_;
+  std::vector<Rng> rngs_;
+  std::vector<double> rates_;
 };
 
 /// Two node groups alternate between the extreme rates 1+eps and 1-eps

@@ -19,13 +19,6 @@ ClockValue HardwareClock::value_at(RealTime t) const {
   return anchor_value_ + rate_ * (t - anchor_time_);
 }
 
-void HardwareClock::reanchor(RealTime t, ClockValue value) {
-  assert(started_);
-  assert(t >= anchor_time_ - kTimeTolerance);
-  anchor_time_ = t;
-  anchor_value_ = value;
-}
-
 void HardwareClock::advance_anchor(RealTime t) {
   assert(t >= anchor_time_ - kTimeTolerance);
   anchor_value_ = value_at(t);

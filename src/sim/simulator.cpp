@@ -264,10 +264,6 @@ void Simulator::set_observer(Observer observer) {
   observer_ = std::move(observer);
 }
 
-void Simulator::set_window_observer(WindowObserver observer) {
-  window_observer_ = std::move(observer);
-}
-
 ClockValue Simulator::logical_at(NodeId v, RealTime t) const {
   const std::size_t sl = slot(v);
   if ((status_slots_[sl] & kAwakeBit) == 0) return 0.0;
@@ -534,24 +530,22 @@ RealTime Simulator::safe_horizon() {
 
 void Simulator::run_until(RealTime t_end) {
   // A Graph mutated after our CSR snapshot means every cached edge index
-  // and adjacency walk is suspect; an unsharded simulator re-snapshots via
-  // grow_topology(), a sharded one refuses mid-run growth outright.
+  // and adjacency walk is suspect: the edge universe is fixed at
+  // construction (churn pre-declares its edges, initially down).
   assert(csr_->version() == graph_.version() &&
-         "Graph mutated after the CSR snapshot; call grow_topology() "
-         "before running");
+         "Graph mutated after the CSR snapshot");
   setup();
   start_workers();
   const bool probe_active = cfg_.probe_interval > 0.0;
-  // Observation barriers exist only to feed sharded observers at
-  // partition-invariant times; unsharded observers run inside the lane.
-  // With nothing listening (no observer, no window observer, no recorder)
-  // the cadence is pointless too — windows stretch to the full safe
-  // horizon, and the canonical peak is sampled only at probes and t_end,
-  // both partition-invariant, so stats stay shard-count-identical.
-  // Observed, the spacing is 4x the delay policy's global min_delay().
-  const bool observed = part_ && (observer_ != nullptr ||
-                                  window_observer_ != nullptr ||
-                                  recorder_ != nullptr);
+  // Observation barriers exist only to feed a sharded observer at
+  // partition-invariant times; an unsharded observer runs inside the lane.
+  // With nothing listening (no observer, no recorder) the cadence is
+  // pointless too — windows stretch to the full safe horizon, and the
+  // canonical peak is sampled only at probes and t_end, both
+  // partition-invariant, so stats stay shard-count-identical.  Observed,
+  // the spacing is 4x the delay policy's global min_delay().
+  const bool observed =
+      part_ && (observer_ != nullptr || recorder_ != nullptr);
   const Duration obs_dt = observed ? 4.0 * lookahead_ : kInfinity;
   bool t_end_flushed = false;
   for (;;) {
@@ -569,7 +563,7 @@ void Simulator::run_until(RealTime t_end) {
     // with it the whole obs-barrier sequence, is a pure function of the
     // event set, identical for every shard count.  Intermediate
     // horizon-clipped barriers (whose times depend on the partition)
-    // exchange outboxes and merge traces but never run observers.
+    // exchange outboxes and merge traces but never run the observer.
     if (obs_next_ == kInfinity) obs_next_ = t_next + obs_dt;
     // Cut-aware safe horizon: nothing processed before W_end can cause an
     // event before W_end in another lane (infinite for a single lane).
@@ -582,9 +576,11 @@ void Simulator::run_until(RealTime t_end) {
         std::max(safe_horizon(), t_next + lookahead_);
     RealTime w_end = std::min(std::min(horizon, obs_next_), t_end);
     if (probe_active) w_end = std::min(w_end, probe_next_);
+    // Observation points at barriers: every probe, and sharded also the
+    // observation cadence and the caller's horizon.
     const bool probe_fires = probe_active && w_end == probe_next_;
     const bool obs_fires =
-        probe_fires || w_end == obs_next_ || w_end == t_end;
+        probe_fires || (part_ && (w_end == obs_next_ || w_end == t_end));
     win_end_ = w_end;
     win_inclusive_ = !probe_fires && w_end == t_end;
     run_window_parallel();
@@ -597,10 +593,7 @@ void Simulator::run_until(RealTime t_end) {
   // observation flush at t_end (delivering any touches accumulated since
   // the last obs barrier), whether or not a window happened to land there
   // — the landing depends on the partition, the close must not.
-  if (part_ && !t_end_flushed) {
-    canon_peak_ = std::max(canon_peak_, canonical_pending());
-    flush_observers(t_end);
-  }
+  if (part_ && !t_end_flushed) flush_observer(t_end);
 }
 
 EventQueue::Stats Simulator::queue_stats() const {
@@ -619,10 +612,10 @@ EventQueue::Stats Simulator::queue_stats() const {
 }
 
 void Simulator::process_window(Lane& ln) {
-  // Without a partition the lane is the whole run: the per-event observer
-  // runs right here, with now(), last_event() and the link view exact for
-  // the event.  Partitioned lanes log what each event touched instead, for
-  // the observation barrier.
+  // Without a partition the lane is the whole run and every observable
+  // event is an observation point: the observer runs right here, with
+  // now(), touched() and the link view exact for the event.  Partitioned
+  // lanes leave their touches to the observation barrier.
   const bool per_event = !part_;
   const RealTime w_end = win_end_;
   const bool inclusive = win_inclusive_;
@@ -651,17 +644,12 @@ void Simulator::process_window(Lane& ln) {
     ln.cur_sub = 0;
     const bool observable = process(ln, e);
     if (per_event) {
-      if (observable && observer_) observer_(*this, ln.now);
+      if (observable && observer_) {
+        observer_(*this, ln.now);
+        ln.touched.clear();
+      }
       if (progress_interval_ > 0.0 && (ln.tally.events & 0x3fffu) == 0) {
         maybe_progress(false);
-      }
-    } else if (observable) {
-      const LastEvent& le = ln.last_event;
-      if (le.node != kInvalidNode) {
-        ln.touched.push_back(WindowTouch{le.node, le.woke});
-      }
-      if (le.node2 != kInvalidNode) {
-        ln.touched.push_back(WindowTouch{le.node2, false});
       }
     }
   }
@@ -835,54 +823,37 @@ void Simulator::barrier_flush(RealTime w_end, bool probe_fires,
     ++probe_events_;
     probe_next_ += cfg_.probe_interval;
   }
-  if (!part_) {
-    // 4. Unsharded: the per-event observer already ran inside the lane; a
-    // probe is one more observable event, touching no node.
-    if (probe_fires && observer_) {
-      lanes_[0].last_event = LastEvent{};
-      observer_(*this, w_end);
-    }
-  } else if (obs_fires) {
-    // 4. Sharded: the canonical queue peak and the observers, only at
-    // observation barriers, whose times are shard-count invariant —
-    // sampling at horizon-clipped barriers would leak the partition into
-    // the output.  Plain barriers let the per-lane touched sets accumulate
-    // until the next one.
-    canon_peak_ = std::max(canon_peak_, canonical_pending());
-    flush_observers(w_end);
-  } else if (!window_observer_) {
-    for (Lane& ln : lanes_) ln.touched.clear();
-  }
+  // 4. The observation point, if this barrier is one.  Unsharded, the
+  // observer already ran inside the lane after each event, and a probe is
+  // one more observation point, touching no node.  Sharded, only
+  // observation barriers are, whose times are shard-count invariant —
+  // sampling at horizon-clipped barriers would leak the partition into the
+  // output — so plain barriers let the per-lane touches accumulate.
+  if (obs_fires) flush_observer(w_end);
   if (progress_interval_ > 0.0) maybe_progress(false);
 }
 
-void Simulator::flush_observers(RealTime t) {
-  // The touched-node union (sorted, deduplicated, wake flags OR-ed) for
-  // window observers, plus the classic per-event observer once per
-  // observation barrier.
-  if (window_observer_) {
-    touched_scratch_.clear();
-    for (Lane& ln : lanes_) {
-      touched_scratch_.insert(touched_scratch_.end(), ln.touched.begin(),
-                              ln.touched.end());
-      ln.touched.clear();
-    }
-    std::sort(touched_scratch_.begin(), touched_scratch_.end(),
-              [](const WindowTouch& a, const WindowTouch& b) {
-                if (a.node != b.node) return a.node < b.node;
-                return a.woke > b.woke;  // woke entries first, kept by unique
-              });
-    touched_scratch_.erase(
-        std::unique(touched_scratch_.begin(), touched_scratch_.end(),
-                    [](const WindowTouch& a, const WindowTouch& b) {
-                      return a.node == b.node;
-                    }),
-        touched_scratch_.end());
-    window_observer_(*this, t, touched_scratch_);
-  } else {
-    for (Lane& ln : lanes_) ln.touched.clear();
+void Simulator::flush_observer(RealTime t) {
+  canon_peak_ = std::max(canon_peak_, canonical_pending());
+  // touched(): the union over lanes, sorted by node and deduplicated with
+  // wake flags OR-ed (unsharded, lane 0's touches are already cleared
+  // after every event, so a probe sees none).
+  std::vector<Touch>& all = lanes_[0].touched;
+  for (std::size_t i = 1; i < lanes_.size(); ++i) {
+    all.insert(all.end(), lanes_[i].touched.begin(), lanes_[i].touched.end());
+    lanes_[i].touched.clear();
   }
+  std::sort(all.begin(), all.end(), [](const Touch& a, const Touch& b) {
+    if (a.node != b.node) return a.node < b.node;
+    return a.woke > b.woke;  // woke entries first, kept by unique
+  });
+  all.erase(std::unique(all.begin(), all.end(),
+                        [](const Touch& a, const Touch& b) {
+                          return a.node == b.node;
+                        }),
+            all.end());
   if (observer_) observer_(*this, t);
+  all.clear();
 }
 
 // ---- event processing -------------------------------------------------------
@@ -902,11 +873,7 @@ bool Simulator::process(Lane& ln, Event& e) {
     }
   }
   bool observable = true;
-  LastEvent& le = ln.last_event;
-  le.kind = e.kind;
-  le.node = kInvalidNode;
-  le.node2 = kInvalidNode;
-  le.woke = false;
+  bool woke = false;  // the event initialized e.node
   switch (e.kind) {
     case EventKind::kMessageDelivery: {
       // Copy out before dispatch: node callbacks may broadcast, which
@@ -919,9 +886,8 @@ bool Simulator::process(Lane& ln, Event& e) {
         break;
       }
       ++ln.tally.delivered;
-      le.node = e.node;
       if ((st & kAwakeBit) == 0) {
-        le.woke = true;
+        woke = true;
         wake_node(ln, e.node, &m);
       } else {
         nodes_[static_cast<std::size_t>(e.node)]->on_message(
@@ -945,20 +911,16 @@ bool Simulator::process(Lane& ln, Event& e) {
         break;
       }
       ts.armed = false;
-      le.node = e.node;
       nodes_[static_cast<std::size_t>(e.node)]->on_timer(
           ln.services->pin(e.node), e.slot);
       break;
     }
     case EventKind::kRateChange: {
-      le.node = e.node;
       apply_rate_change(ln, e.node, e.rate);
       if (e.rate_from_policy) schedule_next_rate_change(e.node, e.time);
       break;
     }
     case EventKind::kLinkChange: {
-      le.node = e.node;
-      le.node2 = e.node2;
       apply_link_change(ln, e);
       break;
     }
@@ -973,7 +935,6 @@ bool Simulator::process(Lane& ln, Event& e) {
       }
       st |= kCrashedBit;
       ++ln.tally.crashes;
-      le.node = e.node;  // leaves the awake set at this instant
       break;
     }
     case EventKind::kRecover: {
@@ -984,7 +945,6 @@ bool Simulator::process(Lane& ln, Event& e) {
       }
       st &= static_cast<std::uint8_t>(~kCrashedBit);
       ++ln.tally.recoveries;
-      le.node = e.node;  // re-enters the awake set: fold its clock
       if ((st & (kAwakeBit | kDepartedBit)) == kAwakeBit) {
         // Deadlines computed before the outage are meaningless now:
         // re-anchor them, then run the re-join handshake.
@@ -1002,10 +962,9 @@ bool Simulator::process(Lane& ln, Event& e) {
       }
       st &= static_cast<std::uint8_t>(~kDepartedBit);
       ++ln.tally.joins;
-      le.node = e.node;  // (re-)enters the awake set at this instant
       if ((st & kAwakeBit) == 0) {
         // First appearance: initialize like a spontaneous wake.
-        le.woke = true;
+        woke = true;
         wake_node(ln, e.node, nullptr);
       } else if ((st & kCrashedBit) == 0) {
         // Re-join after an absence: the same re-anchor and handshake a
@@ -1024,7 +983,6 @@ bool Simulator::process(Lane& ln, Event& e) {
       }
       st |= kDepartedBit;
       ++ln.tally.leaves;
-      le.node = e.node;  // leaves the awake set at this instant
       break;
     }
     case EventKind::kScramble: {
@@ -1034,7 +992,6 @@ bool Simulator::process(Lane& ln, Event& e) {
         break;
       }
       ++ln.tally.scrambles;
-      le.node = e.node;  // its clock moves discontinuously: fold it
       const ScramblePayload& sp =
           scramble_payloads_[static_cast<std::size_t>(e.generation)];
       nodes_[static_cast<std::size_t>(e.node)]->on_scramble(
@@ -1042,8 +999,17 @@ bool Simulator::process(Lane& ln, Event& e) {
       break;
     }
   }
+  if (observable && observer_) {
+    // Every observable event changes e.node (and a link change also
+    // e.node2): a callback ran there, its rate moved, or it entered or
+    // left the awake set.
+    ln.touched.push_back(Touch{e.node, woke});
+    if (e.kind == EventKind::kLinkChange) {
+      ln.touched.push_back(Touch{e.node2, false});
+    }
+  }
   if (obs::kTraceCompiled && recorder_ != nullptr) {
-    trace_event(ln, e, observable, mult_before);
+    trace_event(ln, e, observable, woke, mult_before);
   }
   return observable;
 }
@@ -1080,7 +1046,7 @@ std::uint32_t Simulator::trace_depth(const Lane& ln) const {
 }
 
 void Simulator::trace_event(Lane& ln, const Event& e, bool observable,
-                            double mult_before) {
+                            bool woke, double mult_before) {
   using obs::TracePoint;
   const std::uint32_t qsize = trace_depth(ln);
   TracePoint tp = TracePoint::kProbe;
@@ -1138,7 +1104,7 @@ void Simulator::trace_event(Lane& ln, const Event& e, bool observable,
     const double mult =
         nodes_[static_cast<std::size_t>(e.node)]->rate_multiplier();
     if (mult > 1.0) flags |= obs::kFlagFastMode;
-    if (ln.last_event.woke) flags |= obs::kFlagWoke;
+    if (woke) flags |= obs::kFlagWoke;
     if (!std::isnan(mult_before) && mult != mult_before) {
       flags |= obs::kFlagModeChange;
       emit(ln, TracePoint::kModeChange, ln.now, e.node, e.edge, mult_before,
@@ -1187,8 +1153,7 @@ void Simulator::wake_node(Lane& ln, NodeId v, const Message* trigger) {
 
 std::uint32_t Simulator::edge_index(NodeId u, NodeId v) const {
   assert(csr_->version() == graph_.version() &&
-         "Graph mutated after the CSR snapshot; call grow_topology() "
-         "before scheduling against new edges");
+         "Graph mutated after the CSR snapshot");
   const std::uint32_t e = csr_->find_edge(u, v);
   assert(e != graph::kNoEdge && "no such edge");
   return e;
@@ -1248,23 +1213,6 @@ void Simulator::schedule_node_join(NodeId v, RealTime at) {
 
 void Simulator::schedule_node_leave(NodeId v, RealTime at) {
   push_event(node_event(EventKind::kLeave, v, at), v);
-}
-
-void Simulator::grow_topology(bool new_edges_up) {
-  if (part_) {
-    throw std::logic_error(
-        "Simulator::grow_topology: a sharded simulator pre-declares its edge "
-        "universe (cut tables and lookahead bounds are fixed at "
-        "configure_shards); add the churnable edges to the Graph before "
-        "constructing the Simulator, or rebalance with repartition()");
-  }
-  csr_ = graph_.csr();
-  if (csr_->num_nodes() != static_cast<std::size_t>(slot_of_.size())) {
-    throw std::logic_error(
-        "Simulator::grow_topology: the node universe is fixed at "
-        "construction (churn uses presence, not resizing)");
-  }
-  lanes_[0].link_up.resize(graph_.num_edges(), new_edges_up ? 1 : 0);
 }
 
 void Simulator::repartition(const std::string& strategy) {

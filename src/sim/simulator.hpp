@@ -18,12 +18,16 @@
 //
 // One engine: run_until repeatedly finds the earliest pending event
 // t_next, chooses a window end, runs every lane up to it, and flushes the
-// barrier (cross-lane mail, trace merge, probes, observers).  Probes never
+// barrier (cross-lane mail, trace merge, probes, observer).  Probes never
 // enter a queue; they fire at barriers, ahead of same-instant events.  An
 // unsharded simulator (shards() == 0) is one lane with no partition: its
 // window runs straight to the next probe or the horizon, no lookahead is
-// required, and the per-event observer runs inside the lane after every
-// observable event.
+// required, and the observer runs inside the lane after every observable
+// event.
+//
+// One observer: it runs at every observation point (unsharded: each
+// observable event and each probe; sharded: each observation barrier) and
+// reads touched(), the nodes changed since the previous observation point.
 //
 // Sharded execution (configure_shards): the node set is split by a
 // graph::Partition into per-shard lanes, each with its own event queue and
@@ -53,7 +57,7 @@
 // flip at the same point of their local key order.  All observable output
 // (recorder log, flight-recorder trace, canonical queue statistics) is
 // merged at barriers in event-key order, so `--shards N` output is
-// byte-identical for every N.  Observer callbacks and canonical peak
+// byte-identical for every N.  The observer and canonical peak
 // sampling fire only at *observation barriers*, whose times are a pure
 // function of the event set (next-event time + 4x the lookahead, plus
 // probes and the run horizon) — never at intermediate horizon-clipped
@@ -174,27 +178,43 @@ class Simulator {
   const std::string& partition_strategy() const { return partition_strategy_; }
   const graph::Partition* partition() const { return part_.get(); }
 
-  /// Unsharded: called inside the lane after every observable event and
-  /// at every probe, nowhere else, with now(), last_event() and link_up()
-  /// exact for that event.  Sharded: called once per observation barrier.
+  /// The one observer slot (nullptr uninstalls).  Called at every
+  /// observation point and nowhere else.  Unsharded: inside the lane after
+  /// every observable event and at every probe, with now(), touched() and
+  /// link_up() exact for that event (never at the end of a run_until).
+  /// Sharded: once per observation barrier.
   using Observer = std::function<void(const Simulator&, RealTime)>;
   void set_observer(Observer observer);
 
-  /// One node whose state changed inside a window, with whether the window
-  /// initialized it.  The barrier hands observers the sorted, deduplicated
-  /// union over all lanes.
-  struct WindowTouch {
+  /// One node whose state changed since the previous observation point,
+  /// with whether it was initialized in that span.
+  struct Touch {
     NodeId node = kInvalidNode;
     bool woke = false;
+    bool operator==(const Touch&) const = default;
   };
-  /// Sharded-only observer: invoked at every observation barrier with the
-  /// barrier time and the touched-node set (never called unsharded).  The
-  /// set is identical for every shard count (it is a pure function of the
-  /// event set), which is what lets incremental trackers produce
-  /// shard-count-invariant output.
+
+  /// Inside the observer: the nodes changed since the previous observation
+  /// point.  Logical-clock state moves only through node callbacks and
+  /// lifecycle events, so these are the only nodes whose (offset, rate) can
+  /// have changed discontinuously; incremental trackers fold exactly them.
+  /// Unsharded: the event's 0-2 nodes in event order (a link change lists
+  /// both endpoints, a probe none).  Sharded: the sorted, deduplicated
+  /// union over lanes with wake flags OR-ed, a pure function of the event
+  /// set and so identical for every shard count.  Lanes record touches
+  /// only while an observer is installed.
+  const std::vector<Touch>& touched() const { return lanes_[0].touched; }
+
+  /// Kept for perfbench/, which names them: WindowTouch is Touch, and a
+  /// window observer is the one observer handed touched().
+  using WindowTouch = Touch;
   using WindowObserver = std::function<void(
-      const Simulator&, RealTime, const std::vector<WindowTouch>&)>;
-  void set_window_observer(WindowObserver observer);
+      const Simulator&, RealTime, const std::vector<Touch>&)>;
+  void set_window_observer(WindowObserver observer) {
+    set_observer([w = std::move(observer)](const Simulator& s, RealTime t) {
+      w(s, t, s.touched());
+    });
+  }
 
   /// Attaches a flight recorder (nullptr detaches).  Non-owning; the
   /// recorder must outlive the simulator or be detached first.  With no
@@ -315,14 +335,6 @@ class Simulator {
   std::uint64_t joins() const { return sum_lanes(&Tally::joins); }
   std::uint64_t leaves() const { return sum_lanes(&Tally::leaves); }
 
-  /// Unsharded only: re-snapshots the topology after the caller grew the
-  /// Graph with add_edge(), sizing the link-state table so the new edges
-  /// are schedulable (they start `new_edges_up`).  A sharded simulator
-  /// pre-declares its edge universe — cut tables and lookahead bounds are
-  /// fixed at configure_shards — so it refuses mid-run growth; grow the
-  /// graph before constructing the Simulator instead.
-  void grow_topology(bool new_edges_up = true);
-
   /// Sharded only, between run_until calls: recomputes the
   /// partition over the *live* subgraph (links currently up) with
   /// `strategy` (empty: the configure_shards strategy) and migrates every
@@ -435,22 +447,6 @@ class Simulator {
   /// observation barriers.
   EventQueue::Stats queue_stats() const;
 
-  /// What the event that triggered the current/last observer call changed.
-  /// Logical-clock state is mutated only through node callbacks, so the
-  /// nodes listed here are the only ones whose (offset, rate) can have
-  /// changed discontinuously since the previous observer call; events that
-  /// change nothing (stale timers, dropped messages) never reach the
-  /// observer, and a probe touches no node.  Incremental trackers key
-  /// their dirty-set updates off this.  Sharded: meaningless; window
-  /// observers get the touched-node set instead.
-  struct LastEvent {
-    EventKind kind = EventKind::kProbe;
-    NodeId node = kInvalidNode;   // primary touched node (kInvalidNode: none)
-    NodeId node2 = kInvalidNode;  // second touched node (link changes)
-    bool woke = false;            // the event initialized `node`
-  };
-  const LastEvent& last_event() const { return lanes_[0].last_event; }
-
  private:
   struct TimerState {
     ClockValue target = 0.0;
@@ -533,7 +529,10 @@ class Simulator {
     std::vector<std::uint8_t> link_up;
     std::vector<PlannedDelivery> plan_scratch;
     std::unique_ptr<ServicesImpl> services;
-    LastEvent last_event;
+    /// Touches since the previous observation point (recorded only while
+    /// an observer is installed).  Lane 0's doubles as touched(): the
+    /// barrier merges the other lanes' into it.
+    std::vector<Touch> touched;
     RealTime now = 0.0;
     int index = 0;
 
@@ -543,7 +542,6 @@ class Simulator {
       Message payload;
     };
     std::vector<std::vector<OutMsg>> outbox;  // per destination lane
-    std::vector<WindowTouch> touched;  // accumulates until an obs barrier
     std::vector<TraceEntry> trace;
 
     // Cut-aware horizon state.  bnd[d] is a lazy min-heap of queued event
@@ -626,11 +624,14 @@ class Simulator {
   /// Software-prefetches the SoA hot state of the next few pop targets.
   void prefetch_upcoming(Lane& ln);
 
-  bool process(Lane& ln, Event& e);  // returns whether observable
+  /// Dispatches one event; returns whether it is observable (changed some
+  /// node), recording its touches while an observer is installed.
+  bool process(Lane& ln, Event& e);
   /// Cold path: called only with a recorder attached, after an event was
-  /// dispatched.  `mult_before` is the touched node's rate multiplier
-  /// before the callback (NaN when not sampled).
-  void trace_event(Lane& ln, const Event& e, bool observable,
+  /// dispatched.  `woke` says the event initialized its node;
+  /// `mult_before` is the touched node's rate multiplier before the
+  /// callback (NaN when not sampled).
+  void trace_event(Lane& ln, const Event& e, bool observable, bool woke,
                    double mult_before);
   /// Queue depth stamped into trace records.  Unsharded, the pending probe
   /// counts as queued, so the depth is the run's whole pending set.
@@ -659,7 +660,9 @@ class Simulator {
   void process_window(Lane& ln);
   void run_window_parallel();
   void barrier_flush(RealTime w_end, bool probe_fires, bool obs_fires);
-  void flush_observers(RealTime t);
+  /// An observation point at a barrier: samples the canonical queue peak,
+  /// merges the lanes' touches into touched() and runs the observer.
+  void flush_observer(RealTime t);
   void merge_lane_traces();
   std::size_t canonical_pending() const;
   void start_workers();
@@ -686,7 +689,6 @@ class Simulator {
   std::shared_ptr<DelayPolicy> delay_;
   bool delay_plans_ = false;  // cached delay_->plans_deliveries()
   Observer observer_;
-  WindowObserver window_observer_;
   obs::FlightRecorder* recorder_ = nullptr;
   std::vector<Lane> lanes_;  // size 1 (unsharded) or the shard count
   QueueImpl queue_impl_ = QueueImpl::kHeap;  // resolved from cfg_.queue
@@ -718,7 +720,8 @@ class Simulator {
   /// barrier — a pure function of the event set, identical for every
   /// shard count).
   RealTime obs_next_ = kInfinity;
-  std::size_t canon_peak_ = 0;  // sharded queue peak, sampled at obs barriers
+  std::size_t canon_peak_ = 0;  // queue peak sampled at observation points
+                                // (read only when sharded)
   bool in_window_ = false;
   RealTime win_end_ = 0.0;
   bool win_inclusive_ = false;
@@ -737,7 +740,6 @@ class Simulator {
   int win_done_ = 0;
   bool shutdown_ = false;
   std::exception_ptr win_error_;  // first exception thrown inside a window
-  std::vector<WindowTouch> touched_scratch_;  // barrier merge buffer
 
   // Progress heartbeat.
   double progress_interval_ = 0.0;

@@ -90,7 +90,7 @@ Outcome run_case(cli::ExperimentConfig cfg, const std::string& backend,
     probe->preload(built.churn);
     dyn::attach_dyn_observers(sim, &tracker, &*probe);
   } else {
-    tracker.attach_auto(sim);
+    tracker.attach(sim);
   }
 
   if (!built.timeline.empty()) {

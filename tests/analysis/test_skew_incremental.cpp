@@ -252,6 +252,26 @@ TEST(SkewIncremental, AuditOracleModePassesEndToEnd) {
   EXPECT_GT(tracker.max_global_skew(), 0.0);
 }
 
+// attach() is the one observer path in every engine mode.  Sharded, each
+// sample folds the barrier's touched-node union; folding anything less
+// (one lane's last event, say) leaves a node's jump unseen, and on this
+// run the incremental engine then diverges from the oracle at t = 8.12.
+TEST(SkewIncremental, AuditOracleAcceptsShardedHypercube) {
+  const graph::Graph g = graph::make_hypercube(6);
+  sim::Simulator s(g);
+  s.set_all_nodes(aopt_factory());
+  s.set_drift_policy(std::make_shared<sim::RandomWalkDrift>(0.01, 3.0, 3));
+  s.set_delay_policy(std::make_shared<sim::UniformDelay>(0.25, 1.0, 4));
+  s.configure_shards(2, "block", 0);
+  SkewTracker::Options topt;
+  topt.mode = SkewTracker::Mode::kAuditOracle;
+  topt.audit_epsilon = 0.01;
+  SkewTracker tracker(s, topt);
+  tracker.attach(s);
+  EXPECT_NO_THROW(s.run_until(40.0));
+  EXPECT_GT(tracker.max_global_skew(), 0.0);
+}
+
 // The tracker samples every event (or the probe grid); a stride other than
 // 1 is rejected rather than ignored.
 TEST(SkewIncremental, StrideOtherThanOneThrows) {

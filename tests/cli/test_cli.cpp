@@ -314,7 +314,7 @@ TEST(ExperimentConfig, UnknownAlgorithmThrows) {
 }
 
 TEST(ExperimentConfig, AllDriftAndDelayModelsRun) {
-  for (const char* drift : {"walk", "square", "sine", "const"}) {
+  for (const char* drift : {"walk", "rwalk", "square", "sine", "const"}) {
     for (const char* delays :
          {"uniform", "fixed", "band", "bimodal", "burst", "hiding"}) {
       ExperimentConfig cfg;

@@ -133,6 +133,30 @@ TEST(GridSpecs, ParseValues) {
   EXPECT_TRUE(parse_values("").empty());
 }
 
+// Every item must be a whole finite number: no exception other than
+// ConfigError escapes, and a trailing suffix is not silently dropped.
+TEST(GridSpecs, ParseValuesRejectsMalformedItems) {
+  for (const char* csv : {"0.01,abc", "0.01,1e999", "0.01x", "nan", "-inf",
+                          "1,,x2"}) {
+    SCOPED_TRACE(csv);
+    EXPECT_THROW(parse_values(csv), cli::ConfigError);
+  }
+  EXPECT_EQ(parse_values("1e-3,-2"), (std::vector<double>{1e-3, -2.0}));
+}
+
+// A node count outside int is rejected instead of converted (undefined).
+TEST(GridSpecs, NodeCountsMustFitAnInt) {
+  cli::ExperimentConfig cfg;
+  EXPECT_THROW(apply_sweep_param(cfg, "nodes", 1e12), cli::ConfigError);
+  EXPECT_THROW(apply_sweep_param(cfg, "nodes", -1e12), cli::ConfigError);
+  EXPECT_THROW(apply_sweep_param(cfg, "diameter", 2147483647.0),
+               cli::ConfigError);
+  apply_sweep_param(cfg, "diameter", 2147483646.0);
+  EXPECT_EQ(cfg.nodes, 2147483647);
+  apply_sweep_param(cfg, "nodes", 64.0);
+  EXPECT_EQ(cfg.nodes, 64);
+}
+
 // ---- sweep runner ----------------------------------------------------------
 
 std::vector<RunSpec> small_sweep() {

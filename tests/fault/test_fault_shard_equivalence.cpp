@@ -92,7 +92,7 @@ FaultMetrics run_case(cli::ExperimentConfig cfg, int shards,
     topt.exclude.push_back(s.node);
   }
   analysis::SkewTracker tracker(*built.simulator, topt);
-  tracker.attach_auto(*built.simulator);
+  tracker.attach(*built.simulator);
 
   fault::FaultScheduler faults(built.timeline);
   faults.set_listener([&tracker](const fault::FaultEvent& e, double t) {

@@ -1,6 +1,6 @@
 // Record/replay round-trips for the oscillator families, across engines:
-// an execution recorded under each drift model (including the clock-model
-// layer's clamped random walk) must replay bit-identically on the serial
+// an execution recorded under each drift model (including the clamped
+// random walk, rwalk) must replay bit-identically on the serial
 // heap, the ladder queue, and the sharded engine — the saved log pins the
 // adversary, and every engine must then reproduce the same execution.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "cli/experiment_config.hpp"
-#include "sim/clock_model.hpp"
 #include "sim/drift_policy.hpp"
 #include "sim/recorder.hpp"
 #include "sim/simulator.hpp"

@@ -170,80 +170,65 @@ TEST(DynamicTopology, SurvivorsKeepSynchronizingAfterCrash) {
   EXPECT_LE(survivor_skew, p.global_skew_bound(8, 0.02, 1.0) + 1e-6);
 }
 
-// ---- mid-run topology growth (serial engine) --------------------------------
+// ---- mid-run topology growth ------------------------------------------------
+//
+// An edge that joins mid-run is pre-declared in the graph the simulator
+// snapshots at construction and starts down (the churn convention, in both
+// engine modes); it joins when it comes up.
 
 TEST(DynamicTopologyGrowth, GrownEdgeCarriesMessagesAfterResnapshot) {
-  graph::Graph g = graph::make_path(3);
-  SimConfig cfg;
-  cfg.wake_all_at_zero = true;
-  Simulator sim(g, cfg);
-  const auto p = params();
-  std::vector<core::AoptNode*> nodes;
-  sim.set_all_nodes([&p, &nodes](NodeId) {
-    auto n = std::make_unique<core::AoptNode>(p);
-    nodes.push_back(n.get());
-    return n;
-  });
-  sim.set_delay_policy(std::make_shared<UniformDelay>(0.0, 1.0, 23));
-  sim.run_until(30.0);  // path: the endpoints are strangers
-  EXPECT_EQ(nodes[0]->known_neighbors(), 1u);
+  for (const int shards : {0, 2}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    const auto g = graph::make_ring(3);  // edge {0, 2} closes the triangle
+    SimConfig cfg;
+    cfg.wake_all_at_zero = true;
+    Simulator sim(g, cfg);
+    const auto p = params();
+    std::vector<core::AoptNode*> nodes;
+    sim.set_all_nodes([&p, &nodes](NodeId) {
+      auto n = std::make_unique<core::AoptNode>(p);
+      nodes.push_back(n.get());
+      return n;
+    });
+    sim.set_delay_policy(std::make_shared<UniformDelay>(0.25, 1.0, 23));
+    if (shards > 0) sim.configure_shards(shards, "block", 0);
+    sim.set_link_initially_down(0, 2);
+    sim.run_until(30.0);  // a path: the endpoints are strangers
+    EXPECT_EQ(nodes[0]->known_neighbors(), 1u);
 
-  // Close the triangle mid-run.  The simulator holds a CSR snapshot; the
-  // grow_topology() re-snapshot is what makes the new edge schedulable.
-  ASSERT_TRUE(g.add_edge(0, 2));
-  sim.grow_topology();
-  EXPECT_TRUE(sim.link_up(0, 2));
-  sim.run_until(80.0);
-  EXPECT_EQ(nodes[0]->known_neighbors(), 2u)
-      << "the endpoints must have met over the inserted edge";
-  EXPECT_EQ(nodes[2]->known_neighbors(), 2u);
+    sim.schedule_link_change(0, 2, true, 30.0);
+    sim.run_until(80.0);
+    EXPECT_EQ(nodes[0]->known_neighbors(), 2u)
+        << "the endpoints must have met over the inserted edge";
+    EXPECT_EQ(nodes[2]->known_neighbors(), 2u);
 
-  // The grown edge is a first-class link: it can be cut like any other.
-  sim.schedule_link_change(0, 2, false, 80.0);
-  sim.run_until(81.0);
-  EXPECT_FALSE(sim.link_up(0, 2));
-  EXPECT_EQ(nodes[0]->known_neighbors(), 1u);
+    // The grown edge is a first-class link: it can be cut like any other.
+    sim.schedule_link_change(0, 2, false, 80.0);
+    sim.run_until(81.0);
+    EXPECT_FALSE(sim.link_up(0, 2));
+    EXPECT_EQ(nodes[0]->known_neighbors(), 1u);
+  }
 }
 
 TEST(DynamicTopologyGrowth, NewEdgesCanStartDown) {
-  graph::Graph g = graph::make_path(3);
-  SimConfig cfg;
-  cfg.wake_all_at_zero = true;
-  Simulator sim(g, cfg);
-  const auto p = params();
-  sim.set_all_nodes([&p](NodeId) { return std::make_unique<core::AoptNode>(p); });
-  sim.run_until(5.0);
-  ASSERT_TRUE(g.add_edge(0, 2));
-  sim.grow_topology(/*new_edges_up=*/false);
-  EXPECT_FALSE(sim.link_up(0, 2));
-  sim.schedule_link_change(0, 2, true, 6.0);
-  sim.run_until(7.0);
-  EXPECT_TRUE(sim.link_up(0, 2));
-}
-
-TEST(DynamicTopologyGrowth, ShardedEngineRefusesMidRunGrowth) {
-  graph::Graph g = graph::make_path(8);
-  Simulator sim(g);
-  sim.set_delay_policy(std::make_shared<FixedDelay>(0.5));
-  sim.configure_shards(2, "block", /*min_nodes_per_shard=*/0);
-  ASSERT_TRUE(g.add_edge(0, 7));
-  EXPECT_THROW(sim.grow_topology(), std::logic_error)
-      << "cut tables and lookahead are fixed at configure_shards";
-}
-
-TEST(DynamicTopologyGrowth, NodeUniverseIsFixed) {
-  // grow_topology resizes the edge universe only; a graph that gained
-  // nodes since construction must be rejected, not half-adopted.
-  graph::Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  Simulator sim(g);
-  graph::Graph bigger(4);
-  bigger.add_edge(0, 1);
-  bigger.add_edge(1, 2);
-  bigger.add_edge(2, 3);
-  g = bigger;  // the simulator's reference now sees 4 nodes
-  EXPECT_THROW(sim.grow_topology(), std::logic_error);
+  for (const int shards : {0, 2}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    const auto g = graph::make_ring(3);
+    SimConfig cfg;
+    cfg.wake_all_at_zero = true;
+    Simulator sim(g, cfg);
+    const auto p = params();
+    sim.set_all_nodes([&p](NodeId) { return std::make_unique<core::AoptNode>(p); });
+    sim.set_delay_policy(std::make_shared<FixedDelay>(0.5));
+    if (shards > 0) sim.configure_shards(shards, "block", 0);
+    sim.set_link_initially_down(0, 2);
+    EXPECT_FALSE(sim.link_up(0, 2));
+    sim.run_until(5.0);
+    EXPECT_FALSE(sim.link_up(0, 2));
+    sim.schedule_link_change(0, 2, true, 6.0);
+    sim.run_until(7.0);
+    EXPECT_TRUE(sim.link_up(0, 2));
+  }
 }
 
 TEST(DynamicTopology, RedundantFlipIsNoop) {

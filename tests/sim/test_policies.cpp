@@ -58,6 +58,59 @@ TEST(RandomWalkDrift, StaggersFirstChangePerNode) {
   EXPECT_NE(a->at, b->at);
 }
 
+TEST(ClampedRandomWalkDrift, RatesStayClamped) {
+  const double eps = 0.01;
+  ClampedRandomWalkDrift drift(eps, 10.0, 0.5 /* step >> eps forces clamping */,
+                               1234);
+  for (NodeId v = 0; v < 8; ++v) {
+    double r = drift.initial_rate(v);
+    EXPECT_GE(r, 1.0 - eps);
+    EXPECT_LE(r, 1.0 + eps);
+    RealTime now = 0.0;
+    for (int i = 0; i < 200; ++i) {
+      const auto step = drift.next_change(v, now);
+      ASSERT_TRUE(step.has_value());
+      EXPECT_GT(step->at, now);
+      EXPECT_GE(step->rate, 1.0 - eps);
+      EXPECT_LE(step->rate, 1.0 + eps);
+      now = step->at;
+    }
+  }
+}
+
+TEST(ClampedRandomWalkDrift, IncrementsAreBounded) {
+  const double eps = 0.1;
+  const double step_bound = 0.002;
+  ClampedRandomWalkDrift drift(eps, 5.0, step_bound, 99);
+  double prev = drift.initial_rate(0);
+  RealTime now = 0.0;
+  for (int i = 0; i < 500; ++i) {
+    const auto step = drift.next_change(0, now);
+    ASSERT_TRUE(step.has_value());
+    // Consecutive rates are correlated: each move is at most the step
+    // bound (this is what distinguishes the walk from i.i.d. re-draws).
+    EXPECT_LE(std::abs(step->rate - prev), step_bound + 1e-15);
+    prev = step->rate;
+    now = step->at;
+  }
+}
+
+TEST(ClampedRandomWalkDrift, DeterministicAndStaggered) {
+  ClampedRandomWalkDrift a(0.01, 10.0, 0.001, 7);
+  ClampedRandomWalkDrift b(0.01, 10.0, 0.001, 7);
+  for (NodeId v = 0; v < 4; ++v) {
+    EXPECT_DOUBLE_EQ(a.initial_rate(v), b.initial_rate(v));
+    const auto sa = a.next_change(v, 0.0);
+    const auto sb = b.next_change(v, 0.0);
+    ASSERT_TRUE(sa && sb);
+    EXPECT_DOUBLE_EQ(sa->at, sb->at);
+    EXPECT_DOUBLE_EQ(sa->rate, sb->rate);
+    // First change is staggered inside the first interval.
+    EXPECT_GT(sa->at, 0.0);
+    EXPECT_LE(sa->at, 10.0);
+  }
+}
+
 TEST(SquareWaveDrift, AlternatesGroups) {
   const double eps = 0.1;
   SquareWaveDrift d(eps, 20.0, [](NodeId v) { return v == 0; });

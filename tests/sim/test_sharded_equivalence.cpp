@@ -243,10 +243,6 @@ TEST(ShardedEquivalenceRecord, RecordReplayRoundTripsAcrossEngines) {
   }
 }
 
-// The audit oracle runs the incremental engine and the full-rescan
-// oracle side by side and throws on any divergence; it must accept a
-// sharded run folding per-window touched sets exactly as it accepts the
-// serial per-event feed.
 // The ftgcs axis: the fault-tolerant node's defense layer (envelope
 // filter, trimmed adoption, trimmed extrema) runs on the message hot
 // path, so the equivalence suite exercises it with active liars — the
@@ -274,6 +270,10 @@ TEST(ShardedEquivalenceAlgos, FtGcsUnderLiarsMatchesSerial) {
   std::remove(path.c_str());
 }
 
+// The audit oracle runs the incremental engine and the full-rescan
+// oracle side by side and throws on any divergence; it must accept a
+// sharded run folding the barrier's touched-node union exactly as it
+// accepts the unsharded per-event feed.
 TEST(ShardedEquivalenceAudit, AuditOracleAcceptsShardedRuns) {
   for (const int shards : {0, 2}) {
     SCOPED_TRACE(testing::Message() << "shards=" << shards);
@@ -284,14 +284,71 @@ TEST(ShardedEquivalenceAudit, AuditOracleAcceptsShardedRuns) {
     topt.mode = analysis::SkewTracker::Mode::kAuditOracle;
     topt.audit_epsilon = cfg.eps;
     analysis::SkewTracker tracker(*built.simulator, topt);
-    tracker.attach_auto(*built.simulator);
+    tracker.attach(*built.simulator);
     ASSERT_NO_THROW(built.simulator->run_until(cfg.duration));
     EXPECT_GT(tracker.max_global_skew(), 0.0);
   }
 }
 
-// The window observer feeds SkewTracker the per-window touched sets; the
-// tracker's incremental extrema must agree with a full serial observe.
+// The observer's view of a sharded run — observation-point times and the
+// touched() union at each — is a pure function of the event set, so it is
+// identical for every shard count, through wakes, a cut-edge link flip
+// (primary plus twin) and a crash.
+TEST(ShardedEquivalenceObserver, TouchedSequenceIsShardCountInvariant) {
+  struct Call {
+    double t = 0.0;
+    std::vector<sim::Simulator::Touch> touched;
+    bool operator==(const Call&) const = default;
+  };
+  cli::ExperimentConfig cfg = base_config("grid", 0);
+  cfg.wake_all = false;  // flood initialization: wakes are touches too
+  cfg.duration = 60.0;
+  std::vector<std::vector<Call>> runs;
+  for (const int shards : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    cfg.shards = shards;
+    auto built = cli::build_experiment(cfg);
+    sim::Simulator& sim = *built.simulator;
+    // Nodes 11 and 15 are vertical neighbours in the 6x4 grid on either
+    // side of the two-shard block cut.
+    if (shards == 2) {
+      ASSERT_NE(sim.partition()->shard_of(11), sim.partition()->shard_of(15));
+    }
+    sim.schedule_link_change(11, 15, false, 15.0);
+    sim.schedule_link_change(11, 15, true, 35.0);
+    sim.schedule_crash(5, 25.0);
+    std::vector<Call> calls;
+    sim.set_observer([&calls](const sim::Simulator& s, double t) {
+      calls.push_back(Call{t, s.touched()});
+    });
+    sim.run_until(cfg.duration);
+    runs.push_back(std::move(calls));
+  }
+  const std::vector<Call>& ref = runs[0];
+  ASSERT_GT(ref.size(), 10u);
+  bool woke = false;
+  bool crash_seen = false;
+  for (const Call& c : ref) {
+    for (std::size_t i = 1; i < c.touched.size(); ++i) {
+      EXPECT_LT(c.touched[i - 1].node, c.touched[i].node)
+          << "touched() must be sorted and deduplicated at t=" << c.t;
+    }
+    for (const sim::Simulator::Touch& tc : c.touched) {
+      woke |= tc.woke;
+      crash_seen |= tc.node == 5 && c.t >= 25.0;
+    }
+  }
+  EXPECT_TRUE(woke);
+  EXPECT_TRUE(crash_seen);
+  for (std::size_t k = 1; k < runs.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "run " << k << " vs shards=1");
+    ASSERT_EQ(runs[k].size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(runs[k][i], ref[i]) << "observer call " << i;
+    }
+  }
+}
+
 TEST(ShardedEquivalenceFaults, FaultFreeRunsHaveNoFaultCounters) {
   const cli::ExperimentConfig cfg = base_config("tree", 0);
   const RunOutput r = run_case(cfg, 2);

@@ -225,8 +225,9 @@ TEST(Simulator, ProbeEventsFirePeriodically) {
 
 // The unsharded observer contract: exactly one call per observable event,
 // in event-key order, plus one per probe — which fires ahead of events at
-// the same instant and touches no node — with now() and the link view
-// exact for the event, and no extra call at the end of run_until.
+// the same instant and touches no node — with now(), touched() and the
+// link view exact for the event, and no extra call at the end of
+// run_until.
 TEST(Simulator, UnshardedObserverSeesEachEventInKeyOrder) {
   const auto g = graph::make_path(3);  // edges (0,1), (1,2)
   SimConfig cfg;
@@ -242,32 +243,30 @@ TEST(Simulator, UnshardedObserverSeesEachEventInKeyOrder) {
 
   struct Call {
     RealTime t, now;
-    EventKind kind;
-    NodeId node, node2;
-    bool woke, link12;
+    std::vector<Simulator::Touch> touched;
+    bool link12;
     bool operator==(const Call&) const = default;
   };
   std::vector<Call> calls;
   sim.set_observer([&calls](const Simulator& s, RealTime t) {
-    const Simulator::LastEvent& le = s.last_event();
-    calls.push_back(Call{t, s.now(), le.kind, le.node, le.node2, le.woke,
-                         s.link_up(1, 2)});
+    calls.push_back(Call{t, s.now(), s.touched(), s.link_up(1, 2)});
   });
   sim.run_until(1.75);
   sim.run_until(3.0);
 
-  constexpr NodeId kNone = kInvalidNode;
+  // Deliveries, crashes and probes as in the event stream; each link
+  // change lists both endpoints.
   const std::vector<Call> expected{
-      {0.5, 0.5, EventKind::kMessageDelivery, 1, kNone, true, true},
-      {1.0, 1.0, EventKind::kProbe, kNone, kNone, false, true},
-      {1.0, 1.0, EventKind::kMessageDelivery, 0, kNone, false, true},
-      {1.0, 1.0, EventKind::kMessageDelivery, 2, kNone, true, true},
-      {1.5, 1.5, EventKind::kMessageDelivery, 1, kNone, false, true},
-      {2.0, 2.0, EventKind::kProbe, kNone, kNone, false, true},
-      {2.0, 2.0, EventKind::kLinkChange, 1, 2, false, false},
-      {2.5, 2.5, EventKind::kCrash, 0, kNone, false, false},
-      {2.5, 2.5, EventKind::kLinkChange, 0, 1, false, false},
-      {3.0, 3.0, EventKind::kProbe, kNone, kNone, false, false},
+      {0.5, 0.5, {{1, true}}, true},                // delivery wakes 1
+      {1.0, 1.0, {}, true},                         // probe
+      {1.0, 1.0, {{0, false}}, true},               // delivery
+      {1.0, 1.0, {{2, true}}, true},                // delivery wakes 2
+      {1.5, 1.5, {{1, false}}, true},               // delivery
+      {2.0, 2.0, {}, true},                         // probe
+      {2.0, 2.0, {{1, false}, {2, false}}, false},  // link 1-2 down
+      {2.5, 2.5, {{0, false}}, false},              // crash of 0
+      {2.5, 2.5, {{0, false}, {1, false}}, false},  // its link 0-1 down
+      {3.0, 3.0, {}, false},                        // probe
   };
   ASSERT_EQ(calls.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -386,28 +385,24 @@ TEST(Simulator, QueueStatsReportPeakAndChurn) {
   EXPECT_GE(s.pops, 4u);
 }
 
-TEST(Simulator, LastEventIdentifiesTouchedNodes) {
+TEST(Simulator, TouchedIdentifiesChangedNodes) {
   const auto g = graph::make_path(2);
   Simulator sim(g);
   auto nodes = install_script_nodes(sim, 2);
   nodes[0]->on_wake_hook = [](NodeServices& sv) { sv.broadcast(make_msg(0)); };
-  std::vector<Simulator::LastEvent> seen;
+  std::vector<std::vector<Simulator::Touch>> seen;
   sim.set_observer([&seen](const Simulator& s, RealTime) {
-    seen.push_back(s.last_event());
+    seen.push_back(s.touched());
   });
-  sim.schedule_link_change(0, 1, false, 2.0);
+  sim.schedule_link_change(1, 0, false, 2.0);
   sim.run_until(5.0);
   ASSERT_GE(seen.size(), 2u);
   // The root wakes during setup (before any event), so the first event is
   // the delivery that wakes node 1.
-  EXPECT_EQ(seen[0].kind, EventKind::kMessageDelivery);
-  EXPECT_EQ(seen[0].node, 1);
-  EXPECT_TRUE(seen[0].woke);
-  // The link change touches both endpoints.
-  const Simulator::LastEvent& link = seen.back();
-  EXPECT_EQ(link.kind, EventKind::kLinkChange);
-  EXPECT_EQ(link.node, 0);
-  EXPECT_EQ(link.node2, 1);
+  EXPECT_EQ(seen[0], (std::vector<Simulator::Touch>{{1, true}}));
+  // The link change touches both endpoints, in event order (unsorted).
+  EXPECT_EQ(seen.back(),
+            (std::vector<Simulator::Touch>{{1, false}, {0, false}}));
 }
 
 }  // namespace

@@ -104,10 +104,11 @@ run:        --duration T --seed S --wake-all --per-distance
                                full-rescan oracle side by side; abort on
                                any divergence (slow; for validation)
             --shards N         run the sharded time-window engine with N
-                               lanes (0 = classic serial engine).  Needs a
-                               delay policy with a positive minimum delay
-                               (--delays band or fixed); output is
-                               byte-identical for every N
+                               lanes (0 = unsharded: one lane, no
+                               partition).  Needs a delay policy with a
+                               positive minimum delay (--delays band or
+                               fixed); output is byte-identical for
+                               every N
             --shards-min-nodes M
                                auto-clamp the lane count so every lane
                                covers >= M nodes (default 64; 0 = off).
@@ -280,7 +281,7 @@ int main(int argc, char** argv) {
       probe->preload(built.churn);
       dyn::attach_dyn_observers(sim, &tracker, &*probe);
     } else {
-      tracker.attach_auto(sim);
+      tracker.attach(sim);
     }
 
     std::optional<fault::FaultScheduler> faults;

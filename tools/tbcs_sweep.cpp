@@ -77,11 +77,10 @@ int main(int argc, char** argv) {
   base.delays = "hiding";
   cli::apply_model_flags(args, base);
 
-  exec::SweepAxis axis1{args.get_string("param", "diameter"),
-                        exec::parse_values(args.get_string("values",
-                                                           "8,16,32,64"))};
-  exec::SweepAxis axis2{args.get_string("param2", ""),
-                        exec::parse_values(args.get_string("values2", ""))};
+  exec::SweepAxis axis1{args.get_string("param", "diameter"), {}};
+  exec::SweepAxis axis2{args.get_string("param2", ""), {}};
+  const std::string values1 = args.get_string("values", "8,16,32,64");
+  const std::string values2 = args.get_string("values2", "");
   const int replicas = args.get_int("replicas", 1);
   int jobs = args.get_int("jobs", 1);
   const std::string format = args.get_string("format", "csv");
@@ -109,6 +108,13 @@ int main(int argc, char** argv) {
     for (const auto& e : args.errors()) std::cerr << "error: " << e << "\n";
     return 2;
   }
+  try {
+    axis1.values = exec::parse_values(values1);
+    axis2.values = exec::parse_values(values2);
+  } catch (const cli::ConfigError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   if (axis1.values.empty()) {
     std::cerr << "error: --values must name at least one value\n";
     return 2;
@@ -125,11 +131,13 @@ int main(int argc, char** argv) {
     std::cerr << "error: --format must be csv or json\n";
     return 2;
   }
-  try {  // reject unknown sweep parameters as usage errors, before running
+  try {  // unknown parameters and unusable values are usage errors
     cli::ExperimentConfig probe = base;
-    exec::apply_sweep_param(probe, axis1.param, axis1.values.front());
-    if (!axis2.param.empty()) {
-      exec::apply_sweep_param(probe, axis2.param, axis2.values.front());
+    for (const double v : axis1.values) {
+      exec::apply_sweep_param(probe, axis1.param, v);
+    }
+    for (const double v : axis2.values) {
+      exec::apply_sweep_param(probe, axis2.param, v);
     }
   } catch (const cli::ConfigError& e) {
     std::cerr << "error: " << e.what() << "\n";
