@@ -4,12 +4,13 @@
 #   1. Tier 1: configure, build, ctest — the contract every change must
 #      keep green (same commands as ROADMAP.md).
 #   2. Sanitizer smoke: rebuild the simulator tool, the trace tool, the
-#      runtime tests, and the obs tests with ASan+UBSan
-#      (-DTBCS_SANITIZE=address,undefined) and run them.  The threaded
-#      runtime (detached wedged threads, leaked hosts) and the flight
-#      recorder's binary dump round trip are the pieces most at risk of
-#      memory/lifetime bugs, so they get sanitizer coverage even in a
-#      quick pass.
+#      runtime tests, the obs tests, the skew-tracker oracle tests and the
+#      recorder tests with ASan+UBSan (-DTBCS_SANITIZE=address,undefined)
+#      and run them.  The threaded runtime (detached wedged threads,
+#      leaked hosts), the flight recorder's binary dump round trip, the
+#      tracker's certificate trees and the execution-log loader (hostile
+#      counts) are the pieces most at risk of memory/lifetime bugs, so
+#      they get sanitizer coverage even in a quick pass.
 #   3. TSan smoke: rebuild the threaded-runtime tests (including the
 #      fault-injection paths: partitions, link flips, the channel hook,
 #      and the stop() watchdog) and the sharded-engine tests (worker
@@ -31,7 +32,8 @@
 #   6. Fault-tolerant GCS smoke: smoke_ftgcs.sh — a Byzantine chaos plan
 #      through --algo ftgcs must be byte-identical serial vs --shards
 #      {1,2,4}, report engine-independent fault.* metrics, stabilize in
-#      finite time from a scramble, and sweep --jobs 1 == 4.
+#      finite time from a scramble, sweep --jobs 1 == 4, and pass the
+#      serial run under --audit-oracle.
 #   7. Telemetry-backend smoke: smoke_obs.sh — the stair history backend
 #      must stay within its advertised error bound of exact, perturb the
 #      execution by zero bytes, report engine-invariant sketch figures
@@ -62,7 +64,8 @@ echo
 echo "=== sanitizer smoke: ASan+UBSan (jobs=$JOBS) ==="
 cmake -B build-asan -S . -DTBCS_SANITIZE=address,undefined > /dev/null
 cmake --build build-asan -j "$JOBS" --target \
-  tbcs_sim_tool tbcs_trace test_runtime test_obs test_trace_tools
+  tbcs_sim_tool tbcs_trace test_runtime test_obs test_trace_tools \
+  test_skew_incremental test_recorder
 
 SAN_TMP="$(mktemp -d)"
 trap 'rm -rf "$SAN_TMP"' EXIT
@@ -73,6 +76,8 @@ build-asan/tools/tbcs_trace --chrome "$SAN_TMP/t.bin" --out "$SAN_TMP/t.json"
 build-asan/tests/test_runtime
 build-asan/tests/test_obs
 build-asan/tests/test_trace_tools
+build-asan/tests/test_skew_incremental
+build-asan/tests/test_recorder
 
 echo
 echo "=== sanitizer smoke: TSan threaded runtime + sharded engine (jobs=$JOBS) ==="

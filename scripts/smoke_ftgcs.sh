@@ -21,6 +21,10 @@
 #      never "not stabilized").
 #   4. tbcs_sweep --algo ftgcs over the same plan must be byte-identical
 #      between --jobs 1 and --jobs 4 and carry the recovery columns.
+#   5. The serial chaos run again under --audit-oracle: the incremental
+#      skew tracker must agree with the full-rescan oracle at every sample
+#      through the Byzantine exclusions, the crash and recovery, the lossy
+#      channel, the scramble and the recovery probe (exit 0).
 #
 # Usage: smoke_ftgcs.sh /path/to/tbcs_sim /path/to/tbcs_trace /path/to/tbcs_sweep
 set -euo pipefail
@@ -131,4 +135,11 @@ case "$header" in
      exit 1 ;;
 esac
 
-echo "smoke_ftgcs: OK (chaos byte-identity, fault.* engine-independent, finite stabilization, sweep)"
+# Gate 5: the incremental tracker matches the oracle under the chaos plan.
+"$SIM_BIN" --topology hypercube --dims 5 --algo ftgcs --ftgcs-f 2 \
+           --delays band --drift square --duration 250 --seed 11 \
+           --wake-all --faults "$CHAOS" --fault-seed 7 --audit-oracle \
+           > "$TMPDIR_SMOKE/audit.out" \
+  || { echo "FAIL: audit-oracle divergence under the chaos plan"; exit 1; }
+
+echo "smoke_ftgcs: OK (chaos byte-identity, fault.* engine-independent, finite stabilization, sweep, audit oracle)"

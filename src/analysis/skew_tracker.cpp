@@ -11,13 +11,24 @@ namespace tbcs::analysis {
 
 namespace {
 
-// Added to every certificate on each extrapolation step / exact fold.  The
-// certificates only need to stay >= the value the oracle would compute; the
-// guard dominates the few-ulp floating-point drift of `value + rate * dt`
-// against the oracle's direct evaluation (quantities are O(10^6) at most,
-// so one step drifts by no more than ~1e-9).  The inflation it accumulates
-// is reset at every full scan.
-constexpr double kCertificateGuard = 1e-9;
+// Added to a certificate each time it is extrapolated.  A certificate only
+// needs to stay >= the value the oracle would compute; the guard dominates
+// the few-ulp floating-point gap between `value + rate * dt` and the
+// oracle's direct evaluation.  That gap scales with the magnitudes
+// involved (times and clock values), so the guard has a relative part of
+// about 450 ulps of them.
+constexpr double kGuardAbs = 1e-12;
+constexpr double kGuardRel = 1e-13;
+
+// Leaf sizes of the certificate trees.
+constexpr std::size_t kNodeBlock = 16;
+constexpr std::size_t kEdgeBlock = 32;
+
+std::size_t leaf_base(std::size_t items, std::size_t block) {
+  std::size_t base = 1;
+  while (base * block < items) base *= 2;
+  return base;
+}
 
 }  // namespace
 
@@ -130,55 +141,26 @@ void SkewTracker::do_sample(const sim::Simulator& sim, double t,
     full_scan(sim, t);
     scanned_exactly = true;
   } else {
-    // Advance the certificates from bound_t_ to t: every logical clock is
-    // linear between events with a rate inside [rate_lo_, rate_hi_], so the
-    // extrema drift no faster than these envelopes.
-    const double dt = t > bound_t_ ? t - bound_t_ : 0.0;
-    if (dt > 0.0 && any_awake_seen_) {
-      hi_bound_ = hi_bound_ + rate_hi_ * dt + kCertificateGuard;
-      lo_bound_ = lo_bound_ + rate_lo_ * dt - kCertificateGuard;
-      if (opt_.track_local) {
-        local_bound_ =
-            local_bound_ + (rate_hi_ - rate_lo_) * dt + kCertificateGuard;
-      }
-      if (opt_.audit_epsilon > 0.0) {
-        // Upper violations grow at rate_v - (1+eps) (and rate_v - beta),
-        // lower violations at (1-eps) - rate_v; never shrink the bound.
-        double growth = std::max(rate_hi_ - (1.0 + opt_.audit_epsilon),
-                                 (1.0 - opt_.audit_epsilon) - rate_lo_);
-        if (opt_.audit_beta > 0.0) {
-          growth = std::max(growth, rate_hi_ - opt_.audit_beta);
-        }
-        growth = std::max(growth, 0.0);
-        env_bound_ = env_bound_ + growth * dt + kCertificateGuard;
-      }
-    }
-    bound_t_ = t;
-
-    // Fold the touched nodes exactly: only they can have moved
-    // discontinuously since the last sample.
-    for (const sim::Simulator::Touch& tc : touched) {
-      touch(sim, tc.node, tc.woke, t);
+    guard_ = kGuardAbs + kGuardRel * (2.0 * std::abs(t) + magnitude_);
+    // Refresh and fold the touched nodes exactly: only their lines can
+    // have changed since the last sample.
+    if (scanned_once_) {
+      for (const sim::Simulator::Touch& tc : touched) touch(sim, tc.node, t);
     }
 
-    // A full scan is needed exactly when some certificate no longer proves
-    // the corresponding running maximum unbeaten, or when a grid output
-    // (series / per-distance profile) wants exact values at this t.
-    bool need = !scanned_once_ || !any_awake_seen_;
+    // Every node and edge is evaluated only where exact instantaneous
+    // values are needed: the first sample, series / per-distance points,
+    // and while a clock with no slope bound is awake (no certificate
+    // covers it).  Otherwise the certificate trees settle the sample.
+    bool need = !scanned_once_ || !any_awake_seen_ || unbounded_ > 0 ||
+                per_distance_due(t) ||
+                (opt_.series_interval > 0.0 && t >= next_series_t_);
     if (!need) {
-      need = hi_bound_ - lo_bound_ >= max_global_skew_;
-      if (!need && opt_.track_local) need = local_bound_ >= max_local_skew_;
-      if (!need && opt_.audit_epsilon > 0.0) {
-        need = env_bound_ >= max_envelope_violation_;
-      }
-    }
-    if (!need && opt_.series_interval > 0.0) need = t >= next_series_t_;
-    if (!need) need = per_distance_due(t);
-    // Recovery probe: a sample the certificates cannot prove within bounds
-    // must be classified exactly, so it forces a scan.
-    if (!need && recovery_probe_active() && classify_due(t) &&
-        !provably_within_recovery_bounds()) {
-      need = true;
+      certify(sim, t);
+      // Recovery probe: a sample the certificates cannot prove within
+      // bounds must be classified exactly.
+      need = recovery_probe_active() && classify_due(t) &&
+             !provably_within_recovery_bounds(t);
     }
     if (need) {
       full_scan(sim, t);
@@ -239,11 +221,13 @@ double SkewTracker::stabilization_time() const {
   return std::max(0.0, gradient_candidate_ - last_scramble_t_);
 }
 
-bool SkewTracker::provably_within_recovery_bounds() const {
-  if (!scanned_once_ || !any_awake_seen_) return false;
-  if (hi_bound_ - lo_bound_ > opt_.recovery_global_bound) return false;
+bool SkewTracker::provably_within_recovery_bounds(double t) const {
+  const NodeCert& root = ntree_[1];
+  if (hi_at(root, t) - lo_at(root, t) > opt_.recovery_global_bound) {
+    return false;
+  }
   if (opt_.recovery_local_bound > 0.0 && opt_.track_local &&
-      local_bound_ > opt_.recovery_local_bound) {
+      loc_at(etree_[1], t) > opt_.recovery_local_bound) {
     return false;
   }
   return true;
@@ -284,57 +268,371 @@ void SkewTracker::classify_recovery_sample(double t, bool scanned_exactly) {
   }
 }
 
-void SkewTracker::touch(const sim::Simulator& sim, sim::NodeId v, bool woke,
-                        double t) {
-  if (excluded(v) || !sim.awake(v)) return;
+double SkewTracker::envelope_violation(double L, double t, double tv) const {
+  // Condition (1), relative to wake times: the system envelope is anchored
+  // at the earliest wake (the instant L^max was born), each node's lower
+  // envelope and catch-up ceiling at its own t_v.  Late-waking nodes
+  // legally exceed (1+eps)(t - t_v) while catching up at rate beta, so the
+  // per-node upper check needs the Condition (2) ceiling and is enabled by
+  // audit_beta.
+  const double eps = opt_.audit_epsilon;
+  double upper_violation = L - (1.0 + eps) * (t - earliest_start_);
+  if (opt_.audit_beta > 0.0) {
+    upper_violation = std::max(upper_violation, L - opt_.audit_beta * (t - tv));
+  }
+  const double lower_violation = (1.0 - eps) * (t - tv) - L;
+  return std::max(upper_violation, lower_violation);
+}
+
+// ---- affine clock cache -----------------------------------------------------
+
+void SkewTracker::refresh(const sim::Simulator& sim, sim::NodeId v) {
+  CachedClock& c = cache_[static_cast<std::size_t>(v)];
+  if (c.active && !c.bounded) --unbounded_;
+  const sim::HardwareClock& clock = sim.clock(v);
+  const sim::Node& node = sim.node(v);
+  c.ha = clock.anchor_value();
+  c.ta = clock.anchor_time();
+  c.h = clock.rate();
+  c.start = clock.start_time();
+  sim::Node::Affine a;
+  c.view = node.affine_logical(a);
+  c.offset = a.offset;
+  c.slope = a.slope;
+  c.h_ref = a.h_ref;
+  if (c.view) {
+    // A line of slope rho_v: its rate is exact.
+    c.rate = c.r_lo = c.r_hi = a.slope * clock.rate();
+    c.bounded = true;
+  } else {
+    const double rho = node.rate_multiplier();
+    c.rate = rho * clock.rate();
+    c.r_lo = std::min(1.0, rho) * clock.rate();
+    c.r_hi = std::max(1.0, rho) * clock.rate();
+    c.bounded = node.slope_bounded();
+  }
+  c.active = !excluded(v) && sim.awake(v);
+  if (c.active && !c.bounded) ++unbounded_;
+}
+
+void SkewTracker::touch(const sim::Simulator& sim, sim::NodeId v, double t) {
+  if (excluded(v)) return;
+  refresh(sim, v);
+  const CachedClock& c = cache_[static_cast<std::size_t>(v)];
+  if (!c.active) return;  // a stale bound stays an upper bound
   any_awake_seen_ = true;
-  const double L = sim.logical(v);
-  if (!(L <= hi_bound_)) hi_bound_ = L + kCertificateGuard;
-  if (!(L >= lo_bound_)) lo_bound_ = L - kCertificateGuard;
+  min_logical_rate_ = std::min(min_logical_rate_, c.rate);
+  max_logical_rate_ = std::max(max_logical_rate_, c.rate);
+  // Every node that enters the awake set is touched, so folding each
+  // touched node keeps this equal to the oracle's running minimum.
+  earliest_start_ = std::min(earliest_start_, c.start);
 
-  const double rate = sim.node(v).rate_multiplier() * sim.clock(v).rate();
-  min_logical_rate_ = std::min(min_logical_rate_, rate);
-  max_logical_rate_ = std::max(max_logical_rate_, rate);
-  if (!(rate <= rate_hi_)) rate_hi_ = rate;
-  if (!(rate >= rate_lo_)) rate_lo_ = rate;
-
+  const double now = sim.now();
+  const double L = cached_logical(sim, v, c, now);
+  magnitude_ = std::max(magnitude_, std::abs(L));
+  raise_node(v, t, L,
+             opt_.audit_epsilon > 0.0 ? envelope_violation(L, t, c.start)
+                                      : -sim::kInfinity);
   if (opt_.track_local) {
     for (const graph::Graph::Arc* a = csr_->begin(v); a != csr_->end(v); ++a) {
-      if (excluded(a->to) || !sim.link_up(a->edge) || !sim.awake(a->to)) continue;
-      const double d = std::abs(L - sim.logical(a->to));
-      if (!(d <= local_bound_)) local_bound_ = d + kCertificateGuard;
+      const CachedClock& cw = cache_[static_cast<std::size_t>(a->to)];
+      if (!cw.active || !sim.link_up(a->edge)) continue;
+      const double d = std::abs(L - cached_logical(sim, a->to, cw, now));
+      raise_edge(a->edge, t, d, v, a->to);
     }
-  }
-
-  if (opt_.audit_epsilon > 0.0) {
-    if (woke) {
-      earliest_start_ = std::min(earliest_start_, sim.clock(v).start_time());
-    }
-    const double eps = opt_.audit_epsilon;
-    const double tv = sim.clock(v).start_time();
-    double upper_violation = L - (1.0 + eps) * (t - earliest_start_);
-    if (opt_.audit_beta > 0.0) {
-      upper_violation =
-          std::max(upper_violation, L - opt_.audit_beta * (t - tv));
-    }
-    const double lower_violation = (1.0 - eps) * (t - tv) - L;
-    const double violation = std::max(upper_violation, lower_violation);
-    if (!(violation <= env_bound_)) env_bound_ = violation + kCertificateGuard;
   }
 }
 
-// The oracle pass.  This is the only code that writes the running maxima,
-// in both engines — the incremental engine merely proves most calls
-// redundant — so its fold order and arithmetic are the single source of
-// truth for every reported figure.
+// ---- certificate trees ------------------------------------------------------
+
+double SkewTracker::env_growth(const NodeCert& c) const {
+  // Upper violations grow at rate_v - (1+eps) (and rate_v - beta), lower
+  // violations at (1-eps) - rate_v; never shrink the bound.
+  double growth = std::max(c.r_hi - (1.0 + opt_.audit_epsilon),
+                           (1.0 - opt_.audit_epsilon) - c.r_lo);
+  if (opt_.audit_beta > 0.0) {
+    growth = std::max(growth, c.r_hi - opt_.audit_beta);
+  }
+  return std::max(growth, 0.0);
+}
+
+SkewTracker::NodeCert SkewTracker::advanced(const NodeCert& c, double t) const {
+  if (c.hi == -sim::kInfinity) return NodeCert{t};
+  const double env = opt_.audit_epsilon > 0.0 ? env_at(c, t) : c.env;
+  return NodeCert{t, hi_at(c, t), lo_at(c, t), env, c.r_hi, c.r_lo};
+}
+
+SkewTracker::EdgeCert SkewTracker::advanced(const EdgeCert& c, double t) const {
+  if (c.loc == -sim::kInfinity) return EdgeCert{t};
+  return EdgeCert{t, loc_at(c, t), c.r_hi, c.r_lo};
+}
+
+namespace {
+
+template <typename Cert>
+void merge_rates(Cert& a, const Cert& b, bool a_empty) {
+  a.r_hi = a_empty ? b.r_hi : std::max(a.r_hi, b.r_hi);
+  a.r_lo = a_empty ? b.r_lo : std::min(a.r_lo, b.r_lo);
+}
+
+}  // namespace
+
+void SkewTracker::merge(NodeCert& a, const NodeCert& b) {
+  if (b.hi == -sim::kInfinity) return;
+  const bool empty = a.hi == -sim::kInfinity;
+  a.hi = std::max(a.hi, b.hi);
+  a.lo = std::min(a.lo, b.lo);
+  a.env = std::max(a.env, b.env);
+  merge_rates(a, b, empty);
+}
+
+void SkewTracker::merge(EdgeCert& a, const EdgeCert& b) {
+  if (b.loc == -sim::kInfinity) return;
+  const bool empty = a.loc == -sim::kInfinity;
+  a.loc = std::max(a.loc, b.loc);
+  merge_rates(a, b, empty);
+}
+
+// A certificate that already covers the point (its line, without the
+// guard, reaches the point's value and its rates span the point's) stays
+// valid unchanged: extrapolating it later adds the guard then.  Each level
+// is checked on its own, so skipping one never relies on another.
+void SkewTracker::raise_node(sim::NodeId v, double t, double L, double env) {
+  const auto k = static_cast<std::size_t>(v);
+  const CachedClock& cv = cache_[k];
+  const NodeCert point{t, L, L, env, cv.r_hi, cv.r_lo};
+  const bool audit = opt_.audit_epsilon > 0.0;
+  for (std::size_t i = nleaf0_ + k / kNodeBlock; i >= 1; i /= 2) {
+    NodeCert& c = ntree_[i];
+    const double dt = t - c.t;
+    if (c.hi != -sim::kInfinity && c.r_hi >= point.r_hi &&
+        c.r_lo <= point.r_lo && c.hi + c.r_hi * dt >= L &&
+        c.lo + c.r_lo * dt <= L &&
+        (!audit || c.env + env_growth(c) * dt >= env)) {
+      continue;
+    }
+    NodeCert m = advanced(c, t);
+    merge(m, point);
+    c = m;
+  }
+}
+
+void SkewTracker::raise_edge(std::size_t e, double t, double d, sim::NodeId u,
+                             sim::NodeId w) {
+  const CachedClock& cu = cache_[static_cast<std::size_t>(u)];
+  const CachedClock& cw = cache_[static_cast<std::size_t>(w)];
+  const EdgeCert point{t, d, std::max(cu.r_hi, cw.r_hi),
+                       std::min(cu.r_lo, cw.r_lo)};
+  for (std::size_t i = eleaf0_ + e / kEdgeBlock; i >= 1; i /= 2) {
+    EdgeCert& c = etree_[i];
+    if (c.loc != -sim::kInfinity && c.r_hi >= point.r_hi &&
+        c.r_lo <= point.r_lo && c.loc + (c.r_hi - c.r_lo) * (t - c.t) >= d) {
+      continue;
+    }
+    EdgeCert m = advanced(c, t);
+    merge(m, point);
+    c = m;
+  }
+}
+
+void SkewTracker::retighten_node(std::size_t i, double t) {
+  NodeCert c = advanced(ntree_[2 * i], t);
+  merge(c, advanced(ntree_[2 * i + 1], t));
+  ntree_[i] = c;
+}
+
+void SkewTracker::retighten_edge(std::size_t i, double t) {
+  EdgeCert c = advanced(etree_[2 * i], t);
+  merge(c, advanced(etree_[2 * i + 1], t));
+  etree_[i] = c;
+}
+
+// Evaluates node leaf i exactly at t.  Its exact envelope violation is
+// folded into the running maximum here (exact values may always be
+// folded); the global skew needs both extremes and is folded by certify().
+void SkewTracker::eval_node_leaf(const sim::Simulator& sim, std::size_t i,
+                                 double t) {
+  const std::size_t k = i - nleaf0_;
+  if (nstamp_[k] == samples_) return;  // already exact at this sample
+  nstamp_[k] = samples_;
+  const std::size_t end = std::min(cache_.size(), (k + 1) * kNodeBlock);
+  const double now = sim.now();
+  const bool audit = opt_.audit_epsilon > 0.0;
+  const CachedClock* cache = cache_.data();
+  double hi = -sim::kInfinity, lo = sim::kInfinity, env = -sim::kInfinity;
+  double r_hi = -sim::kInfinity, r_lo = sim::kInfinity;
+  for (std::size_t v = k * kNodeBlock; v < end; ++v) {
+    const CachedClock& c = cache[v];
+    if (!c.active) continue;
+    const double L = cached_logical(sim, static_cast<sim::NodeId>(v), c, now);
+    hi = std::max(hi, L);
+    lo = std::min(lo, L);
+    r_hi = std::max(r_hi, c.r_hi);
+    r_lo = std::min(r_lo, c.r_lo);
+    if (audit) env = std::max(env, envelope_violation(L, t, c.start));
+  }
+  if (hi == -sim::kInfinity) {
+    ntree_[i] = NodeCert{t};
+    return;
+  }
+  magnitude_ = std::max({magnitude_, std::abs(hi), std::abs(lo)});
+  if (audit) max_envelope_violation_ = std::max(max_envelope_violation_, env);
+  ntree_[i] = NodeCert{t, hi, lo, env, r_hi, r_lo};
+}
+
+void SkewTracker::eval_edge_leaf(const sim::Simulator& sim, std::size_t i,
+                                 double t) {
+  const std::size_t k = i - eleaf0_;
+  if (estamp_[k] == samples_) return;
+  estamp_[k] = samples_;
+  const auto& edges = sim.topology().edges();
+  const std::size_t end = std::min(edges.size(), (k + 1) * kEdgeBlock);
+  const double now = sim.now();
+  double loc = -sim::kInfinity;
+  double r_hi = -sim::kInfinity, r_lo = sim::kInfinity;
+  const CachedClock* cache = cache_.data();
+  for (std::size_t e = k * kEdgeBlock; e < end; ++e) {
+    const auto [u, w] = edges[e];
+    const CachedClock& cu = cache[static_cast<std::size_t>(u)];
+    const CachedClock& cw = cache[static_cast<std::size_t>(w)];
+    if (!cu.active || !cw.active || !sim.link_up(e)) continue;
+    loc = std::max(loc, std::abs(cached_logical(sim, u, cu, now) -
+                                 cached_logical(sim, w, cw, now)));
+    r_hi = std::max({r_hi, cu.r_hi, cw.r_hi});
+    r_lo = std::min({r_lo, cu.r_lo, cw.r_lo});
+  }
+  if (loc == -sim::kInfinity) {
+    etree_[i] = EdgeCert{t};
+    return;
+  }
+  max_local_skew_ = std::max(max_local_skew_, loc);
+  etree_[i] = EdgeCert{t, loc, r_hi, r_lo};
+}
+
+// The exact maximum over the awake clocks: a branch and bound that skips
+// only subtrees whose bound cannot beat the best exact value found so far.
+void SkewTracker::search_hi(const sim::Simulator& sim, std::size_t i,
+                            double t, double& hi) {
+  const NodeCert& c = ntree_[i];
+  if (!(hi_at(c, t) > hi)) return;
+  if (i >= nleaf0_) {
+    eval_node_leaf(sim, i, t);
+    hi = std::max(hi, ntree_[i].hi);
+    return;
+  }
+  // Larger bound first: its exact maximum prunes the sibling best.
+  const bool left_first =
+      hi_at(ntree_[2 * i], t) >= hi_at(ntree_[2 * i + 1], t);
+  search_hi(sim, left_first ? 2 * i : 2 * i + 1, t, hi);
+  search_hi(sim, left_first ? 2 * i + 1 : 2 * i, t, hi);
+  retighten_node(i, t);
+}
+
+// The exact minimum, likewise.
+void SkewTracker::search_lo(const sim::Simulator& sim, std::size_t i,
+                            double t, double& lo) {
+  const NodeCert& c = ntree_[i];
+  if (!(lo_at(c, t) < lo)) return;
+  if (i >= nleaf0_) {
+    eval_node_leaf(sim, i, t);
+    lo = std::min(lo, ntree_[i].lo);
+    return;
+  }
+  const bool left_first =
+      lo_at(ntree_[2 * i], t) <= lo_at(ntree_[2 * i + 1], t);
+  search_lo(sim, left_first ? 2 * i : 2 * i + 1, t, lo);
+  search_lo(sim, left_first ? 2 * i + 1 : 2 * i, t, lo);
+  retighten_node(i, t);
+}
+
+void SkewTracker::descend_env(const sim::Simulator& sim, std::size_t i,
+                              double t) {
+  const NodeCert& c = ntree_[i];
+  if (!(env_at(c, t) >= max_envelope_violation_)) return;
+  if (i >= nleaf0_) {
+    eval_node_leaf(sim, i, t);
+  } else {
+    descend_env(sim, 2 * i, t);
+    descend_env(sim, 2 * i + 1, t);
+    retighten_node(i, t);
+  }
+}
+
+void SkewTracker::descend_loc(const sim::Simulator& sim, std::size_t i,
+                              double t) {
+  const EdgeCert& c = etree_[i];
+  if (!(loc_at(c, t) >= max_local_skew_)) return;
+  if (i >= eleaf0_) {
+    eval_edge_leaf(sim, i, t);
+  } else {
+    descend_loc(sim, 2 * i, t);
+    descend_loc(sim, 2 * i + 1, t);
+    retighten_edge(i, t);
+  }
+}
+
+// Settles one sample from the certificates.  A root below its running
+// maximum proves the sample changes nothing; otherwise only the subtrees
+// whose bounds reach the maximum are evaluated, exactly, and only those
+// exact values write a running maximum.  The global skew is folded from
+// the exact extremes, found by branch and bound.
+void SkewTracker::certify(const sim::Simulator& sim, double t) {
+  const NodeCert& root = ntree_[1];
+  if (root.hi != -sim::kInfinity &&
+      hi_at(root, t) - lo_at(root, t) >= max_global_skew_) {
+    double hi = -sim::kInfinity;
+    double lo = sim::kInfinity;
+    search_hi(sim, 1, t, hi);
+    search_lo(sim, 1, t, lo);
+    max_global_skew_ = std::max(max_global_skew_, hi - lo);
+  }
+  if (opt_.audit_epsilon > 0.0) descend_env(sim, 1, t);
+  if (opt_.track_local) descend_loc(sim, 1, t);
+}
+
+// The oracle pass: every node and every edge, exactly.  The oracle
+// (kFullRescan) reads each clock through Simulator::logical(), the
+// incremental engine through its cache, which is bit-identical to it;
+// the fold below is shared, so its order and arithmetic are the single
+// source of truth for every figure a full pass reports.  The incremental
+// engine also re-anchors both certificate trees on the exact values.
 void SkewTracker::full_scan(const sim::Simulator& sim, double t) {
   ++full_scans_;
+  if (!incremental_) {
+    full_scan_impl<false>(sim, t);
+    return;
+  }
+  if (!scanned_once_) {
+    // First pass: allocate the cache and the trees, fill every entry.
+    const sim::NodeId n = sim.num_nodes();
+    cache_.assign(static_cast<std::size_t>(n), CachedClock{});
+    for (sim::NodeId v = 0; v < n; ++v) refresh(sim, v);
+    nleaf0_ = leaf_base(cache_.size(), kNodeBlock);
+    ntree_.assign(2 * nleaf0_, NodeCert{});
+    nstamp_.assign(nleaf0_, 0);
+    const std::size_t ne = sim.topology().edges().size();
+    eleaf0_ = leaf_base(ne, kEdgeBlock);
+    etree_.assign(2 * eleaf0_, EdgeCert{});
+    estamp_.assign(eleaf0_, 0);
+  }
+  full_scan_impl<true>(sim, t);
+  // Re-anchor both trees on exact values at t.
+  for (std::size_t i = nleaf0_; i < 2 * nleaf0_; ++i) eval_node_leaf(sim, i, t);
+  for (std::size_t i = nleaf0_ - 1; i >= 1; --i) retighten_node(i, t);
+  if (opt_.track_local) {
+    for (std::size_t i = eleaf0_; i < 2 * eleaf0_; ++i) {
+      eval_edge_leaf(sim, i, t);
+    }
+    for (std::size_t i = eleaf0_ - 1; i >= 1; --i) retighten_edge(i, t);
+  }
+}
+
+template <bool kCached>
+void SkewTracker::full_scan_impl(const sim::Simulator& sim, double t) {
   const sim::NodeId n = sim.num_nodes();
+  const double now = sim.now();
   double lo = sim::kInfinity;
   double hi = -sim::kInfinity;
-  double cur_rate_lo = sim::kInfinity;
-  double cur_rate_hi = -sim::kInfinity;
-  double cur_env = -sim::kInfinity;
   bool any_awake = false;
   if (opt_.audit_epsilon > 0.0) {
     // The system envelope is anchored at the earliest wake across all
@@ -346,55 +644,33 @@ void SkewTracker::full_scan(const sim::Simulator& sim, double t) {
     }
   }
   for (sim::NodeId v = 0; v < n; ++v) {
+    const auto i = static_cast<std::size_t>(v);
     if (excluded(v) || !sim.awake(v)) {
-      logical_scratch_[static_cast<std::size_t>(v)] = -sim::kInfinity;
+      logical_scratch_[i] = -sim::kInfinity;
       continue;
     }
     any_awake = true;
-    const double L = sim.logical(v);
-    logical_scratch_[static_cast<std::size_t>(v)] = L;
+    const double L = kCached ? cached_logical(sim, v, now) : sim.logical(v);
+    logical_scratch_[i] = L;
     lo = std::min(lo, L);
     hi = std::max(hi, L);
 
     // Rate audit: instantaneous logical rate = rho_v * h_v.
-    const double rate = sim.node(v).rate_multiplier() * sim.clock(v).rate();
+    const double rate =
+        kCached ? cache_[i].rate
+                : sim.node(v).rate_multiplier() * sim.clock(v).rate();
     min_logical_rate_ = std::min(min_logical_rate_, rate);
     max_logical_rate_ = std::max(max_logical_rate_, rate);
-    cur_rate_lo = std::min(cur_rate_lo, rate);
-    cur_rate_hi = std::max(cur_rate_hi, rate);
 
-    // Envelope audit (Condition (1)), relative to wake times: the system
-    // envelope is anchored at the earliest wake (the instant L^max was
-    // born), each node's lower envelope and catch-up ceiling at its own
-    // t_v.  Late-waking nodes legally exceed (1+eps)(t - t_v) while
-    // catching up at rate beta, so the per-node upper check needs the
-    // Condition (2) ceiling and is enabled by audit_beta.
     if (opt_.audit_epsilon > 0.0) {
-      const double eps = opt_.audit_epsilon;
-      const double tv = sim.clock(v).start_time();
-      double upper_violation = L - (1.0 + eps) * (t - earliest_start_);
-      if (opt_.audit_beta > 0.0) {
-        upper_violation =
-            std::max(upper_violation, L - opt_.audit_beta * (t - tv));
-      }
-      const double lower_violation = (1.0 - eps) * (t - tv) - L;
       max_envelope_violation_ =
-          std::max({max_envelope_violation_, upper_violation, lower_violation});
-      cur_env = std::max({cur_env, upper_violation, lower_violation});
+          std::max(max_envelope_violation_,
+                   envelope_violation(L, t, sim.clock(v).start_time()));
     }
   }
 
-  // Re-anchor the certificates on the exact values just computed; the
-  // local certificate is finished below once `local` is known.
   scanned_once_ = true;
   any_awake_seen_ = any_awake;
-  bound_t_ = t;
-  hi_bound_ = hi;
-  lo_bound_ = lo;
-  env_bound_ = cur_env;
-  rate_hi_ = any_awake ? cur_rate_hi : 0.0;
-  rate_lo_ = any_awake ? cur_rate_lo : 0.0;
-  local_bound_ = -sim::kInfinity;
 
   if (!any_awake) {
     cur_global_ = 0.0;
@@ -417,7 +693,6 @@ void SkewTracker::full_scan(const sim::Simulator& sim, double t) {
       local = std::max(local, std::abs(Lu - Lw));
     }
     max_local_skew_ = std::max(max_local_skew_, local);
-    local_bound_ = local;
   }
   cur_local_ = local;
 

@@ -1,35 +1,62 @@
 // Exact skew measurement (Definitions 3.1 / 3.2) and model-condition
 // auditing (Conditions (1) and (2), Definition 5.6).
 //
-// All logical clocks are piecewise linear in real time with breakpoints
-// only at simulation events; the maximum of a difference of piecewise
-// linear functions over an interval is attained at a breakpoint.  The
-// tracker is installed as the simulator's observer and therefore samples
-// every breakpoint: the reported maxima are exact, not approximations.
+// A^opt's logical clocks are piecewise linear in real time with
+// breakpoints only at simulation events (Node::logical_at() names the
+// clocks that are not); the maximum of a difference of piecewise linear
+// functions over an interval is attained at a breakpoint.  The tracker is
+// installed as the simulator's observer and therefore samples every
+// breakpoint: the reported maxima are exact, not approximations.
 // (Sharded, the observer runs at observation barriers instead, whose
 // grid is a pure function of the event set: maxima over that grid,
 // identical for every shard count.)
 //
 // Two engines produce those maxima:
 //
-//  * kFullRescan — the oracle: every sample scans all n nodes and all E
-//    edges.  O(events * (n + E)).
+//  * kFullRescan — the oracle: every sample reads all n clocks through
+//    Simulator::logical() (a virtual Node::logical_at() each) and scans
+//    all E edges.  O(events * (n + E)).
 //
-//  * kIncremental (default) — certificate-based: per sample, only the
-//    touched nodes (Simulator::touched()) are evaluated exactly, and a
-//    set of upper-bound certificates (last exact extrema extrapolated at
-//    the extreme observed clock rates, kinetic-tournament style) prove
-//    that the skipped full scan could not have raised any running
-//    maximum.  When a certificate expires — the bound reaches the current
-//    maximum — the tracker falls back to one full rescan, which both
-//    updates the results and re-anchors every certificate exactly.
-//    Because running maxima are only ever written by the shared full-scan
-//    code path, every reported figure is bit-identical to the oracle's.
-//    Amortized cost per event is O(deg(touched node)) once the skew
-//    process saturates.
+//  * kIncremental (default) — certificate-based, with two parts:
+//
+//    - An affine clock cache.  A node that returns a Node::Affine view
+//      (A^opt and every node built on it) is a line in H until its next
+//      event, and its hardware clock a line in t until its next rate
+//      change; both change only at events, which Simulator::touched()
+//      lists.  The cache holds both lines per node, refreshed for touched
+//      nodes only, so an exact read is a few flops:
+//      offset + slope * ((H_a + h (now - t_a)) - h_ref), the operations of
+//      Simulator::logical() in its order and hence bit-identical to it.
+//      Nodes without a view are read through Simulator::logical(); their
+//      slope lies between min(1, rho_v) h_v and max(1, rho_v) h_v
+//      (Node::slope_bounded()), and the certificates extrapolate them at
+//      those two rates.
+//
+//    - Per-subtree certificates (kinetic-tournament style).  A segment
+//      tree over node ids (leaves of 16) bounds each subtree's max clock,
+//      min clock and Condition (1) violation; one over edge ids (leaves of
+//      32) bounds each subtree's local skew.  Each tree node keeps its own
+//      bound, anchor time and rate span, extrapolated plus a guard.  Per
+//      sample, the touched nodes are read exactly and raise the paths
+//      above their leaves, and the roots are checked against the running
+//      maxima: O(log n + deg log E).  A root that reaches its maximum
+//      sends a descent into only the subtrees whose bounds reach it; their
+//      leaves are evaluated exactly and the visited paths re-tightened.
+//      Ties and new records (the skew sitting exactly on its maximum, or
+//      growing during wake-up) cost one cached read per node.
+//
+//    Only exact values write a running maximum, so every reported figure
+//    is bit-identical to the oracle's.  Every node and edge is evaluated
+//    (full_scans()) only at the first sample, at series and per-distance
+//    points, for recovery classifications the bounds cannot settle, and
+//    at every sample while a clock with no slope bound is awake (a
+//    tick-quantized clock is a staircase, so no certificate covers it):
+//    such runs cost what the oracle costs.  The cache and the trees are
+//    allocated at the first sample, and only by this engine.
 //
 //  * kAuditOracle — runs both engines and throws on any divergence
 //    (--audit-oracle in the CLI); for validating the incremental engine.
+//    The oracle keeps the virtual path, so this also checks the cache.
 #pragma once
 
 #include <cstdint>
@@ -226,9 +253,11 @@ class SkewTracker {
     return hist_global_->memory_bytes() + hist_local_->memory_bytes();
   }
 
-  /// Full O(n + E) scans actually executed (== samples_taken() for the
-  /// oracle; the incremental engine's figure of merit is how far this
-  /// stays below it).
+  /// Samples at which every node and every edge was evaluated
+  /// (== samples_taken() for the oracle, and for the incremental engine
+  /// while a clock with no slope bound is awake).  The incremental
+  /// engine's descents evaluate only the subtrees whose bounds reach a
+  /// running maximum and are not counted.
   std::uint64_t full_scans() const { return full_scans_; }
 
   // ---- recovery-time probe --------------------------------------------------
@@ -264,11 +293,36 @@ class SkewTracker {
   double stabilization_time() const;
 
  private:
+  /// One subtree of the node tree: bounds at time `t` on its awake
+  /// clocks' max (hi) and min (lo) and on their Condition (1) violation
+  /// (env), with the extreme logical rates r_lo <= rate <= r_hi that
+  /// extrapolate them.  hi == -inf marks a subtree with no such clock.
+  struct NodeCert {
+    double t = 0.0;
+    double hi = -sim::kInfinity;
+    double lo = sim::kInfinity;
+    double env = -sim::kInfinity;
+    double r_hi = 0.0;
+    double r_lo = 0.0;
+  };
+  /// One subtree of the edge tree: a bound at time `t` on |L_u - L_w| over
+  /// its live edges between awake clocks, and the extreme rates of those
+  /// endpoints.
+  struct EdgeCert {
+    double t = 0.0;
+    double loc = -sim::kInfinity;
+    double r_hi = 0.0;
+    double r_lo = 0.0;
+  };
+
   bool per_distance_due(double t) const;
   void do_sample(const sim::Simulator& sim, double t,
                  const std::vector<sim::Simulator::Touch>& touched);
   void full_scan(const sim::Simulator& sim, double t);
-  void touch(const sim::Simulator& sim, sim::NodeId v, bool woke, double t);
+  /// full_scan()'s fold; kCached reads the clocks through the cache.
+  template <bool kCached>
+  void full_scan_impl(const sim::Simulator& sim, double t);
+  void touch(const sim::Simulator& sim, sim::NodeId v, double t);
   void assert_matches_oracle(double t) const;
   bool recovery_probe_active() const {
     return have_fault_ && opt_.recovery_global_bound > 0.0;
@@ -279,13 +333,75 @@ class SkewTracker {
   /// Certificate proof that the current skews are inside the recovery
   /// bounds (incremental engine; certificates are upper bounds on the
   /// instantaneous values, so "bound small enough" is a proof).
-  bool provably_within_recovery_bounds() const;
+  bool provably_within_recovery_bounds(double t) const;
   /// Whether this sample time is a recovery-classification point (always,
   /// unless the grid of recovery_classify_interval is active).
   bool classify_due(double t) const {
     return opt_.recovery_classify_interval <= 0.0 || t >= next_classify_t_;
   }
   void classify_recovery_sample(double t, bool scanned_exactly);
+  double envelope_violation(double L, double t, double tv) const;
+
+  // ---- incremental engine: affine clock cache -------------------------------
+  /// One node's entry: its Affine view and its hardware clock's line, as
+  /// of the node's last event.
+  struct CachedClock {
+    double offset = 0.0, slope = 0.0, h_ref = 0.0;  // the node's Affine view
+    double ha = 0.0, ta = 0.0, h = 0.0, start = 0.0;  // its hardware clock
+    double rate = 0.0;  // the logical rate rho_v * h_v (Condition (2))
+    double r_lo = 0.0, r_hi = 0.0;  // bounds on dL/dt until the next event
+    bool view = false;     // the node returned a view
+    bool bounded = false;  // Node::slope_bounded()
+    bool active = false;   // awake and not excluded
+  };
+  void refresh(const sim::Simulator& sim, sim::NodeId v);
+  /// L_v(now) through the cache: Simulator::logical()'s operations in its
+  /// order, so bit-identical to it; nodes without a view take the virtual
+  /// path.
+  static double cached_logical(const sim::Simulator& sim, sim::NodeId v,
+                               const CachedClock& c, double now) {
+    if (!c.view) return sim.logical(v);
+    const double h = now <= c.start ? 0.0 : c.ha + c.h * (now - c.ta);
+    return c.offset + c.slope * (h - c.h_ref);
+  }
+  double cached_logical(const sim::Simulator& sim, sim::NodeId v,
+                        double now) const {
+    return cached_logical(sim, v, cache_[static_cast<std::size_t>(v)], now);
+  }
+
+  // ---- incremental engine: per-subtree certificates ----------------------
+  double hi_at(const NodeCert& c, double t) const {
+    return c.hi + c.r_hi * (t - c.t) + guard_;
+  }
+  double lo_at(const NodeCert& c, double t) const {
+    return c.lo + c.r_lo * (t - c.t) - guard_;
+  }
+  double env_growth(const NodeCert& c) const;
+  double env_at(const NodeCert& c, double t) const {
+    return c.env + env_growth(c) * (t - c.t) + guard_;
+  }
+  double loc_at(const EdgeCert& c, double t) const {
+    return c.loc + (c.r_hi - c.r_lo) * (t - c.t) + guard_;
+  }
+  /// Folds b into a; both are anchored at the same time.
+  static void merge(NodeCert& a, const NodeCert& b);
+  static void merge(EdgeCert& a, const EdgeCert& b);
+  NodeCert advanced(const NodeCert& c, double t) const;
+  EdgeCert advanced(const EdgeCert& c, double t) const;
+  void raise_node(sim::NodeId v, double t, double L, double env);
+  void raise_edge(std::size_t e, double t, double d, sim::NodeId u,
+                  sim::NodeId w);
+  void retighten_node(std::size_t i, double t);
+  void retighten_edge(std::size_t i, double t);
+  void eval_node_leaf(const sim::Simulator& sim, std::size_t i, double t);
+  void eval_edge_leaf(const sim::Simulator& sim, std::size_t i, double t);
+  void search_hi(const sim::Simulator& sim, std::size_t i, double t,
+                 double& hi);
+  void search_lo(const sim::Simulator& sim, std::size_t i, double t,
+                 double& lo);
+  void descend_env(const sim::Simulator& sim, std::size_t i, double t);
+  void descend_loc(const sim::Simulator& sim, std::size_t i, double t);
+  void certify(const sim::Simulator& sim, double t);
 
   Options opt_;
   std::vector<char> excluded_;  // empty when Options::exclude is empty
@@ -330,23 +446,31 @@ class SkewTracker {
   double cur_local_ = 0.0;
 
   // ---- incremental-engine state -------------------------------------------
-  // Certificates: exact values from the last full scan, extrapolated with
-  // the extreme observed rates plus a per-advance guard that dominates the
-  // floating-point drift of the extrapolation.  Invariant: *_bound_ is >=
-  // the value the oracle would compute at the current time, so a bound
-  // that stays below the corresponding running maximum proves the skipped
-  // scan was a no-op.
+  // Allocated at the first full scan of the incremental engine only.
+  // The affine clock cache, by node id, refreshed for every touched node.
+  std::vector<CachedClock> cache_;
+  // Certificate trees: implicit binary heaps (root 1, children 2i and
+  // 2i+1) whose leaves ntree_[nleaf0_ + k] / etree_[eleaf0_ + k] cover
+  // blocks of kNodeBlock node ids / kEdgeBlock edge ids.  Invariant: each
+  // certificate bounds the oracle's values for its subtree at every time
+  // from its anchor on, so a bound below a running maximum proves the
+  // subtree cannot raise it.  Touches raise the paths above their leaves;
+  // descents evaluate leaves exactly and re-tighten the paths they visit.
+  std::vector<NodeCert> ntree_;
+  std::vector<EdgeCert> etree_;
+  std::size_t nleaf0_ = 0;
+  std::size_t eleaf0_ = 0;
+  // Sample number of each leaf's last exact evaluation (leaf-indexed).
+  std::vector<std::uint64_t> nstamp_, estamp_;
+  // Active clocks with no slope bound: while any is, no certificate holds
+  // between samples and every sample is a full scan.
+  std::size_t unbounded_ = 0;
   std::shared_ptr<const graph::Graph::Csr> csr_;  // for touch-local edge folds
   bool incremental_ = false;
   bool scanned_once_ = false;
-  double bound_t_ = 0.0;        // time the bounds were last advanced to
-  double hi_bound_ = -sim::kInfinity;   // >= max_v L_v(t)
-  double lo_bound_ = sim::kInfinity;    // <= min_v L_v(t) over awake nodes
-  double local_bound_ = -sim::kInfinity;
-  double env_bound_ = -sim::kInfinity;
-  double rate_hi_ = 0.0;        // >= every current logical rate
-  double rate_lo_ = 0.0;        // <= every current logical rate
   bool any_awake_seen_ = false;
+  double magnitude_ = 0.0;  // max |L| folded exactly; scales guard_
+  double guard_ = 0.0;      // this sample's extrapolation guard
 
   std::unique_ptr<SkewTracker> oracle_;  // kAuditOracle only
 };

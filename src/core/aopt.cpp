@@ -417,4 +417,10 @@ double AoptNode::rate_multiplier() const {
   return logical_multiplier();
 }
 
+bool AoptNode::affine_logical(Affine& out) const {
+  if (!awake_) return false;
+  out = Affine{L_, logical_multiplier(), h_last_};
+  return true;
+}
+
 }  // namespace tbcs::core

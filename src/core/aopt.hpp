@@ -101,6 +101,7 @@ class AoptNode : public sim::Node {
                    double magnitude) override;
   sim::ClockValue logical_at(sim::ClockValue hardware_now) const override;
   double rate_multiplier() const override;
+  bool affine_logical(Affine& out) const override;
 
   // ---- inspection (tests / metrics) ----------------------------------------
   const SyncParams& params() const { return params_; }

@@ -101,6 +101,10 @@ class ByzantineNode final : public sim::Node {
                    double magnitude) override;
   sim::ClockValue logical_at(sim::ClockValue hardware_now) const override;
   double rate_multiplier() const override;
+  bool affine_logical(Affine& out) const override {
+    return inner_->affine_logical(out);
+  }
+  bool slope_bounded() const override { return inner_->slope_bounded(); }
 
   /// Toggled by the FaultScheduler (kByzantineOn / kByzantineOff); atomic
   /// because the threaded runtime toggles from the scheduler thread.

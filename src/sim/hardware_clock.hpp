@@ -31,6 +31,11 @@ class HardwareClock {
   /// Current rate h_v.
   double rate() const { return rate_; }
 
+  /// The line value_at() evaluates after the start time:
+  /// H(t) = anchor_value() + rate() * (t - anchor_time()).
+  ClockValue anchor_value() const { return anchor_value_; }
+  RealTime anchor_time() const { return anchor_time_; }
+
   /// Changes the rate at real time t (t must not precede the previous
   /// anchor).  The clock value is continuous across the change.
   void set_rate(RealTime t, double rate);

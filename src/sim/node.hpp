@@ -89,14 +89,44 @@ class Node {
   }
 
   /// Observability hook for the metrics layer: the logical clock value
-  /// L_v given the current hardware clock reading.  Must be consistent
-  /// with the state as of the node's last event (all logical clocks are
-  /// piecewise linear in H between events).
+  /// L_v given the current hardware clock reading, from the state as of
+  /// the node's last event.  Between events it is a nondecreasing
+  /// function of H, but not necessarily a line: the max algorithms and
+  /// the blocking-gradient baseline return min(L + m dh, L^max + dh),
+  /// whose slope drops from m to 1 when L reaches its ceiling, and a
+  /// tick-quantized node is a staircase in H.
   virtual ClockValue logical_at(ClockValue hardware_now) const = 0;
 
   /// Current logical rate multiplier rho_v (1 or 1 + mu for A^opt);
-  /// used to audit Condition (2).
+  /// used to audit Condition (2).  For the nodes above it is not the
+  /// slope of logical_at() everywhere until the next event.
   virtual double rate_multiplier() const = 0;
+
+  /// Whether, until this node's next event, logical_at() is continuous in
+  /// H with slope between min(1, rho_v) and max(1, rho_v), rho_v =
+  /// rate_multiplier().  Every clock above is, except the tick-quantized
+  /// staircase, which jumps between events and returns false.  Metrics
+  /// code extrapolates a bounded clock from its last exact value and reads
+  /// an unbounded one at every sample.
+  virtual bool slope_bounded() const { return true; }
+
+  /// The logical clock as a line in H: until this node's next event,
+  /// logical_at(H) == offset + slope * (H - h_ref) bit for bit, with
+  /// slope == rate_multiplier().
+  struct Affine {
+    ClockValue offset = 0.0;
+    double slope = 0.0;
+    ClockValue h_ref = 0.0;
+  };
+
+  /// Fills `out` and returns true when logical_at() is exactly that line
+  /// until the next event; metrics code may then evaluate the line
+  /// instead of calling logical_at().  Nodes whose clock is not one line
+  /// between events (the ones named above) keep the default, false.
+  virtual bool affine_logical(Affine& out) const {
+    (void)out;
+    return false;
+  }
 };
 
 }  // namespace tbcs::sim

@@ -46,39 +46,61 @@ void ExecutionLog::save(std::ostream& os) const {
   }
 }
 
-ExecutionLog ExecutionLog::load(std::istream& is) {
-  const auto fail = [](const std::string& what) -> ExecutionLog {
-    throw std::runtime_error("ExecutionLog::load: " + what);
-  };
-  std::string line;
-  if (!std::getline(is, line) || line != kMagic) {
-    return fail("bad magic line");
-  }
-  ExecutionLog log;
+namespace {
+
+[[noreturn]] void load_fail(const std::string& what) {
+  throw std::runtime_error("ExecutionLog::load: " + what);
+}
+
+// Reads "<field> <count>".  The count is parsed as a signed integer so a
+// negative one is rejected rather than wrapped.
+std::size_t read_count(std::istream& is, const char* field) {
   std::string keyword;
-  std::size_t count = 0;
+  long long count = 0;
+  if (!(is >> keyword) || keyword != field || !(is >> count)) {
+    load_fail(std::string(field) + ": missing or malformed count");
+  }
+  if (count < 0) {
+    load_fail(std::string(field) + ": negative count " + std::to_string(count));
+  }
+  return static_cast<std::size_t>(count);
+}
 
-  if (!(is >> keyword >> count) || keyword != "rates") return fail("rates");
-  log.initial_rates.resize(count);
-  for (auto& r : log.initial_rates) {
-    if (!(is >> r)) return fail("rate value");
+// Reads `count` entries with `read_one`, growing `out` only as entries
+// arrive: a lying count fails at the end of the data, never by
+// allocating ahead of it.
+template <typename T, typename ReadOne>
+void read_entries(std::istream& is, const char* field, std::size_t count,
+                  std::vector<T>& out, ReadOne read_one) {
+  for (std::size_t k = 0; k < count; ++k) {
+    T entry{};
+    if (!read_one(is, entry)) {
+      load_fail(std::string(field) + ": entry " + std::to_string(k) + " of " +
+                std::to_string(count) + " is missing or malformed");
+    }
+    out.push_back(entry);
   }
+}
 
-  if (!(is >> keyword >> count) || keyword != "rate_events") {
-    return fail("rate_events");
-  }
-  log.rate_events.resize(count);
-  for (auto& e : log.rate_events) {
-    if (!(is >> e.node >> e.at >> e.rate)) return fail("rate event");
-  }
+}  // namespace
 
-  if (!(is >> keyword >> count) || keyword != "deliveries") {
-    return fail("deliveries");
-  }
-  log.deliveries.resize(count);
-  for (auto& d : log.deliveries) {
-    if (!(is >> d.from >> d.to >> d.send >> d.recv)) return fail("delivery");
-  }
+ExecutionLog ExecutionLog::load(std::istream& is) {
+  std::string line;
+  if (!std::getline(is, line) || line != kMagic) load_fail("bad magic line");
+  ExecutionLog log;
+  read_entries(is, "rates", read_count(is, "rates"), log.initial_rates,
+               [](std::istream& in, double& r) {
+                 return static_cast<bool>(in >> r);
+               });
+  read_entries(is, "rate_events", read_count(is, "rate_events"),
+               log.rate_events, [](std::istream& in, RateEvent& e) {
+                 return static_cast<bool>(in >> e.node >> e.at >> e.rate);
+               });
+  read_entries(is, "deliveries", read_count(is, "deliveries"), log.deliveries,
+               [](std::istream& in, DeliveryEvent& d) {
+                 return static_cast<bool>(in >> d.from >> d.to >> d.send >>
+                                          d.recv);
+               });
   return log;
 }
 

@@ -835,23 +835,18 @@ void Simulator::barrier_flush(RealTime w_end, bool probe_fires,
 
 void Simulator::flush_observer(RealTime t) {
   canon_peak_ = std::max(canon_peak_, canonical_pending());
-  // touched(): the union over lanes, sorted by node and deduplicated with
-  // wake flags OR-ed (unsharded, lane 0's touches are already cleared
-  // after every event, so a probe sees none).
+  // touched(): the union over lanes, sorted by node and deduplicated
+  // (unsharded, lane 0's touches are already cleared after every event,
+  // so a probe sees none).
   std::vector<Touch>& all = lanes_[0].touched;
   for (std::size_t i = 1; i < lanes_.size(); ++i) {
     all.insert(all.end(), lanes_[i].touched.begin(), lanes_[i].touched.end());
     lanes_[i].touched.clear();
   }
   std::sort(all.begin(), all.end(), [](const Touch& a, const Touch& b) {
-    if (a.node != b.node) return a.node < b.node;
-    return a.woke > b.woke;  // woke entries first, kept by unique
+    return a.node < b.node;
   });
-  all.erase(std::unique(all.begin(), all.end(),
-                        [](const Touch& a, const Touch& b) {
-                          return a.node == b.node;
-                        }),
-            all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
   if (observer_) observer_(*this, t);
   all.clear();
 }
@@ -1003,9 +998,9 @@ bool Simulator::process(Lane& ln, Event& e) {
     // Every observable event changes e.node (and a link change also
     // e.node2): a callback ran there, its rate moved, or it entered or
     // left the awake set.
-    ln.touched.push_back(Touch{e.node, woke});
+    ln.touched.push_back(Touch{e.node});
     if (e.kind == EventKind::kLinkChange) {
-      ln.touched.push_back(Touch{e.node2, false});
+      ln.touched.push_back(Touch{e.node2});
     }
   }
   if (obs::kTraceCompiled && recorder_ != nullptr) {

@@ -186,11 +186,9 @@ class Simulator {
   using Observer = std::function<void(const Simulator&, RealTime)>;
   void set_observer(Observer observer);
 
-  /// One node whose state changed since the previous observation point,
-  /// with whether it was initialized in that span.
+  /// One node whose state changed since the previous observation point.
   struct Touch {
     NodeId node = kInvalidNode;
-    bool woke = false;
     bool operator==(const Touch&) const = default;
   };
 
@@ -200,9 +198,9 @@ class Simulator {
   /// have changed discontinuously; incremental trackers fold exactly them.
   /// Unsharded: the event's 0-2 nodes in event order (a link change lists
   /// both endpoints, a probe none).  Sharded: the sorted, deduplicated
-  /// union over lanes with wake flags OR-ed, a pure function of the event
-  /// set and so identical for every shard count.  Lanes record touches
-  /// only while an observer is installed.
+  /// union over lanes, a pure function of the event set and so identical
+  /// for every shard count.  Lanes record touches only while an observer
+  /// is installed.
   const std::vector<Touch>& touched() const { return lanes_[0].touched; }
 
   /// Kept for perfbench/, which names them: WindowTouch is Touch, and a

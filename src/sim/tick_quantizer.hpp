@@ -31,6 +31,8 @@ class TickQuantizedNode final : public Node {
   void on_rejoin(NodeServices& sv) override;
   ClockValue logical_at(ClockValue hardware_now) const override;
   double rate_multiplier() const override;
+  /// A staircase in H: no slope bound between events.
+  bool slope_bounded() const override { return false; }
 
   const Node& inner() const { return *inner_; }
   double tick_length() const { return 1.0 / frequency_; }

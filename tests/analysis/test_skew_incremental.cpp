@@ -4,18 +4,25 @@
 // table, envelope violation, and rate extremes.  Scenarios cover A^opt
 // and the blocking-gradient baseline on line/tree/random topologies with
 // dynamic links, crashes, injected rate changes, and both per-distance
-// evaluation schedules.
+// evaluation schedules; ftgcs under a Byzantine/crash/lossy/scramble
+// plan, kllo under churn, and the max-rate and tick-quantized nodes,
+// which expose no affine clock view, through the CLI build path.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/skew_tracker.hpp"
 #include "baselines/blocking_gradient.hpp"
+#include "cli/experiment_config.hpp"
 #include "core/aopt.hpp"
 #include "core/params.hpp"
+#include "fault/fault_scheduler.hpp"
 #include "graph/topologies.hpp"
 #include "sim/simulator.hpp"
 
@@ -286,6 +293,166 @@ TEST(SkewIncremental, StrideOtherThanOneThrows) {
   EXPECT_THROW(SkewTracker(*s, topt), std::invalid_argument);
   topt.stride = 1;
   EXPECT_NO_THROW(SkewTracker(*s, topt));
+}
+
+// ---- CLI-built runs under kAuditOracle -------------------------------------
+
+// The smoke_ftgcs.sh chaos plan: an up/down liar pair from first contact,
+// a crash with recovery, a lossy channel window and a late scramble.
+constexpr const char* kChaosPlan =
+    "byzantine node=1 from=0 until=120 mode=fixed offset=1000\n"
+    "byzantine node=2 from=0 until=120 mode=fixed offset=-1000\n"
+    "crash node=9 at=30\n"
+    "recover node=9 at=55\n"
+    "channel from=70 until=95 drop=0.15 jitter=0.3\n"
+    "scramble node=12 at=150 magnitude=6\n";
+
+// Runs cfg as tbcs_sim does (build_experiment, resolve_tracker, and a
+// FaultScheduler when a plan is loaded) under a kAuditOracle tracker,
+// which throws at the first sample where the two engines disagree.
+SkewTracker expect_audit_silent(const cli::ExperimentConfig& cfg) {
+  cli::BuiltExperiment built = cli::build_experiment(cfg);
+  const cli::Bounds bounds = cli::resolve_bounds(cfg, built);
+  SkewTracker::Options topt = cli::resolve_tracker(cfg, built, bounds);
+  topt.mode = SkewTracker::Mode::kAuditOracle;
+  topt.audit_epsilon = cfg.eps;
+  topt.series_interval = cfg.duration / 50.0;
+  SkewTracker tracker(*built.simulator, topt);
+  tracker.attach(*built.simulator);
+  fault::FaultScheduler faults(built.timeline);
+  faults.set_listener([&tracker](const fault::FaultEvent& e, double t) {
+    if (e.kind == fault::FaultKind::kScramble) {
+      tracker.note_scramble(t);
+    } else {
+      tracker.note_fault(t);
+    }
+  });
+  EXPECT_NO_THROW(faults.run(*built.simulator, cfg.duration)) << cfg.algorithm;
+  EXPECT_GT(tracker.max_global_skew(), 0.0) << cfg.algorithm;
+  EXPECT_GT(tracker.max_local_skew(), 0.0) << cfg.algorithm;
+  return tracker;
+}
+
+TEST(SkewIncremental, AuditOracleFtgcsChaosHypercube) {
+  const std::string plan = testing::TempDir() + "/skew_incremental_chaos.txt";
+  {
+    std::ofstream os(plan);
+    os << kChaosPlan;
+  }
+  cli::ExperimentConfig cfg;
+  cfg.topology = "hypercube";
+  cfg.dims = 5;
+  cfg.algorithm = "ftgcs";
+  cfg.ftgcs_f = 2;
+  cfg.delays = "band";
+  cfg.drift = "square";
+  cfg.duration = 250.0;
+  cfg.seed = 11;
+  cfg.fault_seed = 7;
+  cfg.wake_all = true;
+  cfg.faults_file = plan;
+  const SkewTracker tracker = expect_audit_silent(cfg);
+  EXPECT_LT(tracker.full_scans(), tracker.samples_taken() / 10);
+  EXPECT_FALSE(std::isnan(tracker.recovery_time()));
+  EXPECT_FALSE(std::isnan(tracker.stabilization_time()));
+}
+
+TEST(SkewIncremental, AuditOracleKlloChurnedTorus) {
+  cli::ExperimentConfig cfg;
+  cfg.topology = "torus";
+  cfg.rows = cfg.cols = 8;
+  cfg.algorithm = "kllo";
+  cfg.delays = "band";
+  cfg.wake_all = true;
+  cfg.churn_node_rate = 0.01;
+  cfg.churn_edge_rate = 0.02;
+  cfg.churn_extra_edges = 0.1;
+  cfg.duration = 60.0;
+  const SkewTracker tracker = expect_audit_silent(cfg);
+  EXPECT_LT(tracker.full_scans(), tracker.samples_taken() / 10);
+}
+
+// max-rate exposes no affine view: its clocks are read through the
+// virtual path, and the certificates extrapolate them between
+// min(1, rho) h and max(1, rho) h, since min(L + m dh, L^max + dh) runs
+// at slope m, then 1.  The certificates must still settle most samples.
+TEST(SkewIncremental, AuditOracleMaxRateFallback) {
+  for (const char* topology : {"path", "grid"}) {
+    cli::ExperimentConfig cfg;
+    cfg.topology = topology;
+    cfg.nodes = 24;
+    cfg.rows = cfg.cols = 5;
+    cfg.algorithm = "max-rate";
+    cfg.duration = 150.0;
+    const SkewTracker tracker = expect_audit_silent(cfg);
+    EXPECT_LT(tracker.full_scans(), tracker.samples_taken() / 10) << topology;
+  }
+}
+
+// A tick-quantized clock is a staircase in H, so TickQuantizedNode must
+// not pass its inner node's view on.  Its jumps between events also beat
+// any rate bound: certificates that extrapolate these clocks at
+// rate_multiplier() * h diverge from the oracle on this run within its
+// first 2 time units (global 1.4 vs 1.4000000000000001).  So the node
+// reports no slope bound, and every sample with such a clock awake is a
+// full scan, counted as one.
+TEST(SkewIncremental, AuditOracleTickQuantizedAopt) {
+  cli::ExperimentConfig cfg;
+  cfg.topology = "grid";
+  cfg.rows = cfg.cols = 4;
+  cfg.algorithm = "aopt-ticks";
+  cfg.tick_frequency = 20.0;
+  cfg.duration = 120.0;
+  const SkewTracker tracker = expect_audit_silent(cfg);
+  EXPECT_EQ(tracker.full_scans(), tracker.samples_taken());
+
+  cli::BuiltExperiment built = cli::build_experiment(cfg);
+  built.simulator->run_until(5.0);
+  sim::Node::Affine view;
+  EXPECT_FALSE(built.simulator->node(0).affine_logical(view));
+  EXPECT_FALSE(built.simulator->node(0).slope_bounded());
+}
+
+// The affine view is the clock: for every node type that returns one,
+// offset + slope * (H - h_ref) equals logical_at(H) bit for bit, at
+// several H ahead of each callback, and slope equals rate_multiplier().
+TEST(SkewIncremental, AffineViewsMatchLogicalAtBitForBit) {
+  const std::string plan = testing::TempDir() + "/skew_incremental_views.txt";
+  {
+    std::ofstream os(plan);
+    os << kChaosPlan;
+  }
+  for (const char* algo : {"aopt", "ftgcs", "kllo", "aopt-jump", "aopt-bounded",
+                           "aopt-adaptive", "aopt-envelope", "aopt-external"}) {
+    cli::ExperimentConfig cfg;
+    cfg.topology = "hypercube";
+    cfg.dims = 4;
+    cfg.algorithm = algo;
+    cfg.ftgcs_f = 1;
+    cfg.duration = 40.0;
+    cfg.faults_file = plan;  // Byzantine wrappers forward the view
+    cli::BuiltExperiment built = cli::build_experiment(cfg);
+    sim::Simulator& s = *built.simulator;
+    std::uint64_t checked = 0;
+    s.set_observer([&](const sim::Simulator& sv, double) {
+      for (const sim::Simulator::Touch& tc : sv.touched()) {
+        const sim::Node& node = sv.node(tc.node);
+        sim::Node::Affine a;
+        if (!node.affine_logical(a)) continue;
+        ASSERT_EQ(a.slope, node.rate_multiplier()) << algo;
+        const double h = sv.hardware(tc.node);
+        for (const double dh : {0.0, 1e-9, 0.125, 1.0, 7.3, 250.0}) {
+          ASSERT_EQ(a.offset + a.slope * ((h + dh) - a.h_ref),
+                    node.logical_at(h + dh))
+              << algo << " node " << tc.node << " H " << h + dh;
+        }
+        ++checked;
+      }
+    });
+    fault::FaultScheduler faults(built.timeline);
+    faults.run(s, cfg.duration);
+    EXPECT_GT(checked, 100u) << algo;
+  }
 }
 
 }  // namespace

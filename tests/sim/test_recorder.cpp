@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "analysis/skew_tracker.hpp"
 #include "core/aopt.hpp"
@@ -51,6 +52,49 @@ TEST(Recorder, SaveLoadRoundTrip) {
 TEST(Recorder, LoadRejectsGarbage) {
   std::stringstream ss("not a log\n");
   EXPECT_THROW(ExecutionLog::load(ss), std::runtime_error);
+}
+
+// Loads `text` after the magic line and returns the error message ("" if
+// it loaded).
+std::string load_error(const std::string& text) {
+  std::stringstream ss("tbcs-execution-log v1\n" + text);
+  try {
+    ExecutionLog::load(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Counts are checked before use: a negative count is rejected as such, and
+// a count larger than the data fails when the data ends, having allocated
+// only for the entries actually present.
+TEST(Recorder, LoadRejectsLyingCounts) {
+  const std::string tail = "rate_events 0\ndeliveries 0\n";
+  EXPECT_EQ(load_error("rates 2\n1\n0.99\n" + tail), "");
+  EXPECT_NE(load_error("rates -3\n" + tail).find("rates: negative count -3"),
+            std::string::npos);
+  EXPECT_NE(load_error("rates 99999999999\n1\n" + tail).find("rates: entry 1"),
+            std::string::npos);
+  EXPECT_NE(load_error("rates 100000000\n1\n1\n").find("rates: entry 2"),
+            std::string::npos);
+  EXPECT_NE(load_error("rates 99999999999999999999\n").find("rates: missing"),
+            std::string::npos);
+  EXPECT_NE(load_error("rates 0\nrate_events -1\ndeliveries 0\n")
+                .find("rate_events: negative count"),
+            std::string::npos);
+  EXPECT_NE(load_error("rates 0\nrate_events 5000000000\n0 1 1\ndeliveries 0\n")
+                .find("rate_events: entry 1"),
+            std::string::npos);
+  EXPECT_NE(load_error("rates 0\nrate_events 0\ndeliveries -7\n")
+                .find("deliveries: negative count"),
+            std::string::npos);
+  EXPECT_NE(
+      load_error("rates 0\nrate_events 0\ndeliveries 4000000000\n0 1 0 1\n")
+          .find("deliveries: entry 1"),
+      std::string::npos);
+  EXPECT_NE(load_error("rates 0\ndeliveries 0\n").find("rate_events: missing"),
+            std::string::npos);
 }
 
 TEST(Recorder, ReplayReproducesRecordedRunExactly) {

@@ -326,7 +326,6 @@ TEST(ShardedEquivalenceObserver, TouchedSequenceIsShardCountInvariant) {
   }
   const std::vector<Call>& ref = runs[0];
   ASSERT_GT(ref.size(), 10u);
-  bool woke = false;
   bool crash_seen = false;
   for (const Call& c : ref) {
     for (std::size_t i = 1; i < c.touched.size(); ++i) {
@@ -334,11 +333,9 @@ TEST(ShardedEquivalenceObserver, TouchedSequenceIsShardCountInvariant) {
           << "touched() must be sorted and deduplicated at t=" << c.t;
     }
     for (const sim::Simulator::Touch& tc : c.touched) {
-      woke |= tc.woke;
       crash_seen |= tc.node == 5 && c.t >= 25.0;
     }
   }
-  EXPECT_TRUE(woke);
   EXPECT_TRUE(crash_seen);
   for (std::size_t k = 1; k < runs.size(); ++k) {
     SCOPED_TRACE(testing::Message() << "run " << k << " vs shards=1");

@@ -257,16 +257,16 @@ TEST(Simulator, UnshardedObserverSeesEachEventInKeyOrder) {
   // Deliveries, crashes and probes as in the event stream; each link
   // change lists both endpoints.
   const std::vector<Call> expected{
-      {0.5, 0.5, {{1, true}}, true},                // delivery wakes 1
-      {1.0, 1.0, {}, true},                         // probe
-      {1.0, 1.0, {{0, false}}, true},               // delivery
-      {1.0, 1.0, {{2, true}}, true},                // delivery wakes 2
-      {1.5, 1.5, {{1, false}}, true},               // delivery
-      {2.0, 2.0, {}, true},                         // probe
-      {2.0, 2.0, {{1, false}, {2, false}}, false},  // link 1-2 down
-      {2.5, 2.5, {{0, false}}, false},              // crash of 0
-      {2.5, 2.5, {{0, false}, {1, false}}, false},  // its link 0-1 down
-      {3.0, 3.0, {}, false},                        // probe
+      {0.5, 0.5, {{1}}, true},           // delivery wakes 1
+      {1.0, 1.0, {}, true},              // probe
+      {1.0, 1.0, {{0}}, true},           // delivery
+      {1.0, 1.0, {{2}}, true},           // delivery wakes 2
+      {1.5, 1.5, {{1}}, true},           // delivery
+      {2.0, 2.0, {}, true},              // probe
+      {2.0, 2.0, {{1}, {2}}, false},     // link 1-2 down
+      {2.5, 2.5, {{0}}, false},          // crash of 0
+      {2.5, 2.5, {{0}, {1}}, false},     // its link 0-1 down
+      {3.0, 3.0, {}, false},             // probe
   };
   ASSERT_EQ(calls.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -399,10 +399,9 @@ TEST(Simulator, TouchedIdentifiesChangedNodes) {
   ASSERT_GE(seen.size(), 2u);
   // The root wakes during setup (before any event), so the first event is
   // the delivery that wakes node 1.
-  EXPECT_EQ(seen[0], (std::vector<Simulator::Touch>{{1, true}}));
+  EXPECT_EQ(seen[0], (std::vector<Simulator::Touch>{{1}}));
   // The link change touches both endpoints, in event order (unsorted).
-  EXPECT_EQ(seen.back(),
-            (std::vector<Simulator::Touch>{{1, false}, {0, false}}));
+  EXPECT_EQ(seen.back(), (std::vector<Simulator::Touch>{{1}, {0}}));
 }
 
 }  // namespace
