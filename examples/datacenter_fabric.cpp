@@ -13,6 +13,7 @@
 // ceilings.
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "analysis/skew_tracker.hpp"
 #include "analysis/table.hpp"
@@ -30,18 +31,19 @@ using namespace tbcs;
 /// are chained (spine): a path across racks.
 graph::Graph make_fabric(int racks, int servers) {
   const auto stride = static_cast<graph::NodeId>(servers + 1);
-  graph::Graph g(static_cast<graph::NodeId>(racks) * stride);
+  std::vector<graph::Edge> edges;
   for (int r = 0; r < racks; ++r) {
     const graph::NodeId tor = r * stride;
     for (int s = 1; s <= servers; ++s) {
-      g.add_edge(tor, tor + s);  // server uplink
+      edges.emplace_back(tor, tor + s);  // server uplink
       for (int s2 = s + 1; s2 <= servers; ++s2) {
-        g.add_edge(tor + s, tor + s2);  // rack-internal mesh
+        edges.emplace_back(tor + s, tor + s2);  // rack-internal mesh
       }
     }
-    if (r + 1 < racks) g.add_edge(tor, tor + stride);  // spine link
+    if (r + 1 < racks) edges.emplace_back(tor, tor + stride);  // spine link
   }
-  return g;
+  return graph::Graph(static_cast<graph::NodeId>(racks) * stride,
+                      std::move(edges));
 }
 
 }  // namespace

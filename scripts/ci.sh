@@ -4,13 +4,17 @@
 #   1. Tier 1: configure, build, ctest — the contract every change must
 #      keep green (same commands as ROADMAP.md).
 #   2. Sanitizer smoke: rebuild the simulator tool, the trace tool, the
-#      runtime tests, the obs tests, the skew-tracker oracle tests and the
-#      recorder tests with ASan+UBSan (-DTBCS_SANITIZE=address,undefined)
+#      runtime tests, the obs tests, the skew-tracker oracle tests, the
+#      recorder tests, and the graph, topology, partition, churn-plan and
+#      fault-plan tests with ASan+UBSan (-DTBCS_SANITIZE=address,undefined)
 #      and run them.  The threaded runtime (detached wedged threads,
 #      leaked hosts), the flight recorder's binary dump round trip, the
-#      tracker's certificate trees and the execution-log loader (hostile
-#      counts) are the pieces most at risk of memory/lifetime bugs, so
-#      they get sanitizer coverage even in a quick pass.
+#      tracker's certificate trees, the execution-log and trace-dump
+#      loaders (hostile counts), the graph constructor (it writes through
+#      offsets computed from its input) and the plan parsers (hostile
+#      numbers) are the pieces most at risk of memory/lifetime bugs or
+#      undefined behaviour, so they get sanitizer coverage even in a
+#      quick pass.
 #   3. TSan smoke: rebuild the threaded-runtime tests (including the
 #      fault-injection paths: partitions, link flips, the channel hook,
 #      and the stop() watchdog) and the sharded-engine tests (worker
@@ -65,7 +69,8 @@ echo "=== sanitizer smoke: ASan+UBSan (jobs=$JOBS) ==="
 cmake -B build-asan -S . -DTBCS_SANITIZE=address,undefined > /dev/null
 cmake --build build-asan -j "$JOBS" --target \
   tbcs_sim_tool tbcs_trace test_runtime test_obs test_trace_tools \
-  test_skew_incremental test_recorder
+  test_skew_incremental test_recorder test_graph test_topologies \
+  test_partition test_churn_plan test_fault_plan
 
 SAN_TMP="$(mktemp -d)"
 trap 'rm -rf "$SAN_TMP"' EXIT
@@ -78,6 +83,11 @@ build-asan/tests/test_obs
 build-asan/tests/test_trace_tools
 build-asan/tests/test_skew_incremental
 build-asan/tests/test_recorder
+build-asan/tests/test_graph
+build-asan/tests/test_topologies
+build-asan/tests/test_partition
+build-asan/tests/test_churn_plan
+build-asan/tests/test_fault_plan
 
 echo
 echo "=== sanitizer smoke: TSan threaded runtime + sharded engine (jobs=$JOBS) ==="

@@ -67,7 +67,6 @@ SkewTracker::SkewTracker(const sim::Simulator& sim, Options opt) : opt_(opt) {
     while (next_grid_t_ < opt_.warmup) next_grid_t_ += opt_.sample_grid;
   }
   incremental_ = opt_.mode != Mode::kFullRescan && opt_.sample_grid <= 0.0;
-  if (incremental_ && opt_.track_local) csr_ = sim.topology().csr();
   if (opt_.mode == Mode::kAuditOracle) {
     Options oracle_opt = opt_;
     oracle_opt.mode = Mode::kFullRescan;
@@ -334,11 +333,11 @@ void SkewTracker::touch(const sim::Simulator& sim, sim::NodeId v, double t) {
              opt_.audit_epsilon > 0.0 ? envelope_violation(L, t, c.start)
                                       : -sim::kInfinity);
   if (opt_.track_local) {
-    for (const graph::Graph::Arc* a = csr_->begin(v); a != csr_->end(v); ++a) {
-      const CachedClock& cw = cache_[static_cast<std::size_t>(a->to)];
-      if (!cw.active || !sim.link_up(a->edge)) continue;
-      const double d = std::abs(L - cached_logical(sim, a->to, cw, now));
-      raise_edge(a->edge, t, d, v, a->to);
+    for (const graph::Graph::Arc& a : sim.topology().arcs(v)) {
+      const CachedClock& cw = cache_[static_cast<std::size_t>(a.to)];
+      if (!cw.active || !sim.link_up(a.edge)) continue;
+      const double d = std::abs(L - cached_logical(sim, a.to, cw, now));
+      raise_edge(a.edge, t, d, v, a.to);
     }
   }
 }

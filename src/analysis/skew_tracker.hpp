@@ -465,7 +465,6 @@ class SkewTracker {
   // Active clocks with no slope bound: while any is, no certificate holds
   // between samples and every sample is a full scan.
   std::size_t unbounded_ = 0;
-  std::shared_ptr<const graph::Graph::Csr> csr_;  // for touch-local edge folds
   bool incremental_ = false;
   bool scanned_once_ = false;
   bool any_awake_seen_ = false;

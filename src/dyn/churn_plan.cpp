@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "sim/rng.hpp"
 
@@ -136,6 +137,9 @@ std::vector<std::uint32_t> ChurnPlan::extend_universe(graph::Graph& g) const {
   const auto want = static_cast<std::size_t>(
       std::llround(cfg_.extra_edges * static_cast<double>(g.num_edges())));
   sim::Rng rng = entity_rng(cfg_.seed, kExtraTag);
+  std::vector<graph::Edge> edges = g.edges();
+  edges.reserve(edges.size() + want);
+  std::unordered_set<std::uint64_t> chosen;  // extras so far, as (min, max)
   // Rejection-sample non-edges; bail out well before the universe could
   // approach completeness (dense graphs make rejection degenerate, and a
   // churn universe denser than the base topology is not a meaningful
@@ -147,9 +151,14 @@ std::vector<std::uint32_t> ChurnPlan::extend_universe(graph::Graph& g) const {
     const auto u = static_cast<graph::NodeId>(rng.uniform_index(n));
     const auto v = static_cast<graph::NodeId>(rng.uniform_index(n));
     if (u == v || g.has_edge(u, v)) continue;
-    g.add_edge(u, v);
-    extra.push_back(static_cast<std::uint32_t>(g.num_edges() - 1));
+    const auto key = static_cast<std::uint64_t>(std::min(u, v)) << 32 |
+                     static_cast<std::uint64_t>(std::max(u, v));
+    if (!chosen.insert(key).second) continue;
+    extra.push_back(static_cast<std::uint32_t>(edges.size()));
+    edges.emplace_back(u, v);
   }
+  // Base edges keep their indices; the extras follow in draw order.
+  if (!extra.empty()) g = graph::Graph(g.num_nodes(), std::move(edges));
   return extra;
 }
 

@@ -24,9 +24,9 @@
 //
 // Edge *insertion* churn needs edges that do not exist yet.  The sharded
 // engine fixes its cut tables and lookahead bounds at configure_shards, so
-// the plan pre-declares the full edge universe: extend_universe() appends
-// the extra sampled edges to the Graph (initially down) before the
-// Simulator is constructed.
+// the plan pre-declares the full edge universe: extend_universe() rebuilds
+// the (immutable) Graph with the extra sampled edges appended (initially
+// down) before the Simulator is constructed.
 #pragma once
 
 #include <cstdint>
@@ -131,11 +131,11 @@ class ChurnPlan {
 
   const ChurnConfig& config() const { return cfg_; }
 
-  /// Samples cfg.extra_edges * |E| random non-edges and appends them to
-  /// `g` (they start removed).  Must run before the Simulator is
-  /// constructed — the sharded engine's cut tables only cover edges
-  /// present at configure_shards.  Returns the appended edge indices;
-  /// pure function of (config, g).
+  /// Samples cfg.extra_edges * |E| random non-edges and replaces `g` with
+  /// the graph of its edges followed by the extras (which start removed):
+  /// base edges keep their indices, extras get |E|, |E| + 1, ...  Must run
+  /// before the Simulator is constructed, which holds `g` by reference.
+  /// Returns the extra edge indices; pure function of (config, g).
   std::vector<std::uint32_t> extend_universe(graph::Graph& g) const;
 
   /// Resolves the plan against the extended universe (`extra` = the

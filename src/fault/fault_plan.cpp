@@ -1,7 +1,9 @@
 #include "fault/fault_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -157,10 +159,16 @@ double opt_num(const KeyValues& kv, const char* key, double fallback,
   return kv.count(key) ? need_num(kv, key, line) : fallback;
 }
 
-sim::NodeId need_node(const KeyValues& kv, const char* key, int line) {
+// Node ids and counts.  Casting a NaN, infinite or out-of-range double to
+// int is undefined, so those are rejected first, with negatives and fractions.
+int need_int(const KeyValues& kv, const char* key, int line) {
   const double v = need_num(kv, key, line);
-  if (v < 0.0) fail(line, std::string(key) + " must be a node id >= 0");
-  return static_cast<sim::NodeId>(v);
+  constexpr int kMax = std::numeric_limits<int>::max();
+  if (!(v >= 0.0 && v <= kMax) || v != std::floor(v)) {
+    fail(line, std::string(key) + " must be an integer in [0, " +
+                   std::to_string(kMax) + "], got " + kv.at(key));
+  }
+  return static_cast<int>(v);
 }
 
 }  // namespace
@@ -187,34 +195,34 @@ FaultPlan FaultPlan::parse(std::istream& is) {
     }
     const std::size_t first_new = plan.directives_.size();
     if (kind == "crash") {
-      plan.crash(need_node(kv, "node", line), need_num(kv, "at", line));
+      plan.crash(need_int(kv, "node", line), need_num(kv, "at", line));
     } else if (kind == "recover") {
-      plan.recover(need_node(kv, "node", line), need_num(kv, "at", line));
+      plan.recover(need_int(kv, "node", line), need_num(kv, "at", line));
     } else if (kind == "link-down") {
-      plan.link_down(need_node(kv, "u", line), need_node(kv, "v", line),
+      plan.link_down(need_int(kv, "u", line), need_int(kv, "v", line),
                      need_num(kv, "at", line));
     } else if (kind == "link-up") {
-      plan.link_up(need_node(kv, "u", line), need_node(kv, "v", line),
+      plan.link_up(need_int(kv, "u", line), need_int(kv, "v", line),
                    need_num(kv, "at", line));
     } else if (kind == "flap") {
-      plan.flap(need_node(kv, "u", line), need_node(kv, "v", line),
+      plan.flap(need_int(kv, "u", line), need_int(kv, "v", line),
                 need_num(kv, "at", line), need_num(kv, "period", line),
-                static_cast<int>(opt_num(kv, "count", 1.0, line)));
+                kv.count("count") ? need_int(kv, "count", line) : 1);
     } else if (kind == "drift") {
       const double dur = need_num(kv, "for", line);
       if (dur <= 0.0) fail(line, "drift needs for > 0");
-      plan.drift_spike(need_node(kv, "node", line), need_num(kv, "at", line),
+      plan.drift_spike(need_int(kv, "node", line), need_num(kv, "at", line),
                        need_num(kv, "rate", line), dur);
     } else if (kind == "scramble") {
       const double mag = need_num(kv, "magnitude", line);
       if (mag <= 0.0) fail(line, "scramble needs magnitude > 0");
-      plan.scramble(need_node(kv, "node", line), need_num(kv, "at", line), mag);
+      plan.scramble(need_int(kv, "node", line), need_num(kv, "at", line), mag);
     } else if (kind == "byzantine") {
       const auto mode = kv.count("mode") ? kv.at("mode") : "fixed";
       if (mode != "fixed" && mode != "random") {
         fail(line, "byzantine mode must be fixed or random");
       }
-      plan.byzantine(need_node(kv, "node", line), need_num(kv, "from", line),
+      plan.byzantine(need_int(kv, "node", line), need_num(kv, "from", line),
                      need_num(kv, "until", line), mode == "random",
                      need_num(kv, "offset", line));
     } else if (kind == "channel") {
@@ -232,13 +240,13 @@ FaultPlan FaultPlan::parse(std::istream& is) {
       }
       plan.channel(w);
     } else if (kind == "random-crashes") {
-      plan.random_crashes(static_cast<int>(need_num(kv, "count", line)),
+      plan.random_crashes(need_int(kv, "count", line),
                           need_num(kv, "from", line),
                           need_num(kv, "until", line),
                           need_num(kv, "down-min", line),
                           need_num(kv, "down-max", line));
     } else if (kind == "random-flaps") {
-      plan.random_flaps(static_cast<int>(need_num(kv, "count", line)),
+      plan.random_flaps(need_int(kv, "count", line),
                         need_num(kv, "from", line),
                         need_num(kv, "until", line),
                         need_num(kv, "down", line));
@@ -367,7 +375,6 @@ FaultTimeline FaultPlan::instantiate(std::uint64_t seed,
                                0x9e3779b97f4a7c15ULL));
     return sim::Rng(sm.next());
   };
-  const auto csr = g.csr();
   const auto check_node = [&](sim::NodeId v, int line) {
     if (v < 0 || v >= g.num_nodes()) {
       throw PlanError("fault plan" + at_line(line) + " names node " +
@@ -378,7 +385,7 @@ FaultTimeline FaultPlan::instantiate(std::uint64_t seed,
   const auto check_edge = [&](sim::NodeId u, sim::NodeId v, int line) {
     check_node(u, line);
     check_node(v, line);
-    if (csr->find_edge(u, v) == graph::kNoEdge) {
+    if (!g.has_edge(u, v)) {
       throw PlanError("fault plan" + at_line(line) + " names link {" +
                       std::to_string(u) + ", " + std::to_string(v) +
                       "} which is not a topology edge");

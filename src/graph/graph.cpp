@@ -2,74 +2,80 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
+#include <stdexcept>
+#include <string>
 
 namespace tbcs::graph {
 
-bool Graph::add_edge(NodeId u, NodeId v) {
-  assert(u >= 0 && u < num_nodes());
-  assert(v >= 0 && v < num_nodes());
-  if (u == v || has_edge(u, v)) return false;
-  adj_[static_cast<std::size_t>(u)].push_back(v);
-  adj_[static_cast<std::size_t>(v)].push_back(u);
-  edges_.emplace_back(std::min(u, v), std::max(u, v));
-  ++version_;
-  {
-    std::lock_guard<std::mutex> lock(csr_mu_);
-    csr_cache_.reset();
+Graph::Graph(NodeId n, std::vector<Edge> edges) {
+  if (n < 0) throw std::invalid_argument("Graph: negative node count");
+  // Normalize to (min, max) and drop self-loops, in place.
+  std::size_t m = 0;
+  for (const auto& [a, b] : edges) {
+    if (a < 0 || a >= n || b < 0 || b >= n) {
+      throw std::invalid_argument(
+          "Graph: edge {" + std::to_string(a) + ", " + std::to_string(b) +
+          "} has an endpoint outside [0, " + std::to_string(n) + ")");
+    }
+    if (a != b) edges[m++] = {std::min(a, b), std::max(a, b)};
   }
-  return true;
+  edges.resize(m);
+  edges.shrink_to_fit();
+  edges_ = std::move(edges);
+  lay_out_arcs(n);
+  // Drop repeats, keeping each first occurrence: a node's arcs run in
+  // edge-index order, so its first arc to a neighbor has the lowest index.
+  const Edge repeat{-1, -1};
+  std::vector<NodeId> seen_from(static_cast<std::size_t>(n), -1);
+  for (NodeId u = 0; u < n; ++u) {
+    for (const Arc& a : arcs(u)) {
+      NodeId& seen = seen_from[static_cast<std::size_t>(a.to)];
+      if (seen == u) edges_[a.edge] = repeat;
+      seen = u;
+    }
+  }
+  if (std::erase(edges_, repeat) > 0) lay_out_arcs(n);
 }
 
-std::shared_ptr<const Graph::Csr> Graph::csr() const {
-  std::lock_guard<std::mutex> lock(csr_mu_);
-  if (csr_cache_) return csr_cache_;
-  auto csr = std::make_shared<Csr>();
-  csr->version_ = version_;
-  const auto n = static_cast<std::size_t>(num_nodes());
-  csr->row_.assign(n + 1, 0);
+void Graph::lay_out_arcs(NodeId n) {
+  // Counting sort by tail.  After the prefix sum row_[v] is one past v's
+  // last slot; filling walks the edges backwards and pre-decrements, which
+  // leaves row_[v] at v's first slot and each node's arcs in edge order.
+  const auto nn = static_cast<std::size_t>(n);
+  row_.assign(nn + 1, 0);
   for (const auto& [u, v] : edges_) {
-    ++csr->row_[static_cast<std::size_t>(u) + 1];
-    ++csr->row_[static_cast<std::size_t>(v) + 1];
+    ++row_[static_cast<std::size_t>(u)];
+    ++row_[static_cast<std::size_t>(v)];
   }
-  for (std::size_t i = 1; i <= n; ++i) csr->row_[i] += csr->row_[i - 1];
-  csr->arcs_.resize(edges_.size() * 2);
-  std::vector<std::uint32_t> cursor(csr->row_.begin(), csr->row_.end() - 1);
-  // Walking edges_ in insertion order reproduces each node's adjacency-list
-  // order, keeping CSR iteration deterministic-identical to neighbors().
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
+  for (std::size_t v = 1; v <= nn; ++v) row_[v] += row_[v - 1];
+  arcs_.resize(2 * edges_.size());
+  for (std::size_t i = edges_.size(); i-- > 0;) {
     const auto [u, v] = edges_[i];
     const auto e = static_cast<std::uint32_t>(i);
-    csr->arcs_[cursor[static_cast<std::size_t>(u)]++] = Arc{v, e};
-    csr->arcs_[cursor[static_cast<std::size_t>(v)]++] = Arc{u, e};
+    arcs_[--row_[static_cast<std::size_t>(u)]] = Arc{v, e};
+    arcs_[--row_[static_cast<std::size_t>(v)]] = Arc{u, e};
   }
-  csr_cache_ = std::move(csr);
-  return csr_cache_;
-}
-
-bool Graph::has_edge(NodeId u, NodeId v) const {
-  const auto& nu = adj_[static_cast<std::size_t>(u)];
-  return std::find(nu.begin(), nu.end(), v) != nu.end();
 }
 
 std::size_t Graph::max_degree() const {
   std::size_t d = 0;
-  for (const auto& a : adj_) d = std::max(d, a.size());
+  for (NodeId v = 0; v < num_nodes(); ++v) d = std::max(d, degree(v));
   return d;
 }
 
 std::vector<int> Graph::bfs_distances(NodeId source) const {
   std::vector<int> dist(static_cast<std::size_t>(num_nodes()), -1);
-  std::deque<NodeId> queue;
+  std::vector<NodeId> queue;
+  queue.reserve(dist.size());
   dist[static_cast<std::size_t>(source)] = 0;
   queue.push_back(source);
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (const NodeId w : neighbors(u)) {
-      if (dist[static_cast<std::size_t>(w)] < 0) {
-        dist[static_cast<std::size_t>(w)] = dist[static_cast<std::size_t>(u)] + 1;
-        queue.push_back(w);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    for (const Arc& a : arcs(u)) {
+      int& d = dist[static_cast<std::size_t>(a.to)];
+      if (d < 0) {
+        d = dist[static_cast<std::size_t>(u)] + 1;
+        queue.push_back(a.to);
       }
     }
   }
@@ -118,21 +124,6 @@ std::vector<std::vector<int>> Graph::all_pairs_distances() const {
   dist.reserve(static_cast<std::size_t>(num_nodes()));
   for (NodeId v = 0; v < num_nodes(); ++v) dist.push_back(bfs_distances(v));
   return dist;
-}
-
-Edge Graph::diameter_endpoints() const {
-  Edge best{0, 0};
-  int best_d = -1;
-  for (NodeId v = 0; v < num_nodes(); ++v) {
-    const auto dist = bfs_distances(v);
-    for (NodeId w = 0; w < num_nodes(); ++w) {
-      if (dist[static_cast<std::size_t>(w)] > best_d) {
-        best_d = dist[static_cast<std::size_t>(w)];
-        best = {v, w};
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace tbcs::graph

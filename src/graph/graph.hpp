@@ -1,10 +1,16 @@
 // Undirected connected graphs G = (V, E): the distributed system topology
 // of the paper's model (Section 3).
+//
+// The paper fixes G for a whole execution, and a dynamic network only
+// flips links inside an edge universe declared before the run
+// (dyn::ChurnPlan), so a Graph is immutable: one compressed-sparse-row
+// (CSR) adjacency built once from an edge list in O(n + m).  Nothing
+// writes to a Graph after construction, so simulators, trackers and
+// runtime threads read a shared one without a lock.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -13,7 +19,7 @@ namespace tbcs::graph {
 using NodeId = std::int32_t;
 using Edge = std::pair<NodeId, NodeId>;
 
-/// Sentinel for "no such edge" in CSR lookups.
+/// Sentinel for "no such edge" in edge-index lookups.
 inline constexpr std::uint32_t kNoEdge = 0xffffffffu;
 
 class Graph {
@@ -26,105 +32,40 @@ class Graph {
     std::uint32_t edge = kNoEdge;
   };
 
-  /// Compressed-sparse-row adjacency.  Immutable snapshot of the graph at
-  /// build time; arcs of each node appear in the same order as
-  /// neighbors(v) (edge insertion order), so iteration order — and hence
-  /// simulator event order — is identical to the adjacency-list view.
-  class Csr {
-   public:
-    const Arc* begin(NodeId v) const {
-      return arcs_.data() + row_[static_cast<std::size_t>(v)];
-    }
-    const Arc* end(NodeId v) const {
-      return arcs_.data() + row_[static_cast<std::size_t>(v) + 1];
-    }
-    std::size_t degree(NodeId v) const {
-      return row_[static_cast<std::size_t>(v) + 1] -
-             row_[static_cast<std::size_t>(v)];
-    }
-    NodeId num_nodes() const { return static_cast<NodeId>(row_.size()) - 1; }
-
-    /// Index of the undirected edge {v, u}, or kNoEdge.  O(deg(v)).
-    std::uint32_t find_edge(NodeId v, NodeId u) const {
-      for (const Arc* a = begin(v); a != end(v); ++a) {
-        if (a->to == u) return a->edge;
-      }
-      return kNoEdge;
-    }
-
-    /// Mutation counter of the owning Graph at build time.  A snapshot is
-    /// stale — and must not be dereferenced — once this differs from the
-    /// graph's current version(); the simulator debug-asserts the match at
-    /// its run and scheduling boundaries.
-    std::uint64_t version() const { return version_; }
-    std::size_t num_edges() const { return arcs_.size() / 2; }
-
-   private:
-    friend class Graph;
-    std::vector<std::uint32_t> row_;  // n + 1 offsets into arcs_
-    std::vector<Arc> arcs_;           // 2|E| half-edges
-    std::uint64_t version_ = 0;
-  };
-
   Graph() = default;
-  explicit Graph(NodeId n) : adj_(static_cast<std::size_t>(n)) {}
 
-  // The CSR cache is identity-independent derived data: copies and moves
-  // transfer the adjacency and drop or share the snapshot safely.
-  Graph(const Graph& o) : adj_(o.adj_), edges_(o.edges_), version_(o.version_) {}
-  Graph(Graph&& o) noexcept
-      : adj_(std::move(o.adj_)),
-        edges_(std::move(o.edges_)),
-        version_(o.version_) {}
-  Graph& operator=(const Graph& o) {
-    if (this != &o) {
-      adj_ = o.adj_;
-      edges_ = o.edges_;
-      version_ = o.version_;
-      std::lock_guard<std::mutex> lock(csr_mu_);
-      csr_cache_.reset();
-    }
-    return *this;
-  }
-  Graph& operator=(Graph&& o) noexcept {
-    adj_ = std::move(o.adj_);
-    edges_ = std::move(o.edges_);
-    version_ = o.version_;
-    std::lock_guard<std::mutex> lock(csr_mu_);
-    csr_cache_.reset();
-    return *this;
-  }
+  /// The graph on nodes [0, n) with the given undirected edges, each
+  /// normalized to (min, max).  Self-loops and repeats (either orientation)
+  /// are dropped and first occurrences keep their order, which fixes edge
+  /// indices, arc order and so the simulator's event order.  Throws
+  /// std::invalid_argument on a negative n or an endpoint outside [0, n).
+  Graph(NodeId n, std::vector<Edge> edges);
 
-  NodeId num_nodes() const { return static_cast<NodeId>(adj_.size()); }
+  NodeId num_nodes() const {
+    return row_.empty() ? 0 : static_cast<NodeId>(row_.size() - 1);
+  }
   std::size_t num_edges() const { return edges_.size(); }
 
-  /// Bumped by every mutation (add_edge).  CSR snapshots carry the version
-  /// they were built from, so holders can detect — and debug-assert
-  /// against — dereferencing a snapshot that no longer matches the graph.
-  std::uint64_t version() const { return version_; }
-
-  /// Adds the undirected edge {u, v}.  Duplicate edges and self-loops are
-  /// rejected (returns false).  Invalidates any cached CSR snapshot.
-  bool add_edge(NodeId u, NodeId v);
-
-  /// The CSR view of the current edge set.  Built lazily on first call and
-  /// cached; concurrent calls on a fully-built graph are safe (simulators
-  /// running in parallel on a shared topology all get the same snapshot).
-  /// Mutating the graph (add_edge) invalidates the cache, so callers hold
-  /// the returned shared_ptr for the duration of their run.
-  std::shared_ptr<const Csr> csr() const;
-
-  bool has_edge(NodeId u, NodeId v) const;
-
-  const std::vector<NodeId>& neighbors(NodeId v) const {
-    return adj_[static_cast<std::size_t>(v)];
-  }
-
+  /// The edges in index order; edge i is (min, max).
   const std::vector<Edge>& edges() const { return edges_; }
 
-  std::size_t degree(NodeId v) const {
-    return adj_[static_cast<std::size_t>(v)].size();
+  /// The arcs out of `v`, in edge-index order.
+  std::span<const Arc> arcs(NodeId v) const {
+    const auto i = static_cast<std::size_t>(v);
+    return {arcs_.data() + row_[i], arcs_.data() + row_[i + 1]};
   }
+
+  std::size_t degree(NodeId v) const { return arcs(v).size(); }
+
+  /// Index of the undirected edge {u, v}, or kNoEdge.  O(deg(u)).
+  std::uint32_t find_edge(NodeId u, NodeId v) const {
+    for (const Arc& a : arcs(u)) {
+      if (a.to == v) return a.edge;
+    }
+    return kNoEdge;
+  }
+
+  bool has_edge(NodeId u, NodeId v) const { return find_edge(u, v) != kNoEdge; }
 
   std::size_t max_degree() const;
 
@@ -149,15 +90,12 @@ class Graph {
   /// memory — intended for the metric layer on moderate n.
   std::vector<std::vector<int>> all_pairs_distances() const;
 
-  /// Two nodes realizing the diameter (useful for placing adversaries).
-  Edge diameter_endpoints() const;
-
  private:
-  std::vector<std::vector<NodeId>> adj_;
+  void lay_out_arcs(NodeId n);  // row_ and arcs_ from edges_, O(n + m)
+
+  std::vector<std::uint32_t> row_;  // n + 1 offsets into arcs_
+  std::vector<Arc> arcs_;           // 2|E| half-edges, grouped by tail
   std::vector<Edge> edges_;
-  std::uint64_t version_ = 0;
-  mutable std::mutex csr_mu_;
-  mutable std::shared_ptr<const Csr> csr_cache_;
 };
 
 }  // namespace tbcs::graph

@@ -262,10 +262,10 @@ std::vector<int> tree_carve(const Graph& g, int k) {
     const int v = stack.back();
     stack.pop_back();
     order.push_back(v);
-    for (const NodeId u : g.neighbors(static_cast<NodeId>(v))) {
-      if (parent[static_cast<std::size_t>(u)] < 0) {
-        parent[static_cast<std::size_t>(u)] = v;
-        stack.push_back(static_cast<int>(u));
+    for (const Graph::Arc& a : g.arcs(static_cast<NodeId>(v))) {
+      if (parent[static_cast<std::size_t>(a.to)] < 0) {
+        parent[static_cast<std::size_t>(a.to)] = v;
+        stack.push_back(static_cast<int>(a.to));
       }
     }
   }
@@ -292,11 +292,11 @@ std::vector<int> tree_carve(const Graph& g, int k) {
       while (!sub.empty()) {
         const int x = sub.back();
         sub.pop_back();
-        for (const NodeId u : g.neighbors(static_cast<NodeId>(x))) {
-          const auto ui = static_cast<std::size_t>(u);
-          if (parent[ui] == x && u != 0 && part[ui] < 0) {
+        for (const Graph::Arc& a : g.arcs(static_cast<NodeId>(x))) {
+          const auto ui = static_cast<std::size_t>(a.to);
+          if (parent[ui] == x && a.to != 0 && part[ui] < 0) {
             part[ui] = cur;
-            sub.push_back(static_cast<int>(u));
+            sub.push_back(static_cast<int>(a.to));
           }
         }
       }

@@ -9,67 +9,68 @@ namespace tbcs::graph {
 
 Graph make_path(NodeId n) {
   assert(n >= 1);
-  Graph g(n);
-  for (NodeId i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
-  return g;
+  std::vector<Edge> es;
+  es.reserve(static_cast<std::size_t>(n - 1));
+  for (NodeId i = 0; i + 1 < n; ++i) es.emplace_back(i, i + 1);
+  return Graph(n, std::move(es));
 }
 
 Graph make_ring(NodeId n) {
   assert(n >= 3);
-  Graph g = make_path(n);
-  g.add_edge(n - 1, 0);
-  return g;
+  std::vector<Edge> es = make_path(n).edges();
+  es.emplace_back(n - 1, 0);
+  return Graph(n, std::move(es));
 }
 
 Graph make_star(NodeId n) {
   assert(n >= 2);
-  Graph g(n);
-  for (NodeId i = 1; i < n; ++i) g.add_edge(0, i);
-  return g;
+  std::vector<Edge> es;
+  for (NodeId i = 1; i < n; ++i) es.emplace_back(0, i);
+  return Graph(n, std::move(es));
 }
 
 Graph make_complete(NodeId n) {
   assert(n >= 1);
-  Graph g(n);
+  std::vector<Edge> es;
   for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) g.add_edge(u, v);
+    for (NodeId v = u + 1; v < n; ++v) es.emplace_back(u, v);
   }
-  return g;
+  return Graph(n, std::move(es));
 }
 
 Graph make_grid(NodeId rows, NodeId cols) {
   assert(rows >= 1 && cols >= 1);
-  Graph g(rows * cols);
+  std::vector<Edge> es;
   const auto id = [cols](NodeId r, NodeId c) { return r * cols + c; };
   for (NodeId r = 0; r < rows; ++r) {
     for (NodeId c = 0; c < cols; ++c) {
-      if (c + 1 < cols) g.add_edge(id(r, c), id(r, c + 1));
-      if (r + 1 < rows) g.add_edge(id(r, c), id(r + 1, c));
+      if (c + 1 < cols) es.emplace_back(id(r, c), id(r, c + 1));
+      if (r + 1 < rows) es.emplace_back(id(r, c), id(r + 1, c));
     }
   }
-  return g;
+  return Graph(rows * cols, std::move(es));
 }
 
 Graph make_torus(NodeId rows, NodeId cols) {
   assert(rows >= 3 && cols >= 3);
-  Graph g = make_grid(rows, cols);
+  std::vector<Edge> es = make_grid(rows, cols).edges();
   const auto id = [cols](NodeId r, NodeId c) { return r * cols + c; };
-  for (NodeId r = 0; r < rows; ++r) g.add_edge(id(r, cols - 1), id(r, 0));
-  for (NodeId c = 0; c < cols; ++c) g.add_edge(id(rows - 1, c), id(0, c));
-  return g;
+  for (NodeId r = 0; r < rows; ++r) es.emplace_back(id(r, cols - 1), id(r, 0));
+  for (NodeId c = 0; c < cols; ++c) es.emplace_back(id(rows - 1, c), id(0, c));
+  return Graph(rows * cols, std::move(es));
 }
 
 Graph make_hypercube(int dimensions) {
   assert(dimensions >= 1 && dimensions < 20);
   const NodeId n = static_cast<NodeId>(1) << dimensions;
-  Graph g(n);
+  std::vector<Edge> es;
   for (NodeId v = 0; v < n; ++v) {
     for (int b = 0; b < dimensions; ++b) {
       const NodeId w = v ^ (static_cast<NodeId>(1) << b);
-      if (w > v) g.add_edge(v, w);
+      if (w > v) es.emplace_back(v, w);
     }
   }
-  return g;
+  return Graph(n, std::move(es));
 }
 
 Graph make_balanced_tree(int arity, int levels) {
@@ -81,26 +82,26 @@ Graph make_balanced_tree(int arity, int levels) {
     n += layer;
     layer *= arity;
   }
-  Graph g(n);
-  for (NodeId v = 1; v < n; ++v) g.add_edge((v - 1) / arity, v);
-  return g;
+  std::vector<Edge> es;
+  for (NodeId v = 1; v < n; ++v) es.emplace_back((v - 1) / arity, v);
+  return Graph(n, std::move(es));
 }
 
 Graph make_random_tree(NodeId n, std::uint64_t seed) {
   assert(n >= 1);
-  Graph g(n);
   sim::Rng rng(seed);
+  std::vector<Edge> es;
   for (NodeId v = 1; v < n; ++v) {
     const NodeId parent = static_cast<NodeId>(rng.uniform_index(static_cast<std::uint64_t>(v)));
-    g.add_edge(parent, v);
+    es.emplace_back(parent, v);
   }
-  return g;
+  return Graph(n, std::move(es));
 }
 
 Graph make_connected_er(NodeId n, double p, std::uint64_t seed) {
   assert(n >= 1);
   sim::Rng rng(seed);
-  Graph g(n);
+  std::vector<Edge> es;
   // Random spanning tree first, guaranteeing connectivity.
   std::vector<NodeId> order(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
@@ -108,23 +109,23 @@ Graph make_connected_er(NodeId n, double p, std::uint64_t seed) {
     std::swap(order[i - 1], order[rng.uniform_index(i)]);
   }
   for (std::size_t i = 1; i < order.size(); ++i) {
-    g.add_edge(order[rng.uniform_index(i)], order[i]);
+    es.emplace_back(order[rng.uniform_index(i)], order[i]);
   }
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) {
-      if (rng.next_double() < p) g.add_edge(u, v);
+      if (rng.next_double() < p) es.emplace_back(u, v);  // repeats dropped
     }
   }
-  return g;
+  return Graph(n, std::move(es));
 }
 
 Graph make_barbell(NodeId clique, NodeId bridge) {
   assert(clique >= 2 && bridge >= 0);
   const NodeId n = 2 * clique + bridge;
-  Graph g(n);
-  const auto add_clique = [&g](NodeId lo, NodeId count) {
+  std::vector<Edge> es;
+  const auto add_clique = [&es](NodeId lo, NodeId count) {
     for (NodeId u = lo; u < lo + count; ++u) {
-      for (NodeId v = u + 1; v < lo + count; ++v) g.add_edge(u, v);
+      for (NodeId v = u + 1; v < lo + count; ++v) es.emplace_back(u, v);
     }
   };
   add_clique(0, clique);
@@ -132,28 +133,28 @@ Graph make_barbell(NodeId clique, NodeId bridge) {
   // The path through the bridge, attached to one node of each clique.
   NodeId prev = clique - 1;
   for (NodeId b = clique; b < clique + bridge; ++b) {
-    g.add_edge(prev, b);
+    es.emplace_back(prev, b);
     prev = b;
   }
-  g.add_edge(prev, clique + bridge);
-  return g;
+  es.emplace_back(prev, clique + bridge);
+  return Graph(n, std::move(es));
 }
 
 Graph make_caterpillar(NodeId spine, NodeId legs) {
   assert(spine >= 1 && legs >= 0);
-  Graph g(spine * (1 + legs));
-  for (NodeId s = 0; s + 1 < spine; ++s) g.add_edge(s, s + 1);
+  std::vector<Edge> es;
+  for (NodeId s = 0; s + 1 < spine; ++s) es.emplace_back(s, s + 1);
   for (NodeId s = 0; s < spine; ++s) {
     for (NodeId l = 0; l < legs; ++l) {
-      g.add_edge(s, spine + s * legs + l);
+      es.emplace_back(s, spine + s * legs + l);
     }
   }
-  return g;
+  return Graph(spine * (1 + legs), std::move(es));
 }
 
 Graph make_random_regular(NodeId n, int degree, std::uint64_t seed) {
   assert(n >= 3 && degree >= 2);
-  Graph g = make_ring(n);  // connected backbone (degree 2)
+  std::vector<Edge> es = make_ring(n).edges();  // connected backbone (degree 2)
   sim::Rng rng(seed);
   std::vector<NodeId> perm(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) perm[static_cast<std::size_t>(v)] = v;
@@ -163,10 +164,10 @@ Graph make_random_regular(NodeId n, int degree, std::uint64_t seed) {
       std::swap(perm[i - 1], perm[rng.uniform_index(i)]);
     }
     for (std::size_t i = 0; i + 1 < perm.size(); i += 2) {
-      g.add_edge(perm[i], perm[i + 1]);  // duplicates silently rejected
+      es.emplace_back(perm[i], perm[i + 1]);  // repeats dropped
     }
   }
-  return g;
+  return Graph(n, std::move(es));
 }
 
 }  // namespace tbcs::graph

@@ -1,9 +1,11 @@
 #include "obs/flight_recorder.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace tbcs::obs {
 
@@ -114,12 +116,18 @@ FlightRecorder::Dump FlightRecorder::load(std::istream& is) {
   d.sample_every = h.sample_every;
   d.total_recorded = h.total_recorded;
   d.num_nodes = h.num_nodes;
-  d.records.resize(h.record_count);
-  if (h.record_count > 0 &&
-      !is.read(reinterpret_cast<char*>(d.records.data()),
-               static_cast<std::streamsize>(h.record_count *
-                                            sizeof(TraceRecord)))) {
-    throw std::runtime_error("FlightRecorder::load: truncated records");
+  // Grow in bounded chunks as records arrive: a lying record_count fails
+  // at the end of the data, never by allocating ahead of it.
+  for (std::uint64_t have = 0; have < h.record_count;) {
+    const auto take = std::min<std::uint64_t>(4096, h.record_count - have);
+    d.records.resize(have + take);
+    if (!is.read(reinterpret_cast<char*>(d.records.data() + have),
+                 static_cast<std::streamsize>(take * sizeof(TraceRecord)))) {
+      throw std::runtime_error(
+          "FlightRecorder::load: truncated records: record_count " +
+          std::to_string(h.record_count) + " runs past the dump");
+    }
+    have += take;
   }
   return d;
 }

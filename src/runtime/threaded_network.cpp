@@ -10,7 +10,6 @@ namespace tbcs::runtime {
 ThreadedNetwork::ThreadedNetwork(const graph::Graph& g, Config cfg)
     : graph_(g),
       cfg_(cfg),
-      csr_(g.csr()),
       hosts_(static_cast<std::size_t>(g.num_nodes())),
       rng_(cfg.seed),
       partitioned_(new std::atomic<bool>[static_cast<std::size_t>(g.num_nodes())]),
@@ -79,13 +78,12 @@ void ThreadedNetwork::route_broadcast(sim::NodeId from, const sim::Message& m) {
   const auto now = VirtualClock::SteadyClock::now();
   if (partitioned_[static_cast<std::size_t>(from)].load(
           std::memory_order_relaxed)) {
-    messages_dropped_.fetch_add(csr_->degree(from), std::memory_order_relaxed);
+    messages_dropped_.fetch_add(graph_.degree(from), std::memory_order_relaxed);
     return;
   }
-  for (const graph::Graph::Arc* a = csr_->begin(from); a != csr_->end(from);
-       ++a) {
-    const sim::NodeId to = a->to;
-    if (!link_up_[a->edge].load(std::memory_order_relaxed) ||
+  for (const graph::Graph::Arc& a : graph_.arcs(from)) {
+    const sim::NodeId to = a.to;
+    if (!link_up_[a.edge].load(std::memory_order_relaxed) ||
         partitioned_[static_cast<std::size_t>(to)].load(
             std::memory_order_relaxed)) {
       messages_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -122,7 +120,7 @@ bool ThreadedNetwork::partitioned(sim::NodeId v) const {
 }
 
 void ThreadedNetwork::set_link_state(sim::NodeId u, sim::NodeId v, bool up) {
-  const std::uint32_t e = csr_->find_edge(u, v);
+  const std::uint32_t e = graph_.find_edge(u, v);
   assert(e != graph::kNoEdge && "set_link_state on a non-edge");
   if (e == graph::kNoEdge) return;
   link_up_[e].store(up, std::memory_order_relaxed);

@@ -104,7 +104,6 @@ class ThreadedNetwork {
  private:
   const graph::Graph& graph_;
   Config cfg_;
-  std::shared_ptr<const graph::Graph::Csr> csr_;
   std::vector<std::unique_ptr<ThreadedNodeHost>> hosts_;
   std::mutex route_mu_;  // guards rng_
   sim::Rng rng_;

@@ -54,7 +54,6 @@ Simulator::Lane& Simulator::Lane::operator=(Lane&&) noexcept = default;
 
 Simulator::Simulator(const graph::Graph& g, SimConfig cfg)
     : graph_(g),
-      csr_(g.csr()),
       cfg_(cfg),
       nodes_(static_cast<std::size_t>(g.num_nodes())),
       drift_(std::make_shared<ConstantDrift>(1.0)),
@@ -225,13 +224,12 @@ void Simulator::compute_cut_dist() {
       next.clear();
       for (const NodeId u : frontier) {
         const int su = part_->shard_of(u);
-        for (const graph::Graph::Arc* a = csr_->begin(u); a != csr_->end(u);
-             ++a) {
-          if (part_->shard_of(a->to) != su) continue;
-          std::uint8_t& dist = cut_dist_[static_cast<std::size_t>(a->to)];
+        for (const graph::Graph::Arc& a : graph_.arcs(u)) {
+          if (part_->shard_of(a.to) != su) continue;
+          std::uint8_t& dist = cut_dist_[static_cast<std::size_t>(a.to)];
           if (dist > d) {
             dist = static_cast<std::uint8_t>(d);
-            next.push_back(a->to);
+            next.push_back(a.to);
           }
         }
       }
@@ -355,12 +353,10 @@ void Simulator::compute_lane_lookahead() {
   for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
     const int su = part_->shard_of(u);
     Lane& ln = lanes_[static_cast<std::size_t>(su)];
-    for (const graph::Graph::Arc* a = csr_->begin(u); a != csr_->end(u);
-         ++a) {
-      if (part_->shard_of(a->to) != su) continue;
+    for (const graph::Graph::Arc& a : graph_.arcs(u)) {
+      if (part_->shard_of(a.to) != su) continue;
       ln.delta_intra = std::min(
-          ln.delta_intra,
-          std::max(delay_->min_delay(u, a->to), lookahead_));
+          ln.delta_intra, std::max(delay_->min_delay(u, a.to), lookahead_));
     }
   }
 }
@@ -529,11 +525,6 @@ RealTime Simulator::safe_horizon() {
 }
 
 void Simulator::run_until(RealTime t_end) {
-  // A Graph mutated after our CSR snapshot means every cached edge index
-  // and adjacency walk is suspect: the edge universe is fixed at
-  // construction (churn pre-declares its edges, initially down).
-  assert(csr_->version() == graph_.version() &&
-         "Graph mutated after the CSR snapshot");
   setup();
   start_workers();
   const bool probe_active = cfg_.probe_interval > 0.0;
@@ -1147,9 +1138,7 @@ void Simulator::wake_node(Lane& ln, NodeId v, const Message* trigger) {
 }
 
 std::uint32_t Simulator::edge_index(NodeId u, NodeId v) const {
-  assert(csr_->version() == graph_.version() &&
-         "Graph mutated after the CSR snapshot");
-  const std::uint32_t e = csr_->find_edge(u, v);
+  const std::uint32_t e = graph_.find_edge(u, v);
   assert(e != graph::kNoEdge && "no such edge");
   return e;
 }
@@ -1169,16 +1158,16 @@ void Simulator::schedule_crash(NodeId v, RealTime at) {
   // kept (rather than one bulk cut) so incremental observers fold each
   // neighbor's reaction.
   push_event(node_event(EventKind::kCrash, v, at), v);
-  for (const graph::Graph::Arc* a = csr_->begin(v); a != csr_->end(v); ++a) {
-    push_link_change(v, a->to, a->edge, false, at);
+  for (const graph::Graph::Arc& a : graph_.arcs(v)) {
+    push_link_change(v, a.to, a.edge, false, at);
   }
 }
 
 void Simulator::schedule_recovery(NodeId v, RealTime at) {
   // Links come back first so the on_rejoin() re-announcement broadcast by
   // the kRecover event (same instant, seq order) reaches the neighbors.
-  for (const graph::Graph::Arc* a = csr_->begin(v); a != csr_->end(v); ++a) {
-    push_link_change(v, a->to, a->edge, true, at);
+  for (const graph::Graph::Arc& a : graph_.arcs(v)) {
+    push_link_change(v, a.to, a.edge, true, at);
   }
   push_event(node_event(EventKind::kRecover, v, at), v);
 }
@@ -1229,11 +1218,12 @@ void Simulator::repartition(const std::string& strategy) {
   // ones.  The owning lanes' views are exact here, between windows.
   const auto& universe = graph_.edges();
   std::vector<std::uint8_t> links(universe.size());
-  graph::Graph live(static_cast<graph::NodeId>(n));
+  std::vector<graph::Edge> live_edges;
   for (std::uint32_t e = 0; e < universe.size(); ++e) {
     links[e] = link_up(e) ? 1 : 0;
-    if (links[e]) live.add_edge(universe[e].first, universe[e].second);
+    if (links[e]) live_edges.push_back(universe[e]);
   }
+  const graph::Graph live(static_cast<graph::NodeId>(n), std::move(live_edges));
   const std::string strat = strategy.empty() ? partition_strategy_ : strategy;
   const graph::Graph& guide = live.num_edges() > 0 ? live : graph_;
   graph::Partition next = graph::Partition::from_assignment(
@@ -1367,23 +1357,23 @@ void Simulator::do_broadcast(Lane& ln, NodeId v, const Message& m) {
     emit(ln, obs::TracePoint::kBroadcast, ln.now, v, obs::kNoTraceEdge,
          m.logical, m.logical_max, 0, trace_depth(ln));
   }
-  for (const graph::Graph::Arc* a = csr_->begin(v); a != csr_->end(v); ++a) {
-    if (!ln.link_up[a->edge]) continue;  // link currently down
+  for (const graph::Graph::Arc& a : graph_.arcs(v)) {
+    if (!ln.link_up[a.edge]) continue;  // link currently down
     if (!delay_plans_) {
-      const RealTime t_recv = delay_->delivery_time(v, a->to, ln.now, *this);
+      const RealTime t_recv = delay_->delivery_time(v, a.to, ln.now, *this);
       assert(t_recv >= ln.now - kTimeTolerance && "negative message delay");
       Event e;
       e.time = std::max(t_recv, ln.now);
       e.kind = EventKind::kMessageDelivery;
-      e.node = a->to;
-      e.edge = a->edge;
+      e.node = a.to;
+      e.edge = a.edge;
       push_delivery(ln, e, v, m);
       continue;
     }
     // Faulty-channel path: the policy plans zero (drop), one, or several
     // (duplication) copies, each possibly perturbed (corruption).
     ln.plan_scratch.clear();
-    delay_->plan_deliveries(v, a->to, ln.now, *this, ln.plan_scratch);
+    delay_->plan_deliveries(v, a.to, ln.now, *this, ln.plan_scratch);
     if (ln.plan_scratch.empty()) {
       ++ln.tally.dropped;  // the channel ate it
       continue;
@@ -1396,8 +1386,8 @@ void Simulator::do_broadcast(Lane& ln, NodeId v, const Message& m) {
       Event e;
       e.time = std::max(pd.at, ln.now);
       e.kind = EventKind::kMessageDelivery;
-      e.node = a->to;
-      e.edge = a->edge;
+      e.node = a.to;
+      e.edge = a.edge;
       push_delivery(ln, e, v, copy);
     }
   }

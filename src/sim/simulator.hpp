@@ -63,7 +63,7 @@
 // probes and the run horizon) — never at intermediate horizon-clipped
 // barriers, whose times depend on the partition.
 //
-// Hot-path layout: adjacency is the graph's CSR snapshot (each neighbor
+// Hot-path layout: adjacency is the immutable graph's CSR (each neighbor
 // carries its undirected edge index inline, so link-state checks never
 // hash), message payloads live in a delivery-time-binned chunk slab, and
 // delivery/link events store their edge index so processing is array
@@ -674,7 +674,6 @@ class Simulator {
   }
 
   const graph::Graph& graph_;
-  std::shared_ptr<const graph::Graph::Csr> csr_;
   SimConfig cfg_;
   // SoA per-node state.  nodes_ is indexed by node id (installed before
   // the partition exists); the hot arrays are indexed by slot.

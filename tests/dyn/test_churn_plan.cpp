@@ -186,7 +186,13 @@ TEST(ChurnPlan, ExtendUniverseAddsOnlyFreshNonEdges) {
   const graph::Graph base = g;
   const std::vector<std::uint32_t> extra = ChurnPlan(cfg).extend_universe(g);
   EXPECT_FALSE(extra.empty());
-  EXPECT_GT(g.version(), base.version());
+  // The base edges are an unchanged prefix; the extras follow it.
+  ASSERT_EQ(g.num_edges(), base.num_edges() + extra.size());
+  EXPECT_TRUE(std::equal(base.edges().begin(), base.edges().end(),
+                         g.edges().begin()));
+  for (std::size_t k = 0; k < extra.size(); ++k) {
+    EXPECT_EQ(extra[k], base.num_edges() + k);
+  }
   std::set<graph::Edge> seen;
   for (std::uint32_t e : extra) {
     const graph::Edge ed = g.edges()[e];
@@ -231,8 +237,9 @@ TEST(ChurnPlan, ExtrasWithoutEdgeChurnAreRejected) {
   ChurnConfig cfg = busy_config();
   cfg.edge_rate = 0.0;
   cfg.extra_edges = 0.0;  // pass check(); hand extras to instantiate directly
-  graph::Graph g = graph::make_ring(8);
-  g.add_edge(0, 4);
+  std::vector<graph::Edge> edges = graph::make_ring(8).edges();
+  edges.emplace_back(0, 4);  // edge 8, the would-be extra
+  const graph::Graph g(8, std::move(edges));
   EXPECT_THROW(ChurnPlan(cfg).instantiate(g, {8u}), std::invalid_argument);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "fault/fault_plan.hpp"
 #include "graph/topologies.hpp"
@@ -63,6 +64,30 @@ TEST(FaultPlan, ParseErrorsCarryLineNumbers) {
   } catch (const PlanError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
   }
+  // Node ids and counts become ints: NaN, infinities, fractions, negatives
+  // and values outside int are rejected before the cast.
+  const std::pair<const char*, const char*> bad_ints[] = {
+      {"crash node=3e9 at=5", "node"}, {"crash node=nan at=5", "node"},
+      {"crash node=inf at=5", "node"}, {"crash node=1.5 at=5", "node"},
+      {"crash node=-1 at=5", "node"}, {"link-up u=0 v=2147483648 at=5", "v"},
+      {"flap u=0 v=1 at=5 period=2 count=2.5", "count"},
+      {"random-crashes count=1e12 from=1 until=5 down-min=1 down-max=2",
+       "count"},
+      {"random-flaps count=-inf from=1 until=5 down=1", "count"}};
+  for (const auto& [text, key] : bad_ints) {
+    try {
+      FaultPlan::parse_string(std::string("crash node=0 at=1\n") + text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const PlanError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string(key) + " must be an integer"),
+                std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_NO_THROW(FaultPlan::parse_string(
+      "random-crashes count=2147483647 from=1 until=5 down-min=1 down-max=2"));
 }
 
 TEST(FaultPlan, InstantiateValidatesAgainstTopology) {

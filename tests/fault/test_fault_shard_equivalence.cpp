@@ -38,8 +38,12 @@ struct FaultMetrics {
   std::uint64_t events = 0;
 };
 
-std::string write_plan() {
-  const std::string path = testing::TempDir() + "/tbcs_chaos_plan.txt";
+// One file per case, which removes it: ctest runs the cases and
+// CleanupPlanFile as concurrent processes, so a shared path could be
+// rewritten or deleted while another case reads it.
+std::string write_plan(const std::string& tag) {
+  const std::string path =
+      testing::TempDir() + "/tbcs_chaos_plan_" + tag + ".txt";
   std::ofstream os(path);
   // Mixed chaos on a 5-dim hypercube: two Byzantine liars (one up, one
   // down, both lying from first contact), a crash/recovery, a drift
@@ -142,7 +146,7 @@ void expect_same_fault_metrics(const FaultMetrics& a, const FaultMetrics& b) {
 class FaultShardEquivalence : public testing::TestWithParam<const char*> {};
 
 TEST_P(FaultShardEquivalence, ChaosMetricsMatchSerialAtEveryShardCount) {
-  const std::string plan = write_plan();
+  const std::string plan = write_plan(GetParam());
   const cli::ExperimentConfig cfg = chaos_config(plan);
   const FaultMetrics serial = run_case(cfg, 0, GetParam());
   // The plan really ran: all 12 events applied, both scrambles seen, and
@@ -166,6 +170,7 @@ TEST_P(FaultShardEquivalence, ChaosMetricsMatchSerialAtEveryShardCount) {
     EXPECT_DOUBLE_EQ(sharded[0].local_skew, sharded[i].local_skew);
     expect_same_fault_metrics(sharded[0], sharded[i]);
   }
+  std::remove(plan.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Queues, FaultShardEquivalence,

@@ -178,11 +178,12 @@ TEST(Partition, MultilevelBeatsBlockOnShuffledPath) {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
     std::swap(perm[i], perm[(state >> 33) % (i + 1)]);
   }
-  Graph g(n);
+  std::vector<Edge> edges;
   for (NodeId v = 0; v + 1 < n; ++v) {
-    g.add_edge(perm[static_cast<std::size_t>(v)],
-               perm[static_cast<std::size_t>(v) + 1]);
+    edges.emplace_back(perm[static_cast<std::size_t>(v)],
+                       perm[static_cast<std::size_t>(v) + 1]);
   }
+  const Graph g(n, std::move(edges));
   const Partition block = Partition::block(g, 4);
   const Partition ml = Partition::multilevel(g, 4);
   check_invariants(g, ml);

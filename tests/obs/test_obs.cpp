@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "core/aopt.hpp"
 #include "core/params.hpp"
@@ -103,6 +106,21 @@ TEST(FlightRecorder, LoadRejectsGarbageAndTruncation) {
   const std::string full = ss.str();
   std::stringstream truncated(full.substr(0, full.size() - 10));
   EXPECT_THROW(FlightRecorder::load(truncated), std::runtime_error);
+
+  // A header claiming more records than follow must fail by reading, not
+  // by allocating: 2^40 records would need 48 TiB up front.
+  for (const std::uint64_t lie :
+       {std::uint64_t{20000000}, std::uint64_t{1} << 40}) {
+    std::string bytes = full;
+    std::memcpy(&bytes[24], &lie, sizeof(lie));  // DumpHeader::record_count
+    std::stringstream lying(bytes);
+    try {
+      FlightRecorder::load(lying);
+      ADD_FAILURE() << "record_count " << lie << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("record_count"), std::string::npos);
+    }
+  }
 }
 
 TEST(FlightRecorder, ClearResetsEverything) {

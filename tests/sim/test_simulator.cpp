@@ -276,7 +276,7 @@ TEST(Simulator, UnshardedObserverSeesEachEventInKeyOrder) {
 }
 
 TEST(Simulator, RejectsEmptyGraphAndOutOfRangeRoots) {
-  const graph::Graph empty(0);
+  const graph::Graph empty;
   EXPECT_THROW({ Simulator sim(empty); }, std::invalid_argument);
   const auto g = graph::make_path(3);
   SimConfig cfg;
