@@ -4,12 +4,14 @@
 #   1. Tier 1: configure, build, ctest — the contract every change must
 #      keep green (same commands as ROADMAP.md).
 #   2. Sanitizer smoke: rebuild the simulator tool, the trace tool, the
-#      runtime tests, the obs tests, the skew-tracker oracle tests, the
-#      recorder tests, and the graph, topology, partition, churn-plan and
-#      fault-plan tests with ASan+UBSan (-DTBCS_SANITIZE=address,undefined)
-#      and run them.  The threaded runtime (detached wedged threads,
-#      leaked hosts), the flight recorder's binary dump round trip, the
-#      tracker's certificate trees, the execution-log and trace-dump
+#      runtime tests, the obs and history-store tests, the skew-tracker
+#      oracle and analysis tests, the simulator and recorder tests, and
+#      the graph, topology, partition, churn-plan and fault-plan tests
+#      with ASan+UBSan (-DTBCS_SANITIZE=address,undefined) and run them.
+#      The threaded runtime (detached wedged threads, leaked hosts), the
+#      flight recorder's binary dump round trip, the tracker's
+#      certificate trees, the history stores' window cascade, the lane
+#      rebuild in configure_shards, the execution-log and trace-dump
 #      loaders (hostile counts), the graph constructor (it writes through
 #      offsets computed from its input) and the plan parsers (hostile
 #      numbers) are the pieces most at risk of memory/lifetime bugs or
@@ -69,8 +71,9 @@ echo "=== sanitizer smoke: ASan+UBSan (jobs=$JOBS) ==="
 cmake -B build-asan -S . -DTBCS_SANITIZE=address,undefined > /dev/null
 cmake --build build-asan -j "$JOBS" --target \
   tbcs_sim_tool tbcs_trace test_runtime test_obs test_trace_tools \
-  test_skew_incremental test_recorder test_graph test_topologies \
-  test_partition test_churn_plan test_fault_plan
+  test_history_store test_skew_incremental test_analysis test_simulator \
+  test_recorder test_graph test_topologies test_partition test_churn_plan \
+  test_fault_plan
 
 SAN_TMP="$(mktemp -d)"
 trap 'rm -rf "$SAN_TMP"' EXIT
@@ -81,7 +84,10 @@ build-asan/tools/tbcs_trace --chrome "$SAN_TMP/t.bin" --out "$SAN_TMP/t.json"
 build-asan/tests/test_runtime
 build-asan/tests/test_obs
 build-asan/tests/test_trace_tools
+build-asan/tests/test_history_store
 build-asan/tests/test_skew_incremental
+build-asan/tests/test_analysis
+build-asan/tests/test_simulator
 build-asan/tests/test_recorder
 build-asan/tests/test_graph
 build-asan/tests/test_topologies

@@ -20,19 +20,6 @@ CommunicationReport CommunicationReport::capture(const sim::Simulator& sim) {
   return r;
 }
 
-CommunicationReport operator-(const CommunicationReport& late,
-                              const CommunicationReport& early) {
-  CommunicationReport r;
-  r.broadcasts = late.broadcasts - early.broadcasts;
-  r.transmissions = late.transmissions - early.transmissions;
-  r.duration = late.duration - early.duration;
-  if (r.duration > 0.0 && late.broadcasts >= early.broadcasts) {
-    // Frequency over the window; caller divides by n if needed.
-    r.amortized_frequency = static_cast<double>(r.broadcasts) / r.duration;
-  }
-  return r;
-}
-
 QueueReport QueueReport::capture(const sim::Simulator& sim) {
   QueueReport r;
   const sim::EventQueue::Stats& s = sim.queue_stats();

@@ -26,10 +26,6 @@ struct CommunicationReport {
   static CommunicationReport capture(const sim::Simulator& sim);
 };
 
-/// Difference of two snapshots (for measuring a window).
-CommunicationReport operator-(const CommunicationReport& late,
-                              const CommunicationReport& early);
-
 /// Event-queue health: high-water mark, churn, and the timer-wheel
 /// traffic (arms/fires/cancels; timers never enter the event queue).  A
 /// cancel share near 1 means timers are re-armed much faster than they

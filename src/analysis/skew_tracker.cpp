@@ -54,7 +54,6 @@ SkewTracker::SkewTracker(const sim::Simulator& sim, Options opt) : opt_(opt) {
     per_distance_.assign(static_cast<std::size_t>(sim.topology().diameter()) + 1, 0.0);
   }
   next_series_t_ = opt_.warmup;
-  next_per_distance_t_ = opt_.warmup;
   if (opt_.recovery_classify_interval > 0.0) {
     next_classify_t_ = opt_.recovery_classify_interval;
   }
@@ -114,12 +113,6 @@ double SkewTracker::max_skew_at_distance(int d) const {
   return per_distance_[static_cast<std::size_t>(d)];
 }
 
-bool SkewTracker::per_distance_due(double t) const {
-  if (!opt_.track_per_distance) return false;
-  if (opt_.per_distance_interval <= 0.0) return true;
-  return t >= next_per_distance_t_;
-}
-
 void SkewTracker::observe(const sim::Simulator& sim, double t) {
   do_sample(sim, t, sim.touched());
 }
@@ -148,11 +141,12 @@ void SkewTracker::do_sample(const sim::Simulator& sim, double t,
     }
 
     // Every node and edge is evaluated only where exact instantaneous
-    // values are needed: the first sample, series / per-distance points,
-    // and while a clock with no slope bound is awake (no certificate
-    // covers it).  Otherwise the certificate trees settle the sample.
+    // values are needed: the first sample, series points, and while the
+    // per-distance profile is tracked or a clock with no slope bound is
+    // awake (no certificate covers it).  Otherwise the certificate trees
+    // settle the sample.
     bool need = !scanned_once_ || !any_awake_seen_ || unbounded_ > 0 ||
-                per_distance_due(t) ||
+                opt_.track_per_distance ||
                 (opt_.series_interval > 0.0 && t >= next_series_t_);
     if (!need) {
       certify(sim, t);
@@ -225,7 +219,7 @@ bool SkewTracker::provably_within_recovery_bounds(double t) const {
   if (hi_at(root, t) - lo_at(root, t) > opt_.recovery_global_bound) {
     return false;
   }
-  if (opt_.recovery_local_bound > 0.0 && opt_.track_local &&
+  if (opt_.recovery_local_bound > 0.0 &&
       loc_at(etree_[1], t) > opt_.recovery_local_bound) {
     return false;
   }
@@ -245,8 +239,7 @@ void SkewTracker::classify_recovery_sample(double t, bool scanned_exactly) {
   bool gradient_within = true;
   if (scanned_exactly) {
     within = cur_global_ <= opt_.recovery_global_bound;
-    const bool have_local =
-        opt_.recovery_local_bound > 0.0 && opt_.track_local;
+    const bool have_local = opt_.recovery_local_bound > 0.0;
     if (within && have_local) {
       within = cur_local_ <= opt_.recovery_local_bound;
     }
@@ -332,13 +325,11 @@ void SkewTracker::touch(const sim::Simulator& sim, sim::NodeId v, double t) {
   raise_node(v, t, L,
              opt_.audit_epsilon > 0.0 ? envelope_violation(L, t, c.start)
                                       : -sim::kInfinity);
-  if (opt_.track_local) {
-    for (const graph::Graph::Arc& a : sim.topology().arcs(v)) {
-      const CachedClock& cw = cache_[static_cast<std::size_t>(a.to)];
-      if (!cw.active || !sim.link_up(a.edge)) continue;
-      const double d = std::abs(L - cached_logical(sim, a.to, cw, now));
-      raise_edge(a.edge, t, d, v, a.to);
-    }
+  for (const graph::Graph::Arc& a : sim.topology().arcs(v)) {
+    const CachedClock& cw = cache_[static_cast<std::size_t>(a.to)];
+    if (!cw.active || !sim.link_up(a.edge)) continue;
+    const double d = std::abs(L - cached_logical(sim, a.to, cw, now));
+    raise_edge(a.edge, t, d, v, a.to);
   }
 }
 
@@ -586,7 +577,7 @@ void SkewTracker::certify(const sim::Simulator& sim, double t) {
     max_global_skew_ = std::max(max_global_skew_, hi - lo);
   }
   if (opt_.audit_epsilon > 0.0) descend_env(sim, 1, t);
-  if (opt_.track_local) descend_loc(sim, 1, t);
+  descend_loc(sim, 1, t);
 }
 
 // The oracle pass: every node and every edge, exactly.  The oracle
@@ -618,12 +609,8 @@ void SkewTracker::full_scan(const sim::Simulator& sim, double t) {
   // Re-anchor both trees on exact values at t.
   for (std::size_t i = nleaf0_; i < 2 * nleaf0_; ++i) eval_node_leaf(sim, i, t);
   for (std::size_t i = nleaf0_ - 1; i >= 1; --i) retighten_node(i, t);
-  if (opt_.track_local) {
-    for (std::size_t i = eleaf0_; i < 2 * eleaf0_; ++i) {
-      eval_edge_leaf(sim, i, t);
-    }
-    for (std::size_t i = eleaf0_ - 1; i >= 1; --i) retighten_edge(i, t);
-  }
+  for (std::size_t i = eleaf0_; i < 2 * eleaf0_; ++i) eval_edge_leaf(sim, i, t);
+  for (std::size_t i = eleaf0_ - 1; i >= 1; --i) retighten_edge(i, t);
 }
 
 template <bool kCached>
@@ -681,21 +668,19 @@ void SkewTracker::full_scan_impl(const sim::Simulator& sim, double t) {
   cur_global_ = global;
 
   double local = 0.0;
-  if (opt_.track_local) {
-    const auto& edges = sim.topology().edges();
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      const auto& [u, w] = edges[i];
-      const double Lu = logical_scratch_[static_cast<std::size_t>(u)];
-      const double Lw = logical_scratch_[static_cast<std::size_t>(w)];
-      if (Lu == -sim::kInfinity || Lw == -sim::kInfinity) continue;
-      if (!sim.link_up(i)) continue;  // down links are not neighbors
-      local = std::max(local, std::abs(Lu - Lw));
-    }
-    max_local_skew_ = std::max(max_local_skew_, local);
+  const auto& edges = sim.topology().edges();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const auto& [u, w] = edges[i];
+    const double Lu = logical_scratch_[static_cast<std::size_t>(u)];
+    const double Lw = logical_scratch_[static_cast<std::size_t>(w)];
+    if (Lu == -sim::kInfinity || Lw == -sim::kInfinity) continue;
+    if (!sim.link_up(i)) continue;  // down links are not neighbors
+    local = std::max(local, std::abs(Lu - Lw));
   }
+  max_local_skew_ = std::max(max_local_skew_, local);
   cur_local_ = local;
 
-  if (per_distance_due(t)) {
+  if (opt_.track_per_distance) {
     for (sim::NodeId v = 0; v < n; ++v) {
       const double Lv = logical_scratch_[static_cast<std::size_t>(v)];
       if (Lv == -sim::kInfinity) continue;
@@ -706,11 +691,6 @@ void SkewTracker::full_scan_impl(const sim::Simulator& sim, double t) {
         auto& cell = per_distance_[static_cast<std::size_t>(d)];
         cell = std::max(cell, std::abs(Lv - Lw));
       }
-    }
-    if (opt_.per_distance_interval > 0.0) {
-      do {
-        next_per_distance_t_ += opt_.per_distance_interval;
-      } while (next_per_distance_t_ <= t);
     }
   }
 

@@ -47,12 +47,13 @@
 //
 //    Only exact values write a running maximum, so every reported figure
 //    is bit-identical to the oracle's.  Every node and edge is evaluated
-//    (full_scans()) only at the first sample, at series and per-distance
-//    points, for recovery classifications the bounds cannot settle, and
-//    at every sample while a clock with no slope bound is awake (a
-//    tick-quantized clock is a staircase, so no certificate covers it):
-//    such runs cost what the oracle costs.  The cache and the trees are
-//    allocated at the first sample, and only by this engine.
+//    (full_scans()) only at the first sample, at series points, for
+//    recovery classifications the bounds cannot settle, and at every
+//    sample while the per-distance profile is tracked or a clock with no
+//    slope bound is awake (a tick-quantized clock is a staircase, so no
+//    certificate covers it): such runs cost what the oracle costs.  The
+//    cache and the trees are allocated at the first sample, and only by
+//    this engine.
 //
 //  * kAuditOracle — runs both engines and throws on any divergence
 //    (--audit-oracle in the CLI); for validating the incremental engine.
@@ -80,18 +81,9 @@ class SkewTracker {
     /// Scan engine.
     Mode mode = Mode::kIncremental;
 
-    /// Track the per-edge (local) skew.  O(|E|) per full scan.
-    bool track_local = true;
-
     /// Track the skew profile per hop distance (gradient property,
     /// Definition 5.6).  O(n^2) per evaluation — enable only for small n.
     bool track_per_distance = false;
-
-    /// When > 0, evaluate the per-distance profile only on the fixed time
-    /// grid warmup + k * per_distance_interval (like the probe grid)
-    /// instead of at every sample; profile maxima become grid maxima.
-    /// 0 keeps the exact every-sample profile.
-    double per_distance_interval = 0.0;
 
     /// Audit Condition (1) against this true epsilon (<= 0 disables).
     /// The upper envelope is anchored at the earliest wake time seen
@@ -315,7 +307,6 @@ class SkewTracker {
     double r_lo = 0.0;
   };
 
-  bool per_distance_due(double t) const;
   void do_sample(const sim::Simulator& sim, double t,
                  const std::vector<sim::Simulator::Touch>& touched);
   void full_scan(const sim::Simulator& sim, double t);
@@ -423,7 +414,6 @@ class SkewTracker {
   double earliest_start_ = sim::kInfinity;
   double next_series_t_ = 0.0;
   double next_grid_t_ = 0.0;  // next sample_grid point (grid mode only)
-  double next_per_distance_t_ = 0.0;
   std::uint64_t samples_ = 0;
   std::uint64_t full_scans_ = 0;
 

@@ -83,16 +83,6 @@ void ChurnConfig::check() const {
   }
 }
 
-const char* churn_op_name(ChurnOpKind k) {
-  switch (k) {
-    case ChurnOpKind::kJoin: return "join";
-    case ChurnOpKind::kLeave: return "leave";
-    case ChurnOpKind::kLinkUp: return "link-up";
-    case ChurnOpKind::kLinkDown: return "link-down";
-  }
-  return "unknown";
-}
-
 std::size_t ChurnSchedule::count(ChurnOpKind k) const {
   std::size_t n = 0;
   for (const ChurnOp& op : ops) n += op.kind == k ? 1 : 0;

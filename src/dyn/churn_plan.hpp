@@ -85,10 +85,6 @@ enum class ChurnOpKind : std::uint8_t {
   kLinkDown,   // edge stops being live
 };
 
-inline constexpr int kNumChurnOpKinds = 4;
-
-const char* churn_op_name(ChurnOpKind k);
-
 /// One concrete churn operation at one instant of real time.
 struct ChurnOp {
   ChurnOpKind kind = ChurnOpKind::kJoin;
@@ -120,8 +116,8 @@ struct ChurnSchedule {
 
   /// Installs the whole schedule: initial absences / downed links, then
   /// every op via schedule_node_join/leave and schedule_link_change.
-  /// Call after configure_shards (slot permutations must be final) and
-  /// before the first run.
+  /// Call after configure_shards (which throws once links are downed or
+  /// events queued) and before the first run.
   void apply(sim::Simulator& sim) const;
 };
 

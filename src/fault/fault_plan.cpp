@@ -11,23 +11,6 @@
 
 namespace tbcs::fault {
 
-const char* fault_kind_name(FaultKind k) {
-  switch (k) {
-    case FaultKind::kCrash: return "crash";
-    case FaultKind::kRecover: return "recover";
-    case FaultKind::kLinkDown: return "link_down";
-    case FaultKind::kLinkUp: return "link_up";
-    case FaultKind::kDriftSpike: return "drift_spike";
-    case FaultKind::kDriftRestore: return "drift_restore";
-    case FaultKind::kByzantineOn: return "byzantine_on";
-    case FaultKind::kByzantineOff: return "byzantine_off";
-    case FaultKind::kChannelOn: return "channel_on";
-    case FaultKind::kChannelOff: return "channel_off";
-    case FaultKind::kScramble: return "scramble";
-  }
-  return "unknown";
-}
-
 const ByzantineSpec* FaultTimeline::byzantine_spec(sim::NodeId v) const {
   for (const ByzantineSpec& s : byzantine) {
     if (s.node == v) return &s;

@@ -24,30 +24,15 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "obs/flight_recorder.hpp"
 #include "sim/types.hpp"
 
 namespace tbcs::fault {
 
-/// Concrete fault event kinds, in the order they appear in trace records
-/// (FlightRecorder kFault stores the kind index in payload `a`).
-enum class FaultKind : std::uint32_t {
-  kCrash = 0,       // node loses all links and goes silent
-  kRecover,         // node re-joins: links restored, algorithm notified
-  kLinkDown,        // link {node, node2} goes down
-  kLinkUp,          // link {node, node2} comes back up
-  kDriftSpike,      // node's hardware rate forced to `value` (beyond eps)
-  kDriftRestore,    // rate forced back to `value` (1.0)
-  kByzantineOn,     // node starts lying about its clock in messages
-  kByzantineOff,    // node reverts to honest reports
-  kChannelOn,       // a channel-fault window opens (marker; the decorator
-  kChannelOff,      //   applies the faults by send time)
-  kScramble,        // node's algorithm state set adversarially (value =
-                    //   magnitude, aux = the seed the corruption is drawn from)
-};
-
-inline constexpr int kNumFaultKinds = 11;
-
-const char* fault_kind_name(FaultKind k);
+/// Concrete fault event kinds.  They are trace vocabulary (a kFault
+/// record carries one), so they are defined next to obs::TracePoint.
+using obs::FaultKind;
+using obs::fault_kind_name;
 
 /// One concrete fault at one instant of real time.
 struct FaultEvent {

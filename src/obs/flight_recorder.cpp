@@ -29,6 +29,23 @@ const char* trace_point_name(TracePoint p) {
   return "unknown";
 }
 
+const char* fault_kind_name(FaultKind k) {
+  switch (k) {
+    case FaultKind::kCrash: return "crash";
+    case FaultKind::kRecover: return "recover";
+    case FaultKind::kLinkDown: return "link_down";
+    case FaultKind::kLinkUp: return "link_up";
+    case FaultKind::kDriftSpike: return "drift_spike";
+    case FaultKind::kDriftRestore: return "drift_restore";
+    case FaultKind::kByzantineOn: return "byz_on";
+    case FaultKind::kByzantineOff: return "byz_off";
+    case FaultKind::kChannelOn: return "channel_on";
+    case FaultKind::kChannelOff: return "channel_off";
+    case FaultKind::kScramble: return "scramble";
+  }
+  return "unknown";
+}
+
 namespace {
 
 std::size_t round_up_pow2(std::size_t n) {

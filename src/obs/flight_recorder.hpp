@@ -45,7 +45,7 @@ enum class TracePoint : std::uint16_t {
   kProbe,           // periodic probe event
   kRuntimeDeliver,  // threaded runtime: message dispatched to a node thread
   kRuntimeTimer,    // threaded runtime: timer dispatched to a node thread
-  kFault,           // injected fault applied (a = fault::FaultKind index,
+  kFault,           // injected fault applied (a = the FaultKind value,
                     //   b = site-specific value, e.g. the node's L)
   kChurn,           // dynamic membership event (a = 0 join / 1 leave,
                     //   b = the node's L at that instant)
@@ -54,6 +54,27 @@ enum class TracePoint : std::uint16_t {
 inline constexpr int kNumTracePoints = 14;
 
 const char* trace_point_name(TracePoint p);
+
+/// Injected fault kinds; a kFault record's `a` holds the kind's value, so
+/// the numbering is part of the dump format.
+enum class FaultKind : std::uint32_t {
+  kCrash = 0,       // node loses all links and goes silent
+  kRecover,         // node re-joins: links restored, algorithm notified
+  kLinkDown,        // link {node, node2} goes down
+  kLinkUp,          // link {node, node2} comes back up
+  kDriftSpike,      // node's hardware rate forced to `value` (beyond eps)
+  kDriftRestore,    // rate forced back to `value` (1.0)
+  kByzantineOn,     // node starts lying about its clock in messages
+  kByzantineOff,    // node reverts to honest reports
+  kChannelOn,       // a channel-fault window opens (marker; the decorator
+  kChannelOff,      //   applies the faults by send time)
+  kScramble,        // node's algorithm state set adversarially (value =
+                    //   magnitude, aux = the seed the corruption is drawn from)
+};
+
+inline constexpr int kNumFaultKinds = 11;
+
+const char* fault_kind_name(FaultKind k);
 
 // TraceRecord::flags bits.
 inline constexpr std::uint16_t kFlagFastMode = 1;    // rate multiplier > 1

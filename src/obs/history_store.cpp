@@ -41,13 +41,6 @@ const char* history_backend_name(HistoryConfig::Backend backend) {
 // ExactHistoryStore
 
 void ExactHistoryStore::append(double t, double value) {
-  if (times_.empty()) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  sum_ += value;
   times_.push_back(t);
   values_.push_back(value);
 }
@@ -60,14 +53,6 @@ double ExactHistoryStore::last_value() const {
   return values_.empty() ? kNaN : values_.back();
 }
 
-double ExactHistoryStore::overall_min() const {
-  return times_.empty() ? kNaN : min_;
-}
-
-double ExactHistoryStore::overall_max() const {
-  return times_.empty() ? kNaN : max_;
-}
-
 std::vector<HistoryWindow> ExactHistoryStore::windows() const {
   std::vector<HistoryWindow> out;
   out.reserve(times_.size());
@@ -76,20 +61,6 @@ std::vector<HistoryWindow> ExactHistoryStore::windows() const {
                                 values_[i], 1});
   }
   return out;
-}
-
-double ExactHistoryStore::max_in(double t0, double t1, double* slack) const {
-  if (slack != nullptr) *slack = 0.0;
-  // Times are non-decreasing, so the query range is one contiguous run.
-  const auto lo = std::lower_bound(times_.begin(), times_.end(), t0);
-  const auto hi = std::upper_bound(lo, times_.end(), t1);
-  if (lo == hi) return kNaN;
-  double best = -std::numeric_limits<double>::infinity();
-  for (auto it = lo; it != hi; ++it) {
-    best = std::max(best, values_[static_cast<std::size_t>(
-                              it - times_.begin())]);
-  }
-  return best;
 }
 
 double ExactHistoryStore::quantile(double q) const {
@@ -112,13 +83,14 @@ std::size_t ExactHistoryStore::memory_bytes() const {
 // StairHistoryStore
 
 StairHistoryStore::StairHistoryStore(std::size_t memory_budget_bytes) {
-  budget_ = memory_budget_bytes == 0 ? 64u * 1024u : memory_budget_bytes;
+  const std::size_t budget =
+      memory_budget_bytes == 0 ? 64u * 1024u : memory_budget_bytes;
   // Total window slots the budget buys (the quantile bucket array is
   // charged against the budget first so memory_bytes() can never exceed
   // it); at least a useful minimum so a tiny budget still yields a
   // functioning (if coarse) sketch.
   const std::size_t for_windows =
-      budget_ > sizeof(buckets_) ? budget_ - sizeof(buckets_) : 0;
+      budget > sizeof(buckets_) ? budget - sizeof(buckets_) : 0;
   const std::size_t slots =
       std::max<std::size_t>(64, for_windows / kWindowBytes);
   // Half the slots hold the newest history exactly; the other half is
@@ -136,13 +108,6 @@ StairHistoryStore::StairHistoryStore(std::size_t memory_budget_bytes) {
 }
 
 void StairHistoryStore::append(double t, double value) {
-  if (appends_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  sum_ += value;
   ++appends_;
   ++buckets_[log2_bucket_index(value)];
   levels_[0].push_back(HistoryWindow{t, t, value, value, value, 1});
@@ -190,14 +155,6 @@ double StairHistoryStore::last_value() const {
   return kNaN;
 }
 
-double StairHistoryStore::overall_min() const {
-  return appends_ == 0 ? kNaN : min_;
-}
-
-double StairHistoryStore::overall_max() const {
-  return appends_ == 0 ? kNaN : max_;
-}
-
 std::vector<HistoryWindow> StairHistoryStore::windows() const {
   std::vector<HistoryWindow> out;
   out.reserve(retained_windows());
@@ -207,23 +164,6 @@ std::vector<HistoryWindow> StairHistoryStore::windows() const {
     out.insert(out.end(), levels_[l].begin(), levels_[l].end());
   }
   return out;
-}
-
-double StairHistoryStore::max_in(double t0, double t1, double* slack) const {
-  double best = -std::numeric_limits<double>::infinity();
-  double widen = 0.0;
-  bool any = false;
-  for (const auto& dq : levels_) {
-    for (const auto& w : dq) {
-      if (w.t_hi < t0 || w.t_lo > t1) continue;
-      any = true;
-      best = std::max(best, w.max);
-      widen = std::max(widen, std::max(t0 - w.t_lo, 0.0) +
-                                  std::max(w.t_hi - t1, 0.0));
-    }
-  }
-  if (slack != nullptr) *slack = any ? widen : 0.0;
-  return any ? best : kNaN;
 }
 
 double StairHistoryStore::quantile(double q) const {

@@ -90,22 +90,8 @@ class HistoryStore {
   virtual double last_time() const = 0;
   virtual double last_value() const = 0;
 
-  // Whole-stream aggregates; exact in both backends.
-  virtual double overall_min() const = 0;
-  virtual double overall_max() const = 0;
-  virtual double overall_sum() const = 0;
-
   /// Retained windows, oldest first.
   virtual std::vector<HistoryWindow> windows() const = 0;
-
-  /// Max over samples with t in [t0, t1], folded from every overlapping
-  /// window.  `slack` (optional out) receives the extra time span folded
-  /// in beyond the query interval — 0 for the exact backend, up to the
-  /// coarsest window span for stair; the returned value is exact for the
-  /// widened interval [t0 - slack_lo, t1 + slack_hi].  NaN when no window
-  /// overlaps.
-  virtual double max_in(double t0, double t1,
-                        double* slack = nullptr) const = 0;
 
   /// q-quantile (q in [0, 1]) over all appended values.  Exact backend:
   /// exact order statistic.  Stair: log2-bucket estimate — a lower edge
@@ -129,27 +115,15 @@ class ExactHistoryStore final : public HistoryStore {
   std::uint64_t appends() const override { return times_.size(); }
   double last_time() const override;
   double last_value() const override;
-  double overall_min() const override;
-  double overall_max() const override;
-  double overall_sum() const override { return sum_; }
   std::vector<HistoryWindow> windows() const override;
-  double max_in(double t0, double t1,
-                double* slack = nullptr) const override;
   double quantile(double q) const override;
   std::size_t memory_bytes() const override;
   double coarsest_window_span() const override { return 0.0; }
   const char* name() const override { return "exact"; }
 
-  /// Raw sample access (parallel arrays), for zero-copy consumers.
-  const std::vector<double>& times() const { return times_; }
-  const std::vector<double>& values() const { return values_; }
-
  private:
   std::vector<double> times_;
   std::vector<double> values_;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
 };
 
 /// Stair-sketch-style multi-resolution store.  Level 0 holds singleton
@@ -165,20 +139,11 @@ class StairHistoryStore final : public HistoryStore {
   std::uint64_t appends() const override { return appends_; }
   double last_time() const override;
   double last_value() const override;
-  double overall_min() const override;
-  double overall_max() const override;
-  double overall_sum() const override { return sum_; }
   std::vector<HistoryWindow> windows() const override;
-  double max_in(double t0, double t1,
-                double* slack = nullptr) const override;
   double quantile(double q) const override;
   std::size_t memory_bytes() const override;
   double coarsest_window_span() const override;
   const char* name() const override { return "stair"; }
-
-  std::size_t budget_bytes() const { return budget_; }
-  std::size_t level_count() const { return levels_.size(); }
-  std::size_t level0_capacity() const { return level0_cap_; }
 
  private:
   std::size_t cap(std::size_t level) const {
@@ -187,7 +152,6 @@ class StairHistoryStore final : public HistoryStore {
   void cascade(std::size_t level);
   std::size_t retained_windows() const;
 
-  std::size_t budget_ = 0;
   std::size_t level0_cap_ = 0;  // newest, exact (singleton) windows
   std::size_t upper_cap_ = 0;   // per coarser level
   std::size_t max_levels_ = 0;
@@ -195,9 +159,6 @@ class StairHistoryStore final : public HistoryStore {
   // (back); every window in level i+1 is older than all of level i.
   std::vector<std::deque<HistoryWindow>> levels_;
   std::uint64_t appends_ = 0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
   std::uint64_t buckets_[/*kLog2Buckets*/ 48] = {};
 };
 

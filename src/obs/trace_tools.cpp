@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -57,18 +56,13 @@ void print_summary(std::ostream& os, const TraceSummary& s) {
     }
   }
   if (!s.faults.empty()) {
-    // Mirrors fault::FaultKind (obs sits below the fault library, so the
-    // names are repeated here rather than linked).
-    static const char* const kFaultNames[] = {
-        "crash",        "recover",       "link_down", "link_up",
-        "drift_spike",  "drift_restore", "byz_on",    "byz_off",
-        "channel_on",   "channel_off"};
-    constexpr int kKnown = static_cast<int>(std::size(kFaultNames));
     os << "faults (" << s.faults.size() << " injected):\n";
     for (const TraceRecord& r : s.faults) {
-      const int k = static_cast<int>(r.a);
+      // `a` comes from a dump file: range-check before converting.
       os << "  t=" << r.t << ' '
-         << (k >= 0 && k < kKnown ? kFaultNames[k] : "unknown");
+         << (r.a >= 0.0 && r.a < kNumFaultKinds
+                 ? fault_kind_name(static_cast<FaultKind>(r.a))
+                 : "unknown");
       if (r.node >= 0) os << " node=" << r.node;
       if (r.edge != kNoTraceEdge) os << " edge=" << r.edge;
       if (r.b != 0.0) os << " value=" << r.b;

@@ -29,8 +29,7 @@ struct TraceSummary {
   std::uint64_t mode_changes = 0;
   std::uint64_t drops = 0;
   /// kFault records in the dump, in time order (`a` carries the
-  /// fault::FaultKind index) — the events --summary attributes skew
-  /// spikes to.
+  /// FaultKind value) — the events --summary attributes skew spikes to.
   std::vector<TraceRecord> faults;
 };
 

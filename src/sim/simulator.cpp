@@ -122,6 +122,16 @@ void Simulator::configure_shards(int shards, const std::string& strategy,
     throw std::logic_error(
         "Simulator::configure_shards must be called before the first run");
   }
+  // init_lanes() below rebuilds the lanes, which hold the queued events
+  // and the link views: anything put there first would be lost.
+  for (const Lane& ln : lanes_) {
+    if (!ln.queue.empty() || std::find(ln.link_up.begin(), ln.link_up.end(),
+                                       0) != ln.link_up.end()) {
+      throw std::logic_error(
+          "Simulator::configure_shards must be called before any schedule_* "
+          "or set_link_initially_down call");
+    }
+  }
   if (shards <= 0) {
     part_.reset();
     shards_requested_ = 0;
@@ -1059,12 +1069,12 @@ void Simulator::trace_event(Lane& ln, const Event& e, bool observable,
       break;
     case EventKind::kCrash:
       tp = TracePoint::kFault;
-      a = 0.0;  // fault::FaultKind::kCrash
+      a = static_cast<double>(obs::FaultKind::kCrash);
       b = observable ? logical_at(e.node, ln.now) : 0.0;
       break;
     case EventKind::kRecover:
       tp = TracePoint::kFault;
-      a = 1.0;  // fault::FaultKind::kRecover
+      a = static_cast<double>(obs::FaultKind::kRecover);
       b = observable ? logical_at(e.node, ln.now) : 0.0;
       break;
     case EventKind::kJoin:
@@ -1079,7 +1089,7 @@ void Simulator::trace_event(Lane& ln, const Event& e, bool observable,
       break;
     case EventKind::kScramble:
       tp = TracePoint::kFault;
-      a = 10.0;  // fault::FaultKind::kScramble
+      a = static_cast<double>(obs::FaultKind::kScramble);
       b = observable ? logical_at(e.node, ln.now) : 0.0;
       break;
   }

@@ -154,7 +154,10 @@ class Simulator {
 
   /// Splits the nodes into `shards` lanes over a graph::Partition
   /// (`strategy`: "auto" | "block" | "ml").  Must be called before the
-  /// first run; requires the delay policy to certify a positive
+  /// first run and before any schedule_* or set_link_initially_down call
+  /// (it rebuilds the lanes that hold queued events and link state), or
+  /// it throws std::logic_error; set_initially_absent may come either
+  /// side of it.  Requires the delay policy to certify a positive
   /// min_delay() (the lookahead), checked at setup.  `shards <= 0` keeps
   /// the unsharded single lane.  With shards == 1 the one partitioned
   /// lane runs on the calling thread with observation barriers — the
@@ -307,9 +310,8 @@ class Simulator {
   // schedule_link_change calls, so the simulator never guesses.
 
   /// Marks `v` as not yet part of the network.  Must be called before the
-  /// first run and — when sharded — after configure_shards.  Absent nodes
-  /// are skipped by the wake-all initialization; their first kJoin wakes
-  /// them.
+  /// first run, either side of configure_shards.  Absent nodes are
+  /// skipped by the wake-all initialization; their first kJoin wakes them.
   void set_initially_absent(NodeId v);
 
   /// Downs the link {u, v} before the first run, without an event (the

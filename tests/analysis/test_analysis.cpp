@@ -189,18 +189,6 @@ TEST(SkewTracker, SeriesAdvancesOnFixedGrid) {
 
 // ---- counters ----------------------------------------------------------------------
 
-TEST(Counters, CaptureAndWindowDifference) {
-  const auto g = graph::make_path(2);
-  auto sim = make_free_running_sim(g, {1.0, 1.0});
-  sim->run_until(10.0);
-  const auto early = CommunicationReport::capture(*sim);
-  sim->run_until(20.0);
-  const auto late = CommunicationReport::capture(*sim);
-  const auto window = late - early;
-  EXPECT_DOUBLE_EQ(window.duration, 10.0);
-  EXPECT_EQ(window.broadcasts, late.broadcasts - early.broadcasts);
-}
-
 // The "metrics" line of a write_stats_json document.
 std::string metrics_line(const std::string& json) {
   const auto at = json.find("  \"metrics\": ");

@@ -3,10 +3,10 @@
 // to the full-rescan oracle — same max global/local skew, per-distance
 // table, envelope violation, and rate extremes.  Scenarios cover A^opt
 // and the blocking-gradient baseline on line/tree/random topologies with
-// dynamic links, crashes, injected rate changes, and both per-distance
-// evaluation schedules; ftgcs under a Byzantine/crash/lossy/scramble
-// plan, kllo under churn, and the max-rate and tick-quantized nodes,
-// which expose no affine clock view, through the CLI build path.
+// dynamic links, crashes, injected rate changes, and the per-distance
+// profile; ftgcs under a Byzantine/crash/lossy/scramble plan, kllo under
+// churn, and the max-rate and tick-quantized nodes, which expose no
+// affine clock view, through the CLI build path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -42,7 +42,6 @@ struct Scenario {
   bool inject_rates = false;
   double audit_epsilon = 0.01;
   bool per_distance = false;
-  double per_distance_interval = 0.0;
   double series_interval = 0.0;
   double warmup = 0.0;
 };
@@ -72,7 +71,6 @@ SkewTracker::Options options_for(const Scenario& sc, SkewTracker::Mode mode) {
   topt.mode = mode;
   topt.audit_epsilon = sc.audit_epsilon;
   topt.track_per_distance = sc.per_distance;
-  topt.per_distance_interval = sc.per_distance_interval;
   topt.series_interval = sc.series_interval;
   topt.warmup = sc.warmup;
   return topt;
@@ -153,11 +151,6 @@ TEST(SkewIncremental, AoptLineFloodInit) {
   Scenario sc;
   sc.graph = graph::make_path(24);
   sc.factory = aopt_factory();
-  sc.per_distance = true;
-  // A grid interval, not every-sample: the exact per-distance profile
-  // needs a full scan per sample by construction, which would make the
-  // fewer-scans expectation impossible.
-  sc.per_distance_interval = 5.0;
   sc.series_interval = 7.0;
   expect_engines_identical(sc);
 }
@@ -209,38 +202,6 @@ TEST(SkewIncremental, BlockingGradientRandomDynamic) {
   sc.audit_epsilon = 0.0;
   sc.dynamic_links = true;
   expect_engines_identical(sc);
-}
-
-// The sampled per-distance grid must agree between engines and stay
-// dominated by the exact every-sample profile.
-TEST(SkewIncremental, PerDistanceGridMatchesAndIsDominated) {
-  Scenario sc;
-  sc.graph = graph::make_path(16);
-  sc.factory = aopt_factory();
-  sc.per_distance = true;
-  sc.per_distance_interval = 9.0;
-  expect_engines_identical(sc);
-
-  auto sim_grid = build(sc);
-  SkewTracker grid(*sim_grid, options_for(sc, SkewTracker::Mode::kIncremental));
-  grid.attach(*sim_grid);
-  run(*sim_grid, sc);
-
-  Scenario every = sc;
-  every.per_distance_interval = 0.0;
-  auto sim_every = build(every);
-  SkewTracker exact(*sim_every,
-                    options_for(every, SkewTracker::Mode::kIncremental));
-  exact.attach(*sim_every);
-  run(*sim_every, every);
-
-  ASSERT_EQ(grid.max_distance(), exact.max_distance());
-  bool some_positive = false;
-  for (int d = 0; d <= grid.max_distance(); ++d) {
-    EXPECT_LE(grid.max_skew_at_distance(d), exact.max_skew_at_distance(d));
-    some_positive |= grid.max_skew_at_distance(d) > 0.0;
-  }
-  EXPECT_TRUE(some_positive) << "grid sampling never evaluated the profile";
 }
 
 // kAuditOracle runs both engines inside one tracker and throws on any

@@ -149,7 +149,6 @@ TEST_P(AoptInvariants, AllPaperGuaranteesHold) {
   sim.set_delay_policy(sc.delay);
 
   analysis::SkewTracker::Options topt;
-  topt.track_local = true;
   topt.track_per_distance = true;
   topt.audit_epsilon = sc.eps;
   analysis::SkewTracker tracker(sim, topt);

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "obs/log2_buckets.hpp"
 
@@ -38,8 +37,6 @@ TEST(ExactHistory, EmptyStore) {
   EXPECT_EQ(h.appends(), 0u);
   EXPECT_TRUE(std::isnan(h.last_time()));
   EXPECT_TRUE(std::isnan(h.last_value()));
-  EXPECT_TRUE(std::isnan(h.overall_max()));
-  EXPECT_TRUE(std::isnan(h.max_in(0.0, 1.0)));
   EXPECT_TRUE(std::isnan(h.quantile(0.5)));
   EXPECT_EQ(h.memory_bytes(), 0u);
 }
@@ -52,8 +49,6 @@ TEST(ExactHistory, KeepsEverySample) {
   EXPECT_EQ(h.appends(), 100u);
   EXPECT_DOUBLE_EQ(h.last_time(), 99.0);
   EXPECT_DOUBLE_EQ(h.last_value(), 99 % 7);
-  EXPECT_DOUBLE_EQ(h.overall_min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.overall_max(), 6.0);
   const auto ws = h.windows();
   ASSERT_EQ(ws.size(), 100u);
   for (std::size_t i = 0; i < ws.size(); ++i) {
@@ -62,19 +57,6 @@ TEST(ExactHistory, KeepsEverySample) {
     EXPECT_DOUBLE_EQ(ws[i].min, ws[i].max);
   }
   EXPECT_EQ(h.coarsest_window_span(), 0.0);
-}
-
-TEST(ExactHistory, WindowedMaxIsExact) {
-  ExactHistoryStore h;
-  h.append(1.0, 5.0);
-  h.append(2.0, 9.0);
-  h.append(3.0, 2.0);
-  h.append(4.0, 7.0);
-  double slack = -1.0;
-  EXPECT_DOUBLE_EQ(h.max_in(1.5, 3.5, &slack), 9.0);
-  EXPECT_DOUBLE_EQ(slack, 0.0);
-  EXPECT_DOUBLE_EQ(h.max_in(2.5, 4.0), 7.0);
-  EXPECT_TRUE(std::isnan(h.max_in(4.5, 9.0)));
 }
 
 TEST(ExactHistory, QuantileIsOrderStatistic) {
@@ -152,36 +134,8 @@ TEST(StairHistory, AggregatesMatchExact) {
     exact.append(t, v);
     stair.append(t, v);
   }
-  EXPECT_DOUBLE_EQ(stair.overall_min(), exact.overall_min());
-  EXPECT_DOUBLE_EQ(stair.overall_max(), exact.overall_max());
-  EXPECT_DOUBLE_EQ(stair.overall_sum(), exact.overall_sum());
   EXPECT_EQ(stair.appends(), exact.appends());
   EXPECT_DOUBLE_EQ(stair.last_value(), exact.last_value());
-}
-
-TEST(StairHistory, WindowedMaxNeverUnderestimates) {
-  ExactHistoryStore exact;
-  StairHistoryStore stair(2048);
-  std::uint64_t s = 13;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i);
-    const double v = lcg01(s);
-    exact.append(t, v);
-    stair.append(t, v);
-  }
-  for (const auto& [t0, t1] : std::vector<std::pair<double, double>>{
-           {0.0, 500.0}, {5000.0, 6000.0}, {19000.0, 20000.0},
-           {0.0, 20000.0}}) {
-    double slack = 0.0;
-    const double approx = stair.max_in(t0, t1, &slack);
-    const double truth = exact.max_in(t0, t1);
-    // Folding whole windows can only widen the interval, so the sketch
-    // max dominates the true max and is exact over [t0-slack, t1+slack].
-    EXPECT_GE(approx, truth);
-    EXPECT_LE(approx, exact.max_in(t0 - slack, t1 + slack));
-    EXPECT_LE(slack, stair.coarsest_window_span());
-  }
 }
 
 TEST(StairHistory, QuantileWithinFactorTwo) {

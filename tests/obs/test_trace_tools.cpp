@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "obs/chrome_trace.hpp"
@@ -60,6 +61,28 @@ TEST(TraceSummary, CountsByKindNodeAndEdge) {
   print_summary(ss, s);
   EXPECT_NE(ss.str().find("deliver"), std::string::npos);
   EXPECT_NE(ss.str().find("node 1: 4"), std::string::npos);
+}
+
+TEST(TraceSummary, PrintsFaultKindNames) {
+  const auto fault = [](std::uint64_t seq, FaultKind k) {
+    return rec(seq, TracePoint::kFault, static_cast<double>(seq), 5,
+               kNoTraceEdge, static_cast<double>(k));
+  };
+  const auto dump = make_dump({
+      fault(0, FaultKind::kCrash),
+      fault(1, FaultKind::kByzantineOn),
+      fault(2, FaultKind::kScramble),
+      rec(3, TracePoint::kFault, 3.0, 5, kNoTraceEdge, kNumFaultKinds),
+      rec(4, TracePoint::kFault, 4.0, 5, kNoTraceEdge, std::nan("")),
+  });
+  std::stringstream ss;
+  print_summary(ss, summarize(dump));
+  const std::string out = ss.str();
+  EXPECT_NE(out.find("t=0 crash node=5\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("t=1 byz_on node=5\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("t=2 scramble node=5\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("t=3 unknown node=5\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("t=4 unknown node=5\n"), std::string::npos) << out;
 }
 
 TEST(TraceDiff, IdenticalTracesMatch) {

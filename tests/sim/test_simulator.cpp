@@ -404,5 +404,40 @@ TEST(Simulator, TouchedIdentifiesChangedNodes) {
   EXPECT_EQ(seen.back(), (std::vector<Simulator::Touch>{{1}, {0}}));
 }
 
+// configure_shards rebuilds the lanes, which hold the queued events and
+// the link views, so state put there first would be lost: it throws
+// instead.  An absence lives in the node's status slot, which the rebuild
+// moves, so it may come first.
+TEST(Simulator, ConfigureShardsRejectsEarlierLaneState) {
+  const auto g = graph::make_path(8);
+  const std::vector<std::function<void(Simulator&)>> lane_state = {
+      [](Simulator& s) { s.schedule_link_change(3, 4, false, 5.0); },
+      [](Simulator& s) { s.set_link_initially_down(0, 1); },
+      [](Simulator& s) { s.schedule_crash(6, 7.0); },
+  };
+  for (const int k : {0, 1, 2}) {
+    for (const auto& call : lane_state) {
+      Simulator sim(g);
+      call(sim);
+      EXPECT_THROW(sim.configure_shards(k), std::logic_error) << "k=" << k;
+    }
+
+    SimConfig cfg;
+    cfg.wake_all_at_zero = true;
+    Simulator sim(g, cfg);
+    install_script_nodes(sim, 8);
+    sim.set_delay_policy(std::make_shared<FixedDelay>(0.5));
+    sim.set_initially_absent(5);
+    sim.configure_shards(k);
+    for (const auto& call : lane_state) call(sim);
+    sim.run_until(10.0);
+    EXPECT_TRUE(sim.departed(5)) << "k=" << k;
+    EXPECT_FALSE(sim.awake(5)) << "k=" << k;
+    EXPECT_FALSE(sim.link_up(3, 4)) << "k=" << k;
+    EXPECT_FALSE(sim.link_up(0, 1)) << "k=" << k;
+    EXPECT_TRUE(sim.crashed(6)) << "k=" << k;
+  }
+}
+
 }  // namespace
 }  // namespace tbcs::sim

@@ -36,10 +36,13 @@ sweep:      --param diameter|nodes|eps|mu|h0|delay|duration
 run:        --jobs N          worker threads (default 1; output is
                               byte-identical for every N)
             --shards K        run every simulation on the sharded engine
-                              with K lanes (results are byte-identical to
-                              K = 0, the serial default).  Jobs compose
-                              with shards against one core budget: J is
-                              clamped so J * K <= hardware threads
+                              with K lanes (results are byte-identical
+                              for every K >= 1; against K = 0, the serial
+                              default, the queue peak differs and the
+                              exact tracker's skew maxima may read
+                              slightly lower).  Jobs compose with shards
+                              against one core budget: J is clamped so
+                              J * K <= hardware threads
             --seed S          base seed; per-run seeds are derived from
                               (S, run index)
 output:     --format csv|json (default csv, on stdout)
