@@ -96,7 +96,9 @@ RunResult run_one(const graph::Graph& g, analysis::SkewTracker::Mode mode,
                   int* shards_effective = nullptr,
                   sim::QueueSelect queue = sim::QueueSelect::kAuto,
                   const dyn::ChurnSchedule* churn = nullptr) {
-  const core::SyncParams params = core::SyncParams::recommended(1.0, 0.01, 0.0);
+  // One config shared by every node, as cli::build_experiment builds it.
+  const auto config = std::make_shared<const core::AoptConfig>(
+      core::SyncParams::recommended(1.0, 0.01, 0.0), core::AoptOptions{});
   sim::SimConfig scfg;
   scfg.wake_all_at_zero = shards >= 0;
   scfg.queue = queue;
@@ -104,7 +106,7 @@ RunResult run_one(const graph::Graph& g, analysis::SkewTracker::Mode mode,
   if (shards > 0) sim.configure_shards(shards, "auto", 64);
   if (shards_effective != nullptr) *shards_effective = sim.shards();
   sim.set_all_nodes(
-      [&params](sim::NodeId) { return std::make_unique<core::AoptNode>(params); });
+      [&config](sim::NodeId) { return std::make_unique<core::AoptNode>(config); });
   sim.set_drift_policy(std::make_shared<sim::RandomWalkDrift>(0.01, 10.0, seed));
   sim.set_delay_policy(std::make_shared<sim::UniformDelay>(
       shards >= 0 ? 0.25 : 0.0, 1.0, seed + 1));

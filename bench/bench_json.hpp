@@ -7,8 +7,9 @@
 //   {
 //     "schema": "tbcs-bench-v1",
 //     "label": "<binary or run label>",
-//     "meta": {"meta_version": 1, "git_sha": "...", "build_type": "...",
-//              "compiler": "..."},
+//     "meta": {"meta_version": 2, "git_sha": "...", "build_type": "...",
+//              "compiler": "...", "nproc": 4, "affinity": [0, 1, 2, 3],
+//              "cpu_model": "..."},
 //     "results": [
 //       {"name": "<unique result id>", "<metric>": <number>, ...},
 //       ...
@@ -17,10 +18,15 @@
 //
 // Metric keys and values are benchmark-specific; `name` is the only
 // required field and must be unique within the file.  `meta` carries
-// build provenance (injected by CMake via TBCS_GIT_SHA etc.) so a
-// trajectory file says which build produced it; consumers must treat
-// unknown meta keys as informational.
+// build provenance (injected by CMake via TBCS_GIT_SHA etc.) and the
+// machine the numbers came from: `nproc` (online CPUs), `affinity` (the
+// CPUs this process may run on) and `cpu_model` — the same three keys
+// perfbench's results files record.  Consumers must treat unknown meta
+// keys as informational.
 #pragma once
+
+#include <sched.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -71,10 +77,13 @@ class BenchJsonWriter {
 
   void write(std::ostream& os) const {
     os << "{\n  \"schema\": \"tbcs-bench-v1\",\n  \"label\": \""
-       << escape(label_) << "\",\n  \"meta\": {\"meta_version\": 1, "
+       << escape(label_) << "\",\n  \"meta\": {\"meta_version\": 2, "
        << "\"git_sha\": \"" << escape(TBCS_GIT_SHA) << "\", "
        << "\"build_type\": \"" << escape(TBCS_BUILD_TYPE) << "\", "
-       << "\"compiler\": \"" << escape(TBCS_COMPILER)
+       << "\"compiler\": \"" << escape(TBCS_COMPILER) << "\", "
+       << "\"nproc\": " << sysconf(_SC_NPROCESSORS_ONLN) << ", "
+       << "\"affinity\": " << affinity() << ", "
+       << "\"cpu_model\": \"" << escape(cpu_model())
        << "\"},\n  \"results\": [";
     for (std::size_t i = 0; i < results_.size(); ++i) {
       const Result& r = results_[i];
@@ -95,6 +104,35 @@ class BenchJsonWriter {
   }
 
  private:
+  // The CPUs this process may run on, as a JSON array.
+  static std::string affinity() {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    std::string out = "[";
+    if (sched_getaffinity(0, sizeof set, &set) == 0) {
+      for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+        if (!CPU_ISSET(cpu, &set)) continue;
+        if (out.size() > 1) out += ", ";
+        out += std::to_string(cpu);
+      }
+    }
+    return out + "]";
+  }
+
+  // The "model name" line of /proc/cpuinfo, or "unknown".
+  static std::string cpu_model() {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("model name", 0) != 0) continue;
+      const std::size_t colon = line.find(':');
+      if (colon == std::string::npos) break;
+      const std::size_t start = line.find_first_not_of(" \t", colon + 1);
+      return start == std::string::npos ? "unknown" : line.substr(start);
+    }
+    return "unknown";
+  }
+
   static std::string escape(const std::string& s) {
     std::string out;
     out.reserve(s.size());

@@ -5,18 +5,22 @@
 #      keep green (same commands as ROADMAP.md).
 #   2. Sanitizer smoke: rebuild the simulator tool, the trace tool, the
 #      runtime tests, the obs and history-store tests, the skew-tracker
-#      oracle and analysis tests, the simulator and recorder tests, and
-#      the graph, topology, partition, churn-plan and fault-plan tests
-#      with ASan+UBSan (-DTBCS_SANITIZE=address,undefined) and run them.
-#      The threaded runtime (detached wedged threads, leaked hosts), the
-#      flight recorder's binary dump round trip, the tracker's
-#      certificate trees, the history stores' window cascade, the lane
-#      rebuild in configure_shards, the execution-log and trace-dump
-#      loaders (hostile counts), the graph constructor (it writes through
-#      offsets computed from its input) and the plan parsers (hostile
-#      numbers) are the pieces most at risk of memory/lifetime bugs or
-#      undefined behaviour, so they get sanitizer coverage even in a
-#      quick pass.
+#      oracle and analysis tests, the simulator and recorder tests, the
+#      graph, topology, partition, churn-plan and fault-plan tests, the
+#      event-queue tests (ladder, heap, heap-vs-ladder differential) and
+#      the A^opt-family tests (aopt unit, adaptive delay, variants,
+#      ftgcs, dyn-gcs) with ASan+UBSan (-DTBCS_SANITIZE=address,undefined)
+#      and run them.  The threaded runtime (detached wedged threads,
+#      leaked hosts), the flight recorder's binary dump round trip, the
+#      tracker's certificate trees, the history stores' window cascade,
+#      the lane rebuild in configure_shards, the execution-log and
+#      trace-dump loaders (hostile counts), the graph constructor (it
+#      writes through offsets computed from its input), the plan parsers
+#      (hostile numbers), the ladder queue's storage hand-offs (blocks,
+#      buckets, run and pool change owners) and the shared node config
+#      (a dangling handle) are the pieces most at risk of memory/lifetime
+#      bugs or undefined behaviour, so they get sanitizer coverage even
+#      in a quick pass.
 #   3. TSan smoke: rebuild the threaded-runtime tests (including the
 #      fault-injection paths: partitions, link flips, the channel hook,
 #      and the stop() watchdog) and the sharded-engine tests (worker
@@ -73,7 +77,9 @@ cmake --build build-asan -j "$JOBS" --target \
   tbcs_sim_tool tbcs_trace test_runtime test_obs test_trace_tools \
   test_history_store test_skew_incremental test_analysis test_simulator \
   test_recorder test_graph test_topologies test_partition test_churn_plan \
-  test_fault_plan
+  test_fault_plan test_ladder_queue test_queue_differential test_event_queue \
+  test_aopt_unit test_adaptive_delay test_variants_unit test_ftgcs \
+  test_dyn_gcs
 
 SAN_TMP="$(mktemp -d)"
 trap 'rm -rf "$SAN_TMP"' EXIT
@@ -94,6 +100,14 @@ build-asan/tests/test_topologies
 build-asan/tests/test_partition
 build-asan/tests/test_churn_plan
 build-asan/tests/test_fault_plan
+build-asan/tests/test_ladder_queue
+build-asan/tests/test_queue_differential
+build-asan/tests/test_event_queue
+build-asan/tests/test_aopt_unit
+build-asan/tests/test_adaptive_delay
+build-asan/tests/test_variants_unit
+build-asan/tests/test_ftgcs
+build-asan/tests/test_dyn_gcs
 
 echo
 echo "=== sanitizer smoke: TSan threaded runtime + sharded engine (jobs=$JOBS) ==="

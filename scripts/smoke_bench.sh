@@ -4,7 +4,9 @@
 #   1. runs `bench_core_hotpath --quick` (the n=64 subset of the full
 #      sweep, identical workloads and result names);
 #   2. validates the tbcs-bench-v1 schema of the fresh output AND of the
-#      checked-in baseline (BENCH_pr2.json);
+#      checked-in baseline (BENCH_pr2.json); a fresh output must also
+#      record its machine in `meta` (nproc, affinity, cpu_model), which
+#      the older baseline predates;
 #   3. fails on a >30% regression of the incremental/oracle speedup ratio
 #      versus the baseline, aggregated (geometric mean) over the configs
 #      present in both files.  The ratio comes from one process run back
@@ -32,13 +34,22 @@ trap 'rm -rf "$TMPDIR_SMOKE"' EXIT
 
 "$BENCH_BIN" --quick --out "$TMPDIR_SMOKE/quick.json" --label smoke > "$TMPDIR_SMOKE/quick.log"
 
-validate() {
-  python3 - "$1" <<'EOF'
+validate() {  # validate <file> [fresh]
+  python3 - "$1" "${2:-}" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 assert doc.get("schema") == "tbcs-bench-v1", f"bad schema: {doc.get('schema')}"
 assert isinstance(doc.get("label"), str) and doc["label"], "missing label"
+if sys.argv[2] == "fresh":
+    meta = doc.get("meta", {})
+    nproc = meta.get("nproc")
+    assert isinstance(nproc, int) and nproc > 0, f"meta.nproc: {nproc!r}"
+    cpus = meta.get("affinity")
+    assert isinstance(cpus, list) and cpus and all(
+        isinstance(c, int) and c >= 0 for c in cpus), f"meta.affinity: {cpus!r}"
+    model = meta.get("cpu_model")
+    assert isinstance(model, str) and model, f"meta.cpu_model: {model!r}"
 results = doc.get("results")
 assert isinstance(results, list) and results, "missing results"
 names = set()
@@ -55,14 +66,14 @@ print(f"{sys.argv[1]}: tbcs-bench-v1 OK, {len(results)} results")
 EOF
 }
 
-validate "$TMPDIR_SMOKE/quick.json"
+validate "$TMPDIR_SMOKE/quick.json" fresh
 
 if [[ "${SMOKE_BENCH_LARGE:-0}" == "1" ]]; then
   echo "smoke_bench: large-n serial gate (line n=100000, heap vs ladder, median of 5)"
   "$BENCH_BIN" --shards 0 --queue heap,ladder --filter line_n100000 --repeat 5 \
     --out "$TMPDIR_SMOKE/large.json" --label smoke-large \
     > "$TMPDIR_SMOKE/large.log"
-  validate "$TMPDIR_SMOKE/large.json"
+  validate "$TMPDIR_SMOKE/large.json" fresh
   python3 - "$TMPDIR_SMOKE/large.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:

@@ -67,9 +67,12 @@ void write_stats_json(std::ostream& os, const sim::Simulator& sim,
      << ", \"partition\": \""
      << (sim.shards() > 0 ? sim.partition_strategy() : std::string("serial"))
      << "\"},\n";
-  // Concrete queue-implementation detail: bucket churn, wheel cascades,
-  // reserved capacity.  Partition- and implementation-dependent by nature,
-  // so the same byte-comparison gates strip this block too.
+  // Concrete queue-implementation detail: bucket churn, wheel cascades and
+  // allocated slots when the stats are written, summed over the lanes.
+  // queue_capacity counts event slots: a heap's reserved vector, or every
+  // slot a ladder holds (run, rung buckets, overflow blocks, pool), which
+  // follows its live events.  Partition- and implementation-dependent by
+  // nature, so the same byte-comparison gates strip this block too.
   const sim::Simulator::QueueImplInfo qi = sim.queue_impl_info();
   os << "  \"queue_impl\": {"
      << "\"impl\": \""

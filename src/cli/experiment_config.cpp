@@ -293,45 +293,50 @@ std::shared_ptr<sim::DelayPolicy> build_delays(const ExperimentConfig& cfg,
   throw ConfigError("unknown delay model: " + cfg.delays);
 }
 
-std::unique_ptr<sim::Node> build_node(const ExperimentConfig& cfg,
-                                      const core::SyncParams& params,
-                                      sim::NodeId v) {
+// The one config every node of a fixed-option A^opt-family algorithm
+// shares (null for aopt-adaptive, whose nodes rewrite their own, and for
+// the other algorithms).
+std::shared_ptr<const core::AoptConfig> build_aopt_config(
+    const ExperimentConfig& cfg, const core::SyncParams& params) {
   const std::string& a = cfg.algorithm;
-  if (a == "aopt") {
+  if (a == "aopt" || a == "ftgcs" || a == "kllo") {
     core::AoptOptions o;
     o.neighbor_silence_timeout = cfg.silence_timeout;
     o.influence_bound = cfg.influence_bound;
-    return std::make_unique<core::AoptNode>(params, o);
+    return std::make_shared<const core::AoptConfig>(params, o);
   }
+  if (a == "aopt-jump") return core::jump_aopt_config(params);
+  if (a == "aopt-bounded") return core::bounded_frequency_aopt_config(params);
+  if (a == "aopt-external") return core::external_aopt_config(params);
+  if (a == "aopt-envelope") return core::envelope_aopt_config(params);
+  if (a == "aopt-ticks") {
+    return std::make_shared<const core::AoptConfig>(params, core::AoptOptions{});
+  }
+  return nullptr;
+}
+
+std::unique_ptr<sim::Node> build_node(
+    const ExperimentConfig& cfg, const core::SyncParams& params,
+    const std::shared_ptr<const core::AoptConfig>& shared, sim::NodeId v) {
+  const std::string& a = cfg.algorithm;
   if (a == "ftgcs") {
-    core::AoptOptions o;
-    o.neighbor_silence_timeout = cfg.silence_timeout;
-    o.influence_bound = cfg.influence_bound;
-    return std::make_unique<core::FtGcsNode>(params, o, resolve_ftgcs(cfg));
+    return std::make_unique<core::FtGcsNode>(shared, resolve_ftgcs(cfg));
   }
   if (a == "kllo") {
-    core::AoptOptions o;
-    o.neighbor_silence_timeout = cfg.silence_timeout;
-    o.influence_bound = cfg.influence_bound;
-    return std::make_unique<dyn::DynGcsNode>(params, o,
+    return std::make_unique<dyn::DynGcsNode>(shared,
                                              resolve_dyn_gcs(cfg, params));
   }
-  if (a == "aopt-jump") return core::make_jump_aopt(params);
-  if (a == "aopt-bounded") return core::make_bounded_frequency_aopt(params);
   if (a == "aopt-adaptive") {
     return std::make_unique<core::AdaptiveDelayAoptNode>(params);
   }
-  if (a == "aopt-external") {
-    if (v == 0) {
-      return std::make_unique<core::ExternalReferenceNode>(params.h0);
-    }
-    return core::make_external_aopt(params);
+  if (a == "aopt-external" && v == 0) {
+    return std::make_unique<core::ExternalReferenceNode>(params.h0);
   }
-  if (a == "aopt-envelope") return core::make_envelope_aopt(params);
   if (a == "aopt-ticks") {
-    return std::make_unique<sim::TickQuantizedNode>(core::make_aopt(params),
-                                                    cfg.tick_frequency);
+    return std::make_unique<sim::TickQuantizedNode>(
+        std::make_unique<core::AoptNode>(shared), cfg.tick_frequency);
   }
+  if (shared != nullptr) return std::make_unique<core::AoptNode>(shared);
   if (a == "max" || a == "max-rate") {
     baselines::MaxAlgorithmOptions o;
     o.jump = (a == "max");
@@ -394,10 +399,12 @@ BuiltExperiment build_experiment(const ExperimentConfig& cfg) {
   // final slot permutation and per-lane link views.
   if (!built.churn.empty()) built.churn.apply(*built.simulator);
   const core::SyncParams params = built.params;
+  const std::shared_ptr<const core::AoptConfig> shared =
+      build_aopt_config(cfg, params);
   const fault::FaultTimeline& timeline = built.timeline;
   built.simulator->set_all_nodes(
-      [&cfg, &params, &timeline, fault_seed](sim::NodeId v) {
-        std::unique_ptr<sim::Node> node = build_node(cfg, params, v);
+      [&cfg, &params, &shared, &timeline, fault_seed](sim::NodeId v) {
+        std::unique_ptr<sim::Node> node = build_node(cfg, params, shared, v);
         if (const fault::ByzantineSpec* spec = timeline.byzantine_spec(v)) {
           // Per-node lie stream, derived from the fault seed only.
           const std::uint64_t node_seed =

@@ -5,7 +5,11 @@
 namespace tbcs::core {
 
 AdaptiveDelayAoptNode::AdaptiveDelayAoptNode(const SyncParams& params)
-    : AoptNode(params), delay_bound_(params.delay_hat) {}
+    : AdaptiveDelayAoptNode(
+          std::make_shared<AoptConfig>(params, AoptOptions{})) {}
+
+AdaptiveDelayAoptNode::AdaptiveDelayAoptNode(std::shared_ptr<AoptConfig> own)
+    : AoptNode(own), own_(own.get()), delay_bound_(own->params.delay_hat) {}
 
 void AdaptiveDelayAoptNode::send_tagged(sim::NodeServices& sv, int tag,
                                         double aux, sim::NodeId target) {
@@ -27,11 +31,11 @@ void AdaptiveDelayAoptNode::adopt_bound(sim::NodeServices& sv, double bound,
   // most O(log(T / T_0)) update floods ever happen.
   delay_bound_ = from_rtt ? std::max(bound, 2.0 * delay_bound_) : bound;
   ++bound_updates_;
-  params_.delay_hat = std::max(params_.delay_hat, delay_bound_);
-  params_.kappa = std::max(
-      params_.kappa, 2.0 * ((1.0 + params_.eps_hat) * (1.0 + params_.mu) *
-                                delay_bound_ +
-                            params_.h0_bar()));
+  SyncParams& p = own_->params;
+  p.delay_hat = std::max(p.delay_hat, delay_bound_);
+  p.kappa = std::max(
+      p.kappa,
+      2.0 * ((1.0 + p.eps_hat) * (1.0 + p.mu) * delay_bound_ + p.h0_bar()));
   send_tagged(sv, kBound, delay_bound_, sim::kInvalidNode);
 }
 
@@ -60,7 +64,7 @@ void AdaptiveDelayAoptNode::on_message(sim::NodeServices& sv,
         const double rtt_h = sv.hardware_now() - m.aux;
         // Hardware clocks run at >= 1 - eps, so real RTT <= rtt_h/(1-eps);
         // the RTT upper-bounds each one-way delay.
-        adopt_bound(sv, rtt_h / (1.0 - params_.eps_hat), /*from_rtt=*/true);
+        adopt_bound(sv, rtt_h / (1.0 - params().eps_hat), /*from_rtt=*/true);
       }
       break;
     case kBound:

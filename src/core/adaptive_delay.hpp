@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "core/aopt.hpp"
 
@@ -38,13 +39,15 @@ class AdaptiveDelayAoptNode final : public AoptNode {
   void on_timer(sim::NodeServices& sv, int slot) override;
 
   double current_delay_bound() const { return delay_bound_; }
-  double current_kappa() const { return params_.kappa; }
+  double current_kappa() const { return params().kappa; }
   std::uint64_t bound_updates() const { return bound_updates_; }
   std::uint64_t rtt_samples() const { return rtt_samples_; }
 
   enum MessageTag : int { kSync = 0, kPing = 1, kPong = 2, kBound = 3 };
 
  private:
+  explicit AdaptiveDelayAoptNode(std::shared_ptr<AoptConfig> own);
+
   void send_ping(sim::NodeServices& sv);
   void send_tagged(sim::NodeServices& sv, int tag, double aux,
                    sim::NodeId target);
@@ -53,6 +56,9 @@ class AdaptiveDelayAoptNode final : public AoptNode {
   /// floods converge instead of ping-ponging doublings).
   void adopt_bound(sim::NodeServices& sv, double bound, bool from_rtt);
 
+  // The private config the base class reads: adopt_bound raises this
+  // node's delay_hat and kappa, so it is never shared with another node.
+  AoptConfig* own_;
   double delay_bound_ = 0.0;
   std::uint64_t bound_updates_ = 0;
   std::uint64_t rtt_samples_ = 0;

@@ -15,25 +15,33 @@ constexpr double kTiny = 1e-9;       // value-comparison tolerance
 constexpr double kBoostFloor = 1e-12;  // smallest increase worth boosting for
 }  // namespace
 
-AoptNode::AoptNode(const SyncParams& params, AoptOptions opt)
-    : params_(params), opt_(opt) {
-  params_.check();
-  assert(opt_.lmax_rate_factor > 0.0 && opt_.lmax_rate_factor <= 1.0);
+AoptConfig::AoptConfig(const SyncParams& params_in, AoptOptions options_in)
+    : params(params_in), options(options_in) {
+  params.check();
+  assert(options.lmax_rate_factor > 0.0 && options.lmax_rate_factor <= 1.0);
   // The "send on L^max multiples" trigger of Algorithm 1 presumes L^max
   // advances at the hardware rate; damped-L^max variants send periodically
   // instead (Sections 8.5/8.6), as do lower-bounded-delay setups (8.3).
-  if (opt_.lmax_rate_factor != 1.0 || opt_.envelope_mode ||
-      opt_.value_offset != 0.0) {
-    opt_.periodic_send = true;
+  if (options.lmax_rate_factor != 1.0 || options.envelope_mode ||
+      options.value_offset != 0.0) {
+    options.periodic_send = true;
   }
+}
+
+AoptNode::AoptNode(const SyncParams& params, AoptOptions opt)
+    : AoptNode(std::make_shared<const AoptConfig>(params, opt)) {}
+
+AoptNode::AoptNode(std::shared_ptr<const AoptConfig> config)
+    : config_(std::move(config)) {
+  assert(config_ != nullptr);
 }
 
 // ---- state advancement ------------------------------------------------------
 
 double AoptNode::lmax_factor_now() const {
-  if (!opt_.envelope_mode) return opt_.lmax_rate_factor;
+  if (!options().envelope_mode) return options().lmax_rate_factor;
   // Section 8.6: damp only while L^max exceeds the own hardware clock.
-  return Lmax_ > h_last_ + kTiny ? opt_.lmax_rate_factor : 1.0;
+  return Lmax_ > h_last_ + kTiny ? options().lmax_rate_factor : 1.0;
 }
 
 double AoptNode::logical_multiplier() const {
@@ -75,8 +83,8 @@ AoptNode::NeighborEstimate* AoptNode::find_neighbor(sim::NodeId w) {
 }
 
 void AoptNode::evict_stale_neighbors() {
-  if (opt_.neighbor_silence_timeout <= 0.0) return;
-  const double cutoff = h_last_ - opt_.neighbor_silence_timeout;
+  if (options().neighbor_silence_timeout <= 0.0) return;
+  const double cutoff = h_last_ - options().neighbor_silence_timeout;
   for (std::size_t i = 0; i < neighbors_.size();) {
     if (neighbors_[i].last_heard < cutoff) {
       const sim::NodeId gone = neighbors_[i].id;
@@ -92,8 +100,8 @@ void AoptNode::evict_stale_neighbors() {
 
 void AoptNode::decode_message(const sim::Message& m, double& logical,
                               double& logical_max) const {
-  logical = m.logical + opt_.value_offset;
-  logical_max = m.logical_max + opt_.value_offset;
+  logical = m.logical + options().value_offset;
+  logical_max = m.logical_max + options().value_offset;
 }
 
 sim::Message AoptNode::make_message(sim::NodeServices& sv) const {
@@ -139,10 +147,10 @@ bool AoptNode::accept_report(sim::NodeId from, double recv_l,
                              double recv_lmax) {
   // Bounded influence: a known neighbor whose report leaps past the local
   // view by more than the bound is lying (or corrupted).
-  if (opt_.influence_bound > 0.0) {
+  if (options().influence_bound > 0.0) {
     if (const NeighborEstimate* known = find_neighbor(from)) {
-      if (recv_l > known->est + opt_.influence_bound ||
-          recv_lmax > Lmax_ + opt_.influence_bound) {
+      if (recv_l > known->est + options().influence_bound ||
+          recv_lmax > Lmax_ + options().influence_bound) {
         return false;
       }
     }
@@ -229,16 +237,16 @@ void AoptNode::on_scramble(sim::NodeServices& sv, std::uint64_t seed,
   // adversary likes — including a fast mode whose reset deadline never
   // matched any computed increase.
   if (rng.next_double() < 0.5) {
-    rho_ = 1.0 + params_.mu;
+    rho_ = 1.0 + params().mu;
     sv.set_timer(kRateResetTimer,
                  h_last_ +
-                     rng.uniform(0.0, std::max(params_.h0, a / params_.mu)));
+                     rng.uniform(0.0, std::max(params().h0, a / params().mu)));
   } else {
     rho_ = 1.0;
     sv.cancel_timer(kRateResetTimer);
   }
   pending_send_ = rng.next_double() < 0.5;
-  last_send_h_ = std::max(0.0, h_last_ - rng.uniform(0.0, params_.h0));
+  last_send_h_ = std::max(0.0, h_last_ - rng.uniform(0.0, params().h0));
   // Neighbor estimates: shifted arbitrarily; the raw-max update guard is
   // re-anchored at the corrupted value, so honest reports below it are
   // ignored until the estimates self-advance past the corruption — state
@@ -267,28 +275,28 @@ double AoptNode::lambda_dn() const {
 
 void AoptNode::run_set_clock_rate(sim::NodeServices& sv) {
   double r;
-  if (opt_.midpoint_rule) {
+  if (options().midpoint_rule) {
     // Ablation: aim at the midpoint of the extreme neighbor estimates,
     // with the same line-2 clamps (kappa tolerance, L <= L^max).
     const double r1 = (lambda_up() - lambda_dn()) / 2.0;
-    r = std::min(std::max(params_.kappa - lambda_dn(), r1), Lmax_ - L_);
+    r = std::min(std::max(params().kappa - lambda_dn(), r1), Lmax_ - L_);
   } else {
-    r = clock_increase(lambda_up(), lambda_dn(), params_.kappa, Lmax_ - L_);
+    r = clock_increase(lambda_up(), lambda_dn(), params().kappa, Lmax_ - L_);
   }
   apply_clock_increase(sv, r);
 }
 
 void AoptNode::apply_clock_increase(sim::NodeServices& sv, double r) {
   if (r > kBoostFloor) {
-    if (opt_.jump_mode) {
+    if (options().jump_mode) {
       // Unbounded-rate variant: apply the increase instantly.
       L_ += r;
       update_riding();
       rho_ = 1.0;
       sv.cancel_timer(kRateResetTimer);
     } else {
-      rho_ = 1.0 + params_.mu;  // lines 4-5
-      sv.set_timer(kRateResetTimer, h_last_ + r / params_.mu);
+      rho_ = 1.0 + params().mu;  // lines 4-5
+      sv.set_timer(kRateResetTimer, h_last_ + r / params().mu);
     }
   } else {
     rho_ = 1.0;  // line 7
@@ -306,15 +314,15 @@ void AoptNode::do_send(sim::NodeServices& sv) {
 }
 
 void AoptNode::request_send(sim::NodeServices& sv) {
-  if (!opt_.bounded_frequency ||
-      h_last_ - last_send_h_ >= params_.h0 - kTiny) {
+  if (!options().bounded_frequency ||
+      h_last_ - last_send_h_ >= params().h0 - kTiny) {
     do_send(sv);
     return;
   }
   // Section 6.1: defer until H advanced by H0 since the last send; the
   // spacing timer will flush the latest values.
   pending_send_ = true;
-  sv.set_timer(kSpacingTimer, last_send_h_ + params_.h0);
+  sv.set_timer(kSpacingTimer, last_send_h_ + params().h0);
 }
 
 void AoptNode::reschedule_value_timers(sim::NodeServices& sv) {
@@ -322,14 +330,14 @@ void AoptNode::reschedule_value_timers(sim::NodeServices& sv) {
 
   // Periodic / multiple-of-H0 send trigger.
   double send_target;
-  if (opt_.periodic_send) {
-    send_target = last_send_h_ + params_.h0;
+  if (options().periodic_send) {
+    send_target = last_send_h_ + params().h0;
   } else {
-    const double k = std::floor(Lmax_ / params_.h0 + 1e-7) + 1.0;
-    send_target = h_last_ + (k * params_.h0 - Lmax_) / c;
+    const double k = std::floor(Lmax_ / params().h0 + 1e-7) + 1.0;
+    send_target = h_last_ + (k * params().h0 - Lmax_) / c;
   }
-  if (opt_.bounded_frequency) {
-    send_target = std::max(send_target, last_send_h_ + params_.h0);
+  if (options().bounded_frequency) {
+    send_target = std::max(send_target, last_send_h_ + params().h0);
   }
   sv.set_timer(kSendTimer, send_target);
 
@@ -342,9 +350,9 @@ void AoptNode::reschedule_value_timers(sim::NodeServices& sv) {
   }
 
   // Envelope crossing: L^max meets H from above, after which it rides H.
-  if (opt_.envelope_mode && opt_.lmax_rate_factor < 1.0 &&
+  if (options().envelope_mode && options().lmax_rate_factor < 1.0 &&
       Lmax_ > h_last_ + kTiny) {
-    const double c0 = opt_.lmax_rate_factor;
+    const double c0 = options().lmax_rate_factor;
     sv.set_timer(kEnvelopeTimer, (Lmax_ - c0 * h_last_) / (1.0 - c0));
   } else {
     sv.cancel_timer(kEnvelopeTimer);
@@ -358,10 +366,10 @@ void AoptNode::on_timer(sim::NodeServices& sv, int slot) {
   evict_stale_neighbors();
   switch (slot) {
     case kSendTimer: {
-      if (!opt_.periodic_send) {
+      if (!options().periodic_send) {
         // Snap to the exact multiple of H0 to keep adopted estimates exact.
-        const double k = std::round(Lmax_ / params_.h0);
-        if (std::abs(Lmax_ - k * params_.h0) < 1e-6) Lmax_ = k * params_.h0;
+        const double k = std::round(Lmax_ / params().h0);
+        if (std::abs(Lmax_ - k * params().h0) < 1e-6) Lmax_ = k * params().h0;
       }
       do_send(sv);
       break;

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/params.hpp"
@@ -72,9 +73,26 @@ struct AoptOptions {
   double influence_bound = 0.0;
 };
 
+/// What an A^opt-family node reads but never changes: the parameters and
+/// the options.  The options are stored normalized: the damped-L^max,
+/// envelope and value-offset variants always send periodically.  Nodes
+/// hold the config by shared handle, so an experiment builds and checks
+/// one config for all of its nodes (cli::build_experiment) instead of a
+/// copy per node.
+struct AoptConfig {
+  /// Checks `params` (SyncParams::check) and normalizes `options`.
+  AoptConfig(const SyncParams& params, AoptOptions options);
+
+  SyncParams params;
+  AoptOptions options;
+};
+
 class AoptNode : public sim::Node {
  public:
+  /// A node with a private config built from `params` and `opt`.
   explicit AoptNode(const SyncParams& params, AoptOptions opt = {});
+  /// A node that shares `config` with every other node built from it.
+  explicit AoptNode(std::shared_ptr<const AoptConfig> config);
 
   // ---- sim::Node -----------------------------------------------------------
   void on_wake(sim::NodeServices& sv, const sim::Message* by_message) override;
@@ -104,8 +122,8 @@ class AoptNode : public sim::Node {
   bool affine_logical(Affine& out) const override;
 
   // ---- inspection (tests / metrics) ----------------------------------------
-  const SyncParams& params() const { return params_; }
-  const AoptOptions& options() const { return opt_; }
+  const SyncParams& params() const { return config_->params; }
+  const AoptOptions& options() const { return config_->options; }
   double rho() const { return rho_; }
   bool riding_lmax() const { return riding_; }
   sim::ClockValue logical_max_at(sim::ClockValue hardware_now) const;
@@ -136,7 +154,7 @@ class AoptNode : public sim::Node {
   // estimate.  Returning false discards the whole message — a rejected
   // report must not refresh liveness either, so a persistent liar still
   // ages out via the silence timeout.  Base implementation: the
-  // bounded-influence guard (opt_.influence_bound); the fault-tolerant
+  // bounded-influence guard (options().influence_bound); the fault-tolerant
   // node replaces it with a certified drift-envelope interval filter.
   virtual bool accept_report(sim::NodeId from, double recv_l,
                              double recv_lmax);
@@ -188,21 +206,24 @@ class AoptNode : public sim::Node {
   NeighborEstimate* find_neighbor(sim::NodeId w);
   void evict_stale_neighbors();
 
-  SyncParams params_;
-  AoptOptions opt_;
+  std::shared_ptr<const AoptConfig> config_;
 
-  bool awake_ = false;
   double h_last_ = 0.0;   // hardware reading at last state update
   double L_ = 0.0;        // logical clock at h_last_
   double Lmax_ = 0.0;     // L^max at h_last_
   double rho_ = 1.0;      // logical clock rate multiplier
-  bool riding_ = false;   // L == L^max and must not pass it (c < rate)
   double last_send_h_ = 0.0;
+  bool awake_ = false;
+  bool riding_ = false;   // L == L^max and must not pass it (c < rate)
   bool pending_send_ = false;
   std::vector<NeighborEstimate> neighbors_;
   std::uint64_t sends_ = 0;
   std::uint64_t rejected_reports_ = 0;
   std::uint64_t stale_evictions_ = 0;
 };
+
+// A million-node run holds a million of these: the config is shared, not
+// copied, and the flags share one word.
+static_assert(sizeof(AoptNode) <= 128, "AoptNode must stay within 128 bytes");
 
 }  // namespace tbcs::core

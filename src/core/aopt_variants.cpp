@@ -6,16 +6,25 @@ std::unique_ptr<AoptNode> make_aopt(const SyncParams& params) {
   return std::make_unique<AoptNode>(params);
 }
 
-std::unique_ptr<AoptNode> make_jump_aopt(const SyncParams& params) {
+std::shared_ptr<const AoptConfig> jump_aopt_config(const SyncParams& params) {
   AoptOptions o;
   o.jump_mode = true;
-  return std::make_unique<AoptNode>(params, o);
+  return std::make_shared<const AoptConfig>(params, o);
+}
+
+std::shared_ptr<const AoptConfig> bounded_frequency_aopt_config(
+    const SyncParams& params) {
+  AoptOptions o;
+  o.bounded_frequency = true;
+  return std::make_shared<const AoptConfig>(params, o);
+}
+
+std::unique_ptr<AoptNode> make_jump_aopt(const SyncParams& params) {
+  return std::make_unique<AoptNode>(jump_aopt_config(params));
 }
 
 std::unique_ptr<AoptNode> make_bounded_frequency_aopt(const SyncParams& params) {
-  AoptOptions o;
-  o.bounded_frequency = true;
-  return std::make_unique<AoptNode>(params, o);
+  return std::make_unique<AoptNode>(bounded_frequency_aopt_config(params));
 }
 
 std::unique_ptr<AoptNode> make_offset_delay_aopt(const SyncParams& params,

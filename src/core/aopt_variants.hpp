@@ -26,4 +26,10 @@ std::unique_ptr<AoptNode> make_bounded_frequency_aopt(const SyncParams& params);
 std::unique_ptr<AoptNode> make_offset_delay_aopt(const SyncParams& params,
                                                  double t1);
 
+/// The configs make_jump_aopt and make_bounded_frequency_aopt build their
+/// node from, for callers that share one config among many nodes.
+std::shared_ptr<const AoptConfig> jump_aopt_config(const SyncParams& params);
+std::shared_ptr<const AoptConfig> bounded_frequency_aopt_config(
+    const SyncParams& params);
+
 }  // namespace tbcs::core

@@ -23,8 +23,8 @@ BitCodedAoptNode::BitCodedAoptNode(const SyncParams& params)
         return o;
       }()) {
   lmax_cap_units_ = static_cast<int>(
-      std::ceil((1.0 + params_.eps_hat) * (1.0 + params_.mu) /
-                (1.0 - params_.eps_hat)));
+      std::ceil((1.0 + params.eps_hat) * (1.0 + params.mu) /
+                (1.0 - params.eps_hat)));
 }
 
 void BitCodedAoptNode::on_wake(sim::NodeServices& sv,
@@ -58,9 +58,9 @@ sim::Message BitCodedAoptNode::make_message(sim::NodeServices& sv) const {
   // (b) L^max: announce at most lmax_cap_units_ * H0; carry the rest.
   const double lmax_delta = std::max(0.0, Lmax_ - sent_lmax_);
   const auto lmax_units = std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(std::floor(lmax_delta / params_.h0)),
+      static_cast<std::uint64_t>(std::floor(lmax_delta / params().h0)),
       static_cast<std::uint64_t>(lmax_cap_units_));
-  sent_lmax_ += static_cast<double>(lmax_units) * params_.h0;
+  sent_lmax_ += static_cast<double>(lmax_units) * params().h0;
   m.logical_max = sent_lmax_;
 
   // Bit accounting.  The delta of L between sends spaced >= H0 apart is at

@@ -39,7 +39,7 @@ class BitCodedAoptNode final : public AoptNode {
   }
 
   /// Quantum for the logical-clock delta: q = mu * H0.
-  double quantum() const { return params_.mu * params_.h0; }
+  double quantum() const { return params().mu * params().h0; }
 
   /// Cap (in multiples of H0) on the L^max increase announced per message.
   int lmax_cap_units() const { return lmax_cap_units_; }

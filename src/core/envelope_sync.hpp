@@ -16,5 +16,7 @@ namespace tbcs::core {
 
 /// A^opt configured for the hardware-clock envelope condition.
 std::unique_ptr<AoptNode> make_envelope_aopt(const SyncParams& params);
+/// The config make_envelope_aopt builds its node from, for sharing.
+std::shared_ptr<const AoptConfig> envelope_aopt_config(const SyncParams& params);
 
 }  // namespace tbcs::core

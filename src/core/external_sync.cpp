@@ -34,10 +34,14 @@ sim::ClockValue ExternalReferenceNode::logical_at(
   return awake_ ? hardware_now : 0.0;
 }
 
-std::unique_ptr<AoptNode> make_external_aopt(const SyncParams& params) {
+std::shared_ptr<const AoptConfig> external_aopt_config(const SyncParams& params) {
   AoptOptions o;
   o.lmax_rate_factor = 1.0 / (1.0 + params.eps_hat);
-  return std::make_unique<AoptNode>(params, o);
+  return std::make_shared<const AoptConfig>(params, o);
+}
+
+std::unique_ptr<AoptNode> make_external_aopt(const SyncParams& params) {
+  return std::make_unique<AoptNode>(external_aopt_config(params));
 }
 
 }  // namespace tbcs::core

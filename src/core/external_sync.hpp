@@ -36,5 +36,7 @@ class ExternalReferenceNode final : public sim::Node {
 
 /// A^opt configured for external synchronization (non-reference nodes).
 std::unique_ptr<AoptNode> make_external_aopt(const SyncParams& params);
+/// The config make_external_aopt builds its node from, for sharing.
+std::shared_ptr<const AoptConfig> external_aopt_config(const SyncParams& params);
 
 }  // namespace tbcs::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <utility>
 
 #include "core/rate_rule.hpp"
 #include "sim/rng.hpp"
@@ -10,21 +11,24 @@
 namespace tbcs::core {
 
 FtGcsNode::FtGcsNode(const SyncParams& params, AoptOptions opt, FtGcsOptions ft)
-    : AoptNode(params, opt), ft_(ft) {
+    : FtGcsNode(std::make_shared<const AoptConfig>(params, opt), ft) {}
+
+FtGcsNode::FtGcsNode(std::shared_ptr<const AoptConfig> config, FtGcsOptions ft)
+    : AoptNode(std::move(config)), ft_(ft) {
   assert(ft_.f >= 0);
   // Condition (2) bounds a correct logical clock by (1+eps)(1+mu) per real
   // time; our hardware certifies at least (1-eps) per real time.  Using
   // eps_hat (the advertised bound, >= the true eps) keeps the envelope
   // sound for every admissible drift policy.
-  rate_env_ = (1.0 + params_.eps_hat) * (1.0 + params_.mu) /
-              (1.0 - params_.eps_hat);
+  rate_env_ = (1.0 + params().eps_hat) * (1.0 + params().mu) /
+              (1.0 - params().eps_hat);
   slack_ = ft_.envelope_slack > 0.0
                ? ft_.envelope_slack
-               : params_.kappa + 2.0 * rate_env_ * params_.delay_hat;
+               : params().kappa + 2.0 * rate_env_ * params().delay_hat;
   // Trimming replaces the Lambda extrema of the paper's rule; the
   // midpoint-rule ablation has no trimmed analogue and must not be
   // silently combined with it.
-  assert(!(ft_.trim && opt_.midpoint_rule));
+  assert(!(ft_.trim && options().midpoint_rule));
 }
 
 FtGcsNode::Cred* FtGcsNode::find_cred(sim::NodeId w) {
@@ -141,7 +145,7 @@ void FtGcsNode::run_set_clock_rate(sim::NodeServices& sv) {
     return;
   }
   const double r = clock_increase(trimmed_extreme(true), trimmed_extreme(false),
-                                  params_.kappa, Lmax_ - L_);
+                                  params().kappa, Lmax_ - L_);
   apply_clock_increase(sv, r);
 }
 

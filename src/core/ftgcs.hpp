@@ -61,6 +61,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/aopt.hpp"
@@ -84,6 +85,7 @@ struct FtGcsOptions {
 class FtGcsNode : public AoptNode {
  public:
   FtGcsNode(const SyncParams& params, AoptOptions opt, FtGcsOptions ft);
+  FtGcsNode(std::shared_ptr<const AoptConfig> config, FtGcsOptions ft);
 
   /// Corrupts the inherited A^opt state *and* the filter credentials —
   /// self-stabilization must hold for the whole state vector, including

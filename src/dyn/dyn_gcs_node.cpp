@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "core/rate_rule.hpp"
 
@@ -9,7 +10,11 @@ namespace tbcs::dyn {
 
 DynGcsNode::DynGcsNode(const core::SyncParams& params, core::AoptOptions opt,
                        DynGcsOptions dyn)
-    : AoptNode(params, opt), dyn_(dyn) {}
+    : DynGcsNode(std::make_shared<const core::AoptConfig>(params, opt), dyn) {}
+
+DynGcsNode::DynGcsNode(std::shared_ptr<const core::AoptConfig> config,
+                       DynGcsOptions dyn)
+    : AoptNode(std::move(config)), dyn_(dyn) {}
 
 const DynGcsNode::Ramp* DynGcsNode::find_ramp(sim::NodeId w) const {
   for (const Ramp& r : ramps_) {
@@ -29,7 +34,7 @@ void DynGcsNode::drop_ramp(sim::NodeId w) {
 }
 
 double DynGcsNode::tolerance(sim::NodeId w, double h) const {
-  const double kappa = params_.kappa;
+  const double kappa = params().kappa;
   if (!ramp_active()) return kappa;
   const Ramp* r = find_ramp(w);
   if (r == nullptr) return kappa;
@@ -85,7 +90,7 @@ void DynGcsNode::run_set_clock_rate(sim::NodeServices& sv) {
     AoptNode::run_set_clock_rate(sv);
     return;
   }
-  const double kappa = params_.kappa;
+  const double kappa = params().kappa;
   double lam_up = -std::numeric_limits<double>::infinity();
   double lam_dn = -std::numeric_limits<double>::infinity();
   for (const auto& nb : neighbors_) {

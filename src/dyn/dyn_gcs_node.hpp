@@ -24,6 +24,7 @@
 // new edge's skew contracts at the mu-bounded catch-up rate.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "core/aopt.hpp"
@@ -41,6 +42,8 @@ struct DynGcsOptions {
 class DynGcsNode : public core::AoptNode {
  public:
   DynGcsNode(const core::SyncParams& params, core::AoptOptions opt,
+             DynGcsOptions dyn);
+  DynGcsNode(std::shared_ptr<const core::AoptConfig> config,
              DynGcsOptions dyn);
 
   void on_link_change(sim::NodeServices& sv, sim::NodeId neighbor,
@@ -66,7 +69,7 @@ class DynGcsNode : public core::AoptNode {
   void drop_ramp(sim::NodeId w);
   bool ramp_active() const {
     return dyn_.stabilization_time > 0.0 &&
-           dyn_.initial_tolerance > params_.kappa;
+           dyn_.initial_tolerance > params().kappa;
   }
 
   DynGcsOptions dyn_;

@@ -63,10 +63,9 @@ std::size_t Graph::max_degree() const {
   return d;
 }
 
-std::vector<int> Graph::bfs_distances(NodeId source) const {
-  std::vector<int> dist(static_cast<std::size_t>(num_nodes()), -1);
-  std::vector<NodeId> queue;
-  queue.reserve(dist.size());
+int Graph::bfs(NodeId source, std::vector<int>& dist,
+               std::vector<NodeId>& queue) const {
+  queue.clear();
   dist[static_cast<std::size_t>(source)] = 0;
   queue.push_back(source);
   for (std::size_t head = 0; head < queue.size(); ++head) {
@@ -79,6 +78,15 @@ std::vector<int> Graph::bfs_distances(NodeId source) const {
       }
     }
   }
+  // BFS order is nondecreasing in distance: the last node is the farthest.
+  return dist[static_cast<std::size_t>(queue.back())];
+}
+
+std::vector<int> Graph::bfs_distances(NodeId source) const {
+  std::vector<int> dist(static_cast<std::size_t>(num_nodes()), -1);
+  std::vector<NodeId> queue;
+  queue.reserve(dist.size());
+  bfs(source, dist, queue);
   return dist;
 }
 
@@ -99,8 +107,23 @@ int Graph::eccentricity(NodeId v) const {
 }
 
 int Graph::diameter() const {
-  int d = 0;
-  for (NodeId v = 0; v < num_nodes(); ++v) d = std::max(d, eccentricity(v));
+  const auto n = static_cast<std::size_t>(num_nodes());
+  if (n == 0) return 0;
+  std::vector<int> dist(n, -1);
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  // One search, first clearing only what the previous one reached, so each
+  // costs O(reach) on the shared buffers.
+  const auto search = [&](NodeId source) {
+    for (const NodeId u : queue) dist[static_cast<std::size_t>(u)] = -1;
+    return bfs(source, dist, queue);
+  };
+  int d = search(0);
+  // A connected graph with n - 1 edges is a tree, where the two-sweep
+  // estimate is exact: the farthest node from any start ends a longest
+  // path, so its eccentricity is D.  O(n + m).
+  if (queue.size() == n && num_edges() == n - 1) return search(queue.back());
+  for (NodeId v = 1; v < num_nodes(); ++v) d = std::max(d, search(v));
   return d;
 }
 

@@ -77,7 +77,10 @@ class Graph {
   /// Eccentricity of `v` (max BFS distance); requires connectivity.
   int eccentricity(NodeId v) const;
 
-  /// Exact diameter D via BFS from every node.  O(n * (n + m)).
+  /// Exact diameter D.  O(n + m) on trees (paths included), where the
+  /// two-sweep estimate is exact; otherwise a BFS from every node,
+  /// O(n * (n + m)).  A disconnected graph yields the largest finite
+  /// distance.
   int diameter() const;
 
   /// Two-sweep diameter estimate: one BFS to find a peripheral node,
@@ -92,6 +95,12 @@ class Graph {
 
  private:
   void lay_out_arcs(NodeId n);  // row_ and arcs_ from edges_, O(n + m)
+  // BFS from `source` into the caller's buffers: `dist` must be -1 at
+  // every node the search reaches; on return it holds their distances and
+  // `queue` holds them in visiting order.  Returns the source's
+  // eccentricity within its component.
+  int bfs(NodeId source, std::vector<int>& dist,
+          std::vector<NodeId>& queue) const;
 
   std::vector<std::uint32_t> row_;  // n + 1 offsets into arcs_
   std::vector<Arc> arcs_;           // 2|E| half-edges, grouped by tail

@@ -102,13 +102,10 @@ class EventQueue {
     return heap_.data();
   }
 
-  /// Pre-sizes storage for an expected event population.
+  /// Pre-sizes the heap for an expected event population.  The ladder
+  /// takes no reservation: its storage follows its live events.
   void reserve(std::size_t expected) {
-    if (impl_ == QueueImpl::kHeap) {
-      heap_.reserve(expected);
-    } else {
-      ladder_.reserve(expected);
-    }
+    if (impl_ == QueueImpl::kHeap) heap_.reserve(expected);
   }
 
   /// Allocated event slots (stats-time only).

@@ -32,6 +32,9 @@ inline std::size_t bucket_index(double t, double base, double width,
   return idx < nb ? idx : nb - 1;
 }
 
+// Frees a vector's storage (clear() would keep it).
+inline void release(std::vector<Event>& v) { std::vector<Event>().swap(v); }
+
 }  // namespace
 
 void LadderQueue::push(const Event& e) {
@@ -58,7 +61,23 @@ void LadderQueue::push(const Event& e) {
     r->buckets[idx].push_back(e);
     return;
   }
-  overflow_.push_back(e);
+  // Beyond every rung: append to the last overflow block, opening a new
+  // one when it is full (existing events are never copied).
+  if (overflow_.empty() || overflow_.back().size() == kOverflowBlock) {
+    overflow_.emplace_back();
+    overflow_.back().reserve(kOverflowBlock);
+  }
+  overflow_.back().push_back(e);
+}
+
+void LadderQueue::recycle(std::vector<Event>&& v) {
+  if (v.capacity() == 0 || v.capacity() > kPoolCapacity ||
+      pool_.size() >= kPoolSize) {
+    release(v);
+    return;
+  }
+  v.clear();
+  pool_.push_back(std::move(v));
 }
 
 void LadderQueue::advance() {
@@ -68,32 +87,32 @@ void LadderQueue::advance() {
       Rung& r = rungs_.back();
       while (r.pos < r.buckets.size() && r.buckets[r.pos].empty()) ++r.pos;
       if (r.pos == r.buckets.size()) {
-        // Rung exhausted; recycle its bucket storage and resume the parent.
-        for (std::vector<Event>& b : r.buckets) {
-          if (b.capacity() > 0 && bucket_pool_.size() < kMaxBuckets) {
-            bucket_pool_.push_back(std::move(b));
-          }
-        }
+        // Rung exhausted (its drained buckets hold no storage); resume the
+        // parent.
         rungs_.pop_back();
         continue;
       }
       std::vector<Event>& bucket = r.buckets[r.pos];
       if (bucket.size() > kSpillAt && r.width > min_width(r.base)) {
         // Oversized bucket: refine it into a finer rung instead of paying
-        // one big sort.  The new rung spans exactly this bucket.
+        // one big sort.  The new rung spans exactly this bucket, and the
+        // carrier is freed once its events are distributed.
         const double lo = r.base + r.width * static_cast<double>(r.pos);
         const double hi = lo + r.width;
-        std::vector<Event> events = std::move(bucket);
-        bucket.clear();
+        std::vector<Event> carrier;
+        carrier.swap(bucket);
         ++r.pos;
         ++istats_.spills;
-        spawn_rung(std::move(events), lo, hi);  // invalidates r
+        const std::size_t count = carrier.size();
+        spawn_rung(std::span(&carrier, 1), count, lo, hi);  // invalidates r
         continue;
       }
-      // Sort this bucket and make it the run.  Swap keeps both allocations
-      // alive: the bucket inherits the drained run's capacity.
+      // Sort this bucket and make it the run.  The bucket's storage becomes
+      // the run's; the drained run's storage is pooled or freed.
+      std::vector<Event> drained;
+      drained.swap(run_);
       run_.swap(bucket);
-      bucket.clear();
+      recycle(std::move(drained));
       std::sort(run_.begin(), run_.end(), event_after);
       ++istats_.resorts;
       ++r.pos;
@@ -107,76 +126,81 @@ void LadderQueue::advance() {
       assert(!run_.empty() && "ladder lost events");
       return;
     }
-    double lo = overflow_.front().time;
+    double lo = overflow_.front().front().time;
     double hi = lo;
-    for (const Event& e : overflow_) {
-      if (e.time < lo) lo = e.time;
-      if (e.time > hi) hi = e.time;
+    std::size_t count = 0;
+    for (const std::vector<Event>& block : overflow_) {
+      count += block.size();
+      for (const Event& e : block) {
+        if (e.time < lo) lo = e.time;
+        if (e.time > hi) hi = e.time;
+      }
     }
-    std::vector<Event> events;
-    events.swap(overflow_);
     ++istats_.rebuckets;
     // Inflate the span so the max-time event is strictly inside the rung:
     // push's membership test (t < end) then agrees with spawn placement
     // for every time the rung was built from, fp edges included.
     double span = (hi - lo) * (1.0 + 1e-9) + min_width(lo);
-    spawn_rung(std::move(events), lo, lo + span);
+    spawn_rung(overflow_, count, lo, lo + span);
+    overflow_.clear();
   }
 }
 
-void LadderQueue::spawn_rung(std::vector<Event>&& events, double lo,
-                             double hi) {
+void LadderQueue::spawn_rung(std::span<std::vector<Event>> chunks,
+                             std::size_t count, double lo, double hi) {
   Rung r;
   r.base = lo;
-  std::size_t nb = events.size() / kTargetPerBucket;
+  std::size_t nb = count / kTargetPerBucket;
   if (nb < kMinBuckets) nb = kMinBuckets;
   if (nb > kMaxBuckets) nb = kMaxBuckets;
   double span = hi - lo;
   if (!(span > 0.0)) span = min_width(lo);
   r.width = span / static_cast<double>(nb);
   if (!(r.width > 0.0)) r.width = min_width(lo);
-  r.buckets.resize(nb);
-  for (std::vector<Event>& b : r.buckets) {
-    if (!bucket_pool_.empty()) {
-      b = std::move(bucket_pool_.back());
-      bucket_pool_.pop_back();
-      b.clear();
+  // Counting pass: every bucket is sized to exactly the events it receives
+  // (pooled storage may hold a little more).
+  counts_.assign(nb, 0);
+  for (const std::vector<Event>& chunk : chunks) {
+    for (const Event& e : chunk) {
+      ++counts_[bucket_index(e.time, r.base, r.width, nb)];
     }
   }
-  for (const Event& e : events) {
-    r.buckets[bucket_index(e.time, r.base, r.width, nb)].push_back(e);
+  r.buckets.resize(nb);
+  for (std::size_t i = 0; i < nb; ++i) {
+    if (counts_[i] == 0) continue;
+    std::vector<Event>& b = r.buckets[i];
+    if (!pool_.empty()) {
+      b.swap(pool_.back());
+      pool_.pop_back();
+    }
+    b.reserve(counts_[i]);
   }
-  if (bucket_pool_.size() < kMaxBuckets) {
-    events.clear();
-    // The drained carrier vector is bucket-sized storage too.
-    bucket_pool_.push_back(std::move(events));
+  for (std::vector<Event>& chunk : chunks) {
+    for (const Event& e : chunk) {
+      r.buckets[bucket_index(e.time, r.base, r.width, nb)].push_back(e);
+    }
+    release(chunk);
   }
   rungs_.push_back(std::move(r));
   if (rungs_.size() > istats_.peak_rungs) istats_.peak_rungs = rungs_.size();
 }
 
 void LadderQueue::clear() {
-  run_.clear();
-  for (Rung& r : rungs_) {
-    for (std::vector<Event>& b : r.buckets) b.clear();
-  }
+  release(run_);
   rungs_.clear();
   overflow_.clear();
+  pool_.clear();
   size_ = 0;
   run_end_ = -kInfinity;
 }
 
-void LadderQueue::reserve(std::size_t expected) {
-  overflow_.reserve(expected);
-  run_.reserve(kSpillAt * 2);
-}
-
 std::size_t LadderQueue::capacity() const {
-  std::size_t cap = run_.capacity() + overflow_.capacity();
+  std::size_t cap = run_.capacity();
   for (const Rung& r : rungs_) {
     for (const std::vector<Event>& b : r.buckets) cap += b.capacity();
   }
-  for (const std::vector<Event>& b : bucket_pool_) cap += b.capacity();
+  for (const std::vector<Event>& b : overflow_) cap += b.capacity();
+  for (const std::vector<Event>& b : pool_) cap += b.capacity();
   return cap;
 }
 

@@ -12,11 +12,12 @@
 //              equal-width unsorted buckets; rungs_[k+1] refines one
 //              oversized bucket of rungs_[k] (spawned lazily when a bucket
 //              with more than kSpillAt events reaches the drain position).
-//   overflow_  events beyond the outermost rung's span.  When every rung
-//              is exhausted the overflow is re-bucketed into a fresh root
-//              rung spanning [min, max] of its events (amortized O(1):
-//              each event is re-bucketed at most once per rung level, and
-//              rung depth is bounded by the spill width floor).
+//   overflow_  events beyond the outermost rung's span, in fixed-size
+//              blocks.  When every rung is exhausted the overflow is
+//              re-bucketed into a fresh root rung spanning [min, max] of its
+//              events (amortized O(1): each event is re-bucketed at most
+//              once per rung level, and rung depth is bounded by the spill
+//              width floor).
 //
 // A push appends to the bucket covering its time (O(1)); only events that
 // land *below* run_end_ pay a sorted insert into the run, which requires a
@@ -24,6 +25,15 @@
 // adapt to ~kTargetPerBucket events per bucket.  A pop takes the run's
 // back; when the run is empty the next non-empty bucket is sorted and
 // becomes the run (O(B log B) for B ~ kTargetPerBucket, contiguous data).
+//
+// Storage follows the live events: there is no up-front reservation.  The
+// overflow grows block by block without copying, and each block is freed
+// as the root rung is built from it.  A new rung sizes every bucket from a
+// counting pass, so it starts with exactly its events' slots.  A drained
+// bucket hands its storage to the run and keeps none; the run's previous
+// storage is pooled only while it is bucket-sized (a bounded pool), and
+// everything larger — a spilled bucket's carrier, an outsized run — is
+// freed.  capacity() therefore stays within a small factor of size().
 //
 // Determinism: bucket membership never affects pop order — buckets are
 // drained in time order, floor() is monotone (equal times always share a
@@ -36,6 +46,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -72,13 +83,9 @@ class LadderQueue {
     return out;
   }
 
-  /// Empties the queue (keys are stamped by the producer, so ordering
-  /// stays correct across a clear).  Keeps allocated storage.
+  /// Empties the queue and frees its storage (keys are stamped by the
+  /// producer, so ordering stays correct across a clear).
   void clear();
-
-  /// Pre-sizes the overflow staging area for an expected event population
-  /// (the initial burst of per-node rate-change events lands there).
-  void reserve(std::size_t expected);
 
   /// Up to `max_n` upcoming events in reverse pop order (out[count-1] pops
   /// first), contiguous; valid until the next push/pop/clear.  May return
@@ -89,8 +96,8 @@ class LadderQueue {
     return run_.data() + (run_.size() - count);
   }
 
-  /// Allocated event slots across the run, all rung buckets, and the
-  /// overflow (an O(#buckets) walk; stats-time only).
+  /// Allocated event slots across the run, all rung buckets, the overflow
+  /// blocks and the pool (an O(#buckets) walk; stats-time only).
   std::size_t capacity() const;
 
   const ImplStats& impl_stats() const { return istats_; }
@@ -105,6 +112,13 @@ class LadderQueue {
   static constexpr std::size_t kSpillAt = 64;
   static constexpr std::size_t kMinBuckets = 32;
   static constexpr std::size_t kMaxBuckets = 4096;
+  // Overflow block: big enough that the block list stays short, small
+  // enough (48 KiB) to come from the heap rather than a fresh mapping.
+  static constexpr std::size_t kOverflowBlock = 1024;
+  // The pool keeps at most kPoolSize vectors, each of bucket size (at most
+  // kPoolCapacity slots: a bucket that grew to the spill threshold).
+  static constexpr std::size_t kPoolCapacity = 2 * kSpillAt;
+  static constexpr std::size_t kPoolSize = 256;
 
   struct Rung {
     double base = 0.0;
@@ -117,13 +131,20 @@ class LadderQueue {
   };
 
   void advance();  // refill run_ from the rungs / overflow
-  void spawn_rung(std::vector<Event>&& events, double lo, double hi);
+  // Builds a rung over [lo, hi) from the `count` events in `chunks`, each
+  // of which is freed once distributed.
+  void spawn_rung(std::span<std::vector<Event>> chunks, std::size_t count,
+                  double lo, double hi);
+  // Pools `v`'s storage if it is bucket-sized and the pool has room;
+  // otherwise frees it.
+  void recycle(std::vector<Event>&& v);
 
   std::vector<Event> run_;  // sorted descending by event_before
   double run_end_ = -kInfinity;
   std::vector<Rung> rungs_;
-  std::vector<Event> overflow_;
-  std::vector<std::vector<Event>> bucket_pool_;  // recycled bucket storage
+  std::vector<std::vector<Event>> overflow_;  // blocks of kOverflowBlock
+  std::vector<std::vector<Event>> pool_;      // empty bucket-sized storage
+  std::vector<std::uint32_t> counts_;         // spawn_rung's counting pass
   std::size_t size_ = 0;
   ImplStats istats_;
 };

@@ -331,7 +331,8 @@ void Simulator::setup() {
 void Simulator::size_lanes() {
   // Pre-size the per-lane hot structures from the topology so warm-up
   // never pays growth, and calibrate each lane's timer wheel to its
-  // member count (must precede the lane's first arm).
+  // member count (must precede the lane's first arm).  Only a heap queue
+  // is reserved; a ladder queue sizes itself from its live events.
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     Lane& ln = lanes_[i];
     const std::size_t members =

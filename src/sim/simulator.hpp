@@ -415,7 +415,7 @@ class Simulator {
     std::size_t peak_rungs = 0;
     std::uint64_t wheel_cascades = 0;
     std::uint64_t wheel_rebases = 0;
-    std::size_t queue_capacity = 0;
+    std::size_t queue_capacity = 0;  // allocated event slots, all lanes
     std::size_t slab_capacity = 0;
     std::size_t wheel_capacity = 0;
   };

@@ -10,6 +10,8 @@
 #include "analysis/trace.hpp"
 #include "cli/args.hpp"
 #include "cli/experiment_config.hpp"
+#include "core/aopt.hpp"
+#include "sim/tick_quantizer.hpp"
 
 namespace tbcs::cli {
 namespace {
@@ -306,6 +308,49 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, EndToEndAlgo,
                            }
                            return name;
                          });
+
+// The A^opt node behind `node`, looking through the tick quantizer; null
+// for other algorithms (and aopt-external's reference node).
+const core::AoptNode* aopt_of(const sim::Node& node) {
+  if (const auto* ticks = dynamic_cast<const sim::TickQuantizedNode*>(&node)) {
+    return aopt_of(ticks->inner());
+  }
+  return dynamic_cast<const core::AoptNode*>(&node);
+}
+
+TEST(ExperimentConfig, AoptFamilyNodesShareOneConfig) {
+  for (const char* algo : {"aopt", "ftgcs", "kllo", "aopt-jump", "aopt-bounded",
+                           "aopt-external", "aopt-envelope", "aopt-ticks",
+                           "aopt-adaptive"}) {
+    ExperimentConfig cfg;
+    cfg.topology = "grid";
+    cfg.rows = 3;
+    cfg.cols = 4;
+    cfg.algorithm = algo;
+    cfg.influence_bound = 7.5;
+    auto built = build_experiment(cfg);
+    const sim::Simulator& sim = *built.simulator;
+    // aopt-external's node 0 is the reference clock, not an A^opt node.
+    const sim::NodeId first_id = cfg.algorithm == "aopt-external" ? 1 : 0;
+    const core::AoptNode* first = aopt_of(sim.node(first_id));
+    ASSERT_NE(first, nullptr) << algo;
+    EXPECT_DOUBLE_EQ(first->params().kappa, built.params.kappa) << algo;
+    const bool takes_cli_options = cfg.algorithm == "aopt" ||
+                                   cfg.algorithm == "ftgcs" ||
+                                   cfg.algorithm == "kllo";
+    EXPECT_DOUBLE_EQ(first->options().influence_bound,
+                     takes_cli_options ? 7.5 : 0.0)
+        << algo;
+    // aopt-adaptive nodes rewrite their own bounds: one config each.
+    const bool shared = cfg.algorithm != "aopt-adaptive";
+    for (sim::NodeId v = first_id + 1; v < sim.num_nodes(); ++v) {
+      const core::AoptNode* node = aopt_of(sim.node(v));
+      ASSERT_NE(node, nullptr) << algo << " node " << v;
+      EXPECT_EQ(&node->params() == &first->params(), shared)
+          << algo << " node " << v;
+    }
+  }
+}
 
 TEST(ExperimentConfig, UnknownAlgorithmThrows) {
   ExperimentConfig cfg;

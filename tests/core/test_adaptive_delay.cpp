@@ -68,6 +68,37 @@ TEST(AdaptiveDelay, BoundsAgreeAcrossTheSystem) {
   EXPECT_GT(reference, 1.0);  // >= one full max-delay round trip / (1-eps)
 }
 
+// A host that answers the node's calls and drops its output.
+class NullServices : public sim::NodeServices {
+ public:
+  sim::NodeId id() const override { return 0; }
+  sim::ClockValue hardware_now() const override { return 0.0; }
+  void broadcast(const sim::Message&) override {}
+  void set_timer(int, sim::ClockValue) override {}
+  void cancel_timer(int) override {}
+};
+
+TEST(AdaptiveDelay, AdoptedBoundStaysWithItsNode) {
+  // Each node adopts bounds into its own params: two nodes built from one
+  // SyncParams must not see each other's adoptions.
+  const SyncParams p = tiny_guess_params();
+  AdaptiveDelayAoptNode raised(p);
+  AdaptiveDelayAoptNode other(p);
+  NullServices sv;
+  raised.on_wake(sv, nullptr);
+  other.on_wake(sv, nullptr);
+  sim::Message flood;
+  flood.sender = 1;
+  flood.tag = AdaptiveDelayAoptNode::kBound;
+  flood.aux = 2.0;
+  raised.on_message(sv, flood);
+  ASSERT_DOUBLE_EQ(raised.current_delay_bound(), 2.0);
+  ASSERT_GT(raised.current_kappa(), p.kappa);
+  EXPECT_DOUBLE_EQ(other.current_delay_bound(), p.delay_hat);
+  EXPECT_DOUBLE_EQ(other.current_kappa(), p.kappa);
+  EXPECT_DOUBLE_EQ(other.params().delay_hat, p.delay_hat);
+}
+
 TEST(AdaptiveDelay, DoublingRuleLimitsUpdateFloods) {
   const auto g = graph::make_path(8);
   auto r = run_adaptive(g, std::make_shared<sim::UniformDelay>(0.5, 1.0, 9), 500.0);

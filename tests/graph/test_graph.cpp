@@ -97,6 +97,47 @@ TEST(Graph, TwoSweepDiameterMatchesExactOnGeneratedTopologies) {
   }
 }
 
+// The largest finite entry of all_pairs_distances(), computed independently
+// of diameter().
+int max_pair_distance(const Graph& g) {
+  int d = 0;
+  for (const std::vector<int>& row : g.all_pairs_distances()) {
+    for (const int x : row) d = std::max(d, x);
+  }
+  return d;
+}
+
+TEST(Graph, DiameterMatchesAllPairsOnTreesAndOtherGraphs) {
+  // Trees take the two-sweep shortcut; everything else searches from every
+  // node.  Both must agree with the all-pairs maximum.
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const Graph t = make_random_tree(static_cast<NodeId>(1 + seed * 37 % 401),
+                                     seed);
+    ASSERT_EQ(t.diameter(), max_pair_distance(t)) << "random tree " << seed;
+  }
+  for (const NodeId n : {1, 2, 3, 17, 64}) {
+    EXPECT_EQ(make_path(n).diameter(), n - 1);
+    EXPECT_EQ(make_star(n).diameter(), max_pair_distance(make_star(n)));
+  }
+  for (const NodeId spine : {1, 2, 9}) {
+    for (const NodeId legs : {0, 1, 3}) {
+      const Graph c = make_caterpillar(spine, legs);
+      EXPECT_EQ(c.diameter(), max_pair_distance(c))
+          << "caterpillar " << spine << "x" << legs;
+    }
+  }
+  EXPECT_EQ(make_balanced_tree(3, 4).diameter(), 6);
+  for (const Graph& g : {make_grid(5, 7), make_ring(12), make_barbell(4, 3),
+                         make_connected_er(60, 0.08, 9)}) {
+    EXPECT_EQ(g.diameter(), max_pair_distance(g));
+  }
+  // n - 1 edges but disconnected (a triangle and an edge): not a tree, so
+  // the largest finite distance, as before.
+  const Graph split(5, {{0, 1}, {1, 2}, {2, 0}, {3, 4}});
+  EXPECT_EQ(split.diameter(), 1);
+  EXPECT_EQ(Graph().diameter(), 0);
+}
+
 TEST(Graph, EccentricityEndpointsVsMiddle) {
   const Graph g = make_path(9);
   EXPECT_EQ(g.eccentricity(0), 8);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -223,13 +224,67 @@ TEST(LadderQueue, FacadeMatchesHeapUnderInterleaving) {
 
 TEST(LadderQueue, ReserveAndCapacityAccounting) {
   LadderQueue q;
-  q.reserve(1024);
-  EXPECT_GE(q.capacity(), 1024u);
   for (int i = 0; i < 2000; ++i) {
     q.push(keyed(static_cast<double>(i % 97), 0,
                  static_cast<std::uint64_t>(i)));
   }
   EXPECT_GE(q.capacity(), q.size());
+}
+
+// Storage follows the live events.  The shape of a wake-all start: a burst
+// of n far-spread events (rate changes in [0, 10)) plus 2n near ones
+// (deliveries in [0.25, 1)), drained to n live events, then a steady state
+// where each pop schedules one event 0.25-1 time units later.  Allocated
+// slots must never exceed twice the burst peak.
+TEST(LadderQueue, CapacityFollowsLiveEvents) {
+  constexpr std::size_t n = 100000;
+  LadderQueue q;
+  Rng rng(1056);
+  std::uint64_t seq = 0;
+  std::size_t max_capacity = 0;
+  const auto check = [&] {
+    max_capacity = std::max(max_capacity, q.capacity());
+    ASSERT_GE(q.capacity(), q.size());
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    q.push(keyed(rng.uniform(0.0, 10.0), static_cast<NodeId>(i % 1000),
+                 seq++));
+  }
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    q.push(keyed(rng.uniform(0.25, 1.0), static_cast<NodeId>(i % 1000),
+                 seq++));
+  }
+  const std::size_t peak = q.size();
+  ASSERT_EQ(peak, 3 * n);
+  check();
+  std::uint64_t reshapes = 0;
+  const auto step_check = [&](std::size_t step) {
+    // capacity() walks every bucket: sample it periodically and after
+    // every rung change, where storage moves.
+    const LadderQueue::ImplStats& st = q.impl_stats();
+    const std::uint64_t now = st.rebuckets + st.spills;
+    if (now != reshapes || step % 1024 == 0) {
+      reshapes = now;
+      check();
+    }
+  };
+  for (std::size_t i = 0; q.size() > n; ++i) {
+    q.pop();
+    step_check(i);
+  }
+  RealTime last = 0.0;
+  for (std::size_t i = 0; i < 10 * n; ++i) {
+    const Event e = q.pop();
+    ASSERT_GE(e.time, last);
+    last = e.time;
+    q.push(keyed(e.time + rng.uniform(0.25, 1.0), e.source, seq++));
+    step_check(i);
+  }
+  check();
+  EXPECT_EQ(q.size(), n);
+  EXPECT_LE(max_capacity, 2 * peak)
+      << "capacity peaked at " << max_capacity << " slots for a burst of "
+      << peak << " events";
 }
 
 }  // namespace
