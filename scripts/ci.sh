@@ -22,8 +22,7 @@
 #      bugs or undefined behaviour, so they get sanitizer coverage even
 #      in a quick pass.
 #   3. TSan smoke: rebuild the threaded-runtime tests (including the
-#      fault-injection paths: partitions, link flips, the channel hook,
-#      and the stop() watchdog) and the sharded-engine tests (worker
+#      stop() watchdog on a wedged node) and the sharded-engine tests (worker
 #      lanes, window barriers, cross-shard mailboxes, recording policies
 #      under concurrent lanes) with -DTBCS_SANITIZE=thread and run them,
 #      plus the churn-equivalence tests (joins/leaves, link churn, and
@@ -113,10 +112,9 @@ echo
 echo "=== sanitizer smoke: TSan threaded runtime + sharded engine (jobs=$JOBS) ==="
 cmake -B build-tsan -S . -DTBCS_SANITIZE=thread > /dev/null
 cmake --build build-tsan -j "$JOBS" --target \
-  test_runtime test_runtime_faults test_sharded_equivalence \
-  test_churn_equivalence test_fault_shard_equivalence
+  test_runtime test_sharded_equivalence test_churn_equivalence \
+  test_fault_shard_equivalence
 build-tsan/tests/test_runtime
-build-tsan/tests/test_runtime_faults
 build-tsan/tests/test_sharded_equivalence
 build-tsan/tests/test_churn_equivalence
 build-tsan/tests/test_fault_shard_equivalence

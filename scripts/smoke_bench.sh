@@ -70,7 +70,7 @@ validate "$TMPDIR_SMOKE/quick.json" fresh
 
 if [[ "${SMOKE_BENCH_LARGE:-0}" == "1" ]]; then
   echo "smoke_bench: large-n serial gate (line n=100000, heap vs ladder, median of 5)"
-  "$BENCH_BIN" --shards 0 --queue heap,ladder --filter line_n100000 --repeat 5 \
+  "$BENCH_BIN" --shards 0 --queue heap,ladder --filter line_n100000_ --repeat 5 \
     --out "$TMPDIR_SMOKE/large.json" --label smoke-large \
     > "$TMPDIR_SMOKE/large.log"
   validate "$TMPDIR_SMOKE/large.json" fresh

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 
 namespace tbcs::cli {
@@ -63,10 +64,12 @@ double ArgParser::get_double(const std::string& key, double fallback) {
   queried_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
+  // strtod also accepts "nan", "inf" and overflows to HUGE_VAL; no model
+  // quantity is meaningful at a non-finite value, so those are errors too.
   char* end = nullptr;
   const double v = std::strtod(it->second.value.c_str(), &end);
-  if (end == it->second.value.c_str() || *end != '\0') {
-    errors_.push_back("flag --" + key + " expects a number, got '" +
+  if (end == it->second.value.c_str() || *end != '\0' || !std::isfinite(v)) {
+    errors_.push_back("flag --" + key + " expects a finite number, got '" +
                       it->second.value + "'");
     return fallback;
   }

@@ -29,7 +29,8 @@ class ArgParser {
   explicit ArgParser(const std::vector<std::string>& args);
 
   /// Value lookups; each records the key as known.  A malformed or
-  /// out-of-range value is reported in errors() and yields the fallback.
+  /// out-of-range value (for get_double, also nan and inf) is reported in
+  /// errors() and yields the fallback.
   std::string get_string(const std::string& key, const std::string& fallback);
   double get_double(const std::string& key, double fallback);
   int get_int(const std::string& key, int fallback);

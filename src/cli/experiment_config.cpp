@@ -231,6 +231,16 @@ analysis::SkewTracker::Options resolve_tracker(const ExperimentConfig& cfg,
   return topt;
 }
 
+fault::FaultScheduler::Listener fault_listener(analysis::SkewTracker& tracker) {
+  return [&tracker](const fault::FaultEvent& e, double t) {
+    if (e.kind == fault::FaultKind::kScramble) {
+      tracker.note_scramble(t);
+    } else {
+      tracker.note_fault(t);
+    }
+  };
+}
+
 namespace {
 
 std::shared_ptr<sim::DriftPolicy> build_drift(const ExperimentConfig& cfg) {
@@ -357,6 +367,15 @@ std::unique_ptr<sim::Node> build_node(
 BuiltExperiment build_experiment(const ExperimentConfig& cfg) {
   if (!std::isfinite(cfg.duration) || cfg.duration <= 0.0) {
     throw ConfigError("--duration must be a finite number > 0");
+  }
+  // Written so that NaN fails.  A band floor outside [0, 1] draws delays
+  // outside the [0, T] the theorems assume, and the tick quantizer
+  // divides by its frequency.
+  if (!(cfg.band_min >= 0.0 && cfg.band_min <= 1.0)) {
+    throw ConfigError("--band-min must lie in [0, 1]");
+  }
+  if (!(cfg.tick_frequency > 0.0 && std::isfinite(cfg.tick_frequency))) {
+    throw ConfigError("--tick-frequency must be a finite number > 0");
   }
   BuiltExperiment built;
   built.graph = std::make_unique<graph::Graph>(build_topology(cfg));

@@ -14,6 +14,7 @@
 #include "dyn/dyn_gcs_node.hpp"
 #include "fault/fault_injection.hpp"
 #include "fault/fault_plan.hpp"
+#include "fault/fault_scheduler.hpp"
 #include "graph/graph.hpp"
 #include "obs/history_store.hpp"
 #include "sim/delay_policy.hpp"
@@ -221,5 +222,10 @@ Bounds resolve_bounds(const ExperimentConfig& cfg,
 analysis::SkewTracker::Options resolve_tracker(const ExperimentConfig& cfg,
                                                const BuiltExperiment& built,
                                                const Bounds& bounds);
+
+/// The FaultScheduler listener every run installs: a scramble anchors the
+/// tracker's stabilization probe (note_scramble), any other fault its
+/// recovery probe (note_fault).  The tracker must outlive the scheduler.
+fault::FaultScheduler::Listener fault_listener(analysis::SkewTracker& tracker);
 
 }  // namespace tbcs::cli

@@ -22,10 +22,14 @@ bool SyncParams::valid(std::string* why) const {
     if (why) *why = reason;
     return false;
   };
-  if (delay_hat <= 0.0) return fail("delay_hat must be positive");
-  if (eps_hat <= 0.0 || eps_hat >= 1.0) return fail("eps_hat must lie in (0, 1)");
-  if (mu <= 0.0) return fail("mu must be positive");
-  if (h0 <= 0.0) return fail("h0 must be positive");
+  // Each check passes only a finite value in range: NaN fails every
+  // comparison, so a check written as "x <= 0 -> fail" would let it by.
+  const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  if (!positive(delay_hat)) return fail("delay_hat must be finite and positive");
+  if (!(eps_hat > 0.0 && eps_hat < 1.0)) return fail("eps_hat must lie in (0, 1)");
+  if (!positive(mu)) return fail("mu must be finite and positive");
+  if (!positive(h0)) return fail("h0 must be finite and positive");
+  if (!std::isfinite(kappa)) return fail("kappa must be finite");
   if (sigma(eps_hat) < 2.0) {
     return fail("Inequality (6) violated: need mu >= 14 eps_hat / (1 - eps_hat)");
   }

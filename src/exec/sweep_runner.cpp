@@ -50,13 +50,7 @@ RunResult SweepRunner::run_one(const RunSpec& spec, std::size_t index,
     tracker.attach(*built.simulator);
     fault::FaultScheduler faults(built.timeline);
     if (faulty) {
-      faults.set_listener([&tracker](const fault::FaultEvent& e, double t) {
-        if (e.kind == fault::FaultKind::kScramble) {
-          tracker.note_scramble(t);
-        } else {
-          tracker.note_fault(t);
-        }
-      });
+      faults.set_listener(cli::fault_listener(tracker));
       faults.run(*built.simulator, cfg.duration);
     } else {
       built.simulator->run_until(cfg.duration);

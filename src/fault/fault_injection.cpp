@@ -1,8 +1,6 @@
 #include "fault/fault_injection.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <mutex>
 #include <utility>
 
 namespace tbcs::fault {
@@ -167,52 +165,6 @@ sim::ClockValue ByzantineNode::logical_at(sim::ClockValue hardware_now) const {
 
 double ByzantineNode::rate_multiplier() const {
   return inner_->rate_multiplier();
-}
-
-// ---- threaded channel hook --------------------------------------------------
-
-runtime::ChannelHook make_channel_hook(std::vector<ChannelWindow> windows,
-                                       std::uint64_t seed) {
-  struct State {
-    std::mutex mu;
-    std::vector<ChannelWindow> windows;
-    sim::Rng rng;
-    std::chrono::steady_clock::time_point anchor;
-    bool anchored = false;
-    State(std::vector<ChannelWindow> w, std::uint64_t s)
-        : windows(std::move(w)), rng(s) {}
-  };
-  auto state = std::make_shared<State>(std::move(windows), seed);
-  return [state](sim::NodeId /*from*/, sim::NodeId /*to*/, sim::Message& m,
-                 double& delay_units, bool& duplicate) -> bool {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (!state->anchored) {
-      state->anchor = std::chrono::steady_clock::now();
-      state->anchored = true;
-    }
-    const double t =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - state->anchor)
-            .count();
-    const ChannelWindow* w = nullptr;
-    for (const ChannelWindow& cand : state->windows) {
-      if (t >= cand.t0 && t < cand.t1) {
-        w = &cand;
-        break;
-      }
-    }
-    if (w == nullptr) return true;
-    if (w->drop > 0.0 && state->rng.next_double() < w->drop) return false;
-    if (w->jitter > 0.0) delay_units += state->rng.uniform(0.0, w->jitter);
-    if (w->corrupt > 0.0 && state->rng.next_double() < w->corrupt) {
-      m.logical += state->rng.uniform(-w->magnitude, w->magnitude);
-      m.logical_max += state->rng.uniform(-w->magnitude, w->magnitude);
-    }
-    if (w->duplicate > 0.0 && state->rng.next_double() < w->duplicate) {
-      duplicate = true;
-    }
-    return true;
-  };
 }
 
 }  // namespace tbcs::fault

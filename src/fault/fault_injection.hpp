@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "runtime/threaded_network.hpp"
 #include "sim/delay_policy.hpp"
 #include "sim/node.hpp"
 
@@ -106,8 +105,9 @@ class ByzantineNode final : public sim::Node {
   }
   bool slope_bounded() const override { return inner_->slope_bounded(); }
 
-  /// Toggled by the FaultScheduler (kByzantineOn / kByzantineOff); atomic
-  /// because the threaded runtime toggles from the scheduler thread.
+  /// Toggled by the FaultScheduler (kByzantineOn / kByzantineOff) on the
+  /// thread that drives run_until(), while the node's callbacks may run
+  /// on a shard lane's worker; atomic so either thread may touch it.
   void set_active(bool active) {
     active_.store(active, std::memory_order_relaxed);
   }
@@ -128,14 +128,5 @@ class ByzantineNode final : public sim::Node {
   std::atomic<bool> active_{false};
   std::atomic<std::uint64_t> lies_{0};
 };
-
-/// Channel-fault hook for the threaded runtime: applies the same window
-/// semantics (drop / duplicate / corrupt / jitter) to live routed
-/// messages, with the window clock anchored at the first routed message.
-/// Thread-safe; real-thread scheduling makes the outcome inherently
-/// nondeterministic, so this shares only the *model* with the simulator
-/// path, not the draw sequence.
-runtime::ChannelHook make_channel_hook(std::vector<ChannelWindow> windows,
-                                       std::uint64_t seed);
 
 }  // namespace tbcs::fault

@@ -5,11 +5,10 @@
 // somewhere in [100, 400]").  instantiate() resolves the directives
 // against a concrete topology and a seed into a FaultTimeline: a sorted
 // list of concrete FaultEvents plus the channel-fault windows and
-// Byzantine node set that parameterize the decorators.  The same timeline
-// drives both the discrete-event Simulator (via FaultScheduler) and the
-// real-thread ThreadedNetwork (via run_threaded), and instantiation is a
-// pure function of (plan, seed, topology) — which is what keeps faulty
-// sweeps byte-identical at any --jobs count.
+// Byzantine node set that parameterize the decorators.  FaultScheduler
+// drives the timeline through the discrete-event Simulator, and
+// instantiation is a pure function of (plan, seed, topology) — which is
+// what keeps faulty sweeps byte-identical at any --jobs count.
 //
 // Plan file format (docs/FAULTS.md): one directive per line,
 // `kind key=value ...`, '#' comments.  Scripted kinds: crash, recover,

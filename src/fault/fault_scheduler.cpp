@@ -1,7 +1,5 @@
 #include "fault/fault_scheduler.hpp"
 
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "fault/fault_injection.hpp"
@@ -60,72 +58,6 @@ void FaultScheduler::apply_sim(sim::Simulator& sim, const FaultEvent& e) {
     sim.flight_recorder()->record(
         obs::TracePoint::kFault, e.t, static_cast<std::int32_t>(e.node),
         obs::kNoTraceEdge, static_cast<double>(e.kind), e.value);
-  }
-}
-
-void FaultScheduler::run_threaded(runtime::ThreadedNetwork& net,
-                                  double t_end_units) {
-  const auto anchor = std::chrono::steady_clock::now();
-  const auto at_units = [&](double t) {
-    return anchor + std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double, std::milli>(t));
-  };
-  while (next_ < timeline_.events.size() &&
-         timeline_.events[next_].t <= t_end_units) {
-    const FaultEvent& e = timeline_.events[next_];
-    std::this_thread::sleep_until(at_units(e.t));
-    // Notify only for events actually applied: an unsupported kind must
-    // not anchor the recovery probe on a fault that never happened.
-    const std::uint64_t before = applied_;
-    apply_threaded(net, e);
-    if (listener_ && applied_ > before) listener_(e, e.t);
-    ++next_;
-  }
-  std::this_thread::sleep_until(at_units(t_end_units));
-}
-
-void FaultScheduler::apply_threaded(runtime::ThreadedNetwork& net,
-                                    const FaultEvent& e) {
-  switch (e.kind) {
-    case FaultKind::kCrash:
-      net.set_partitioned(e.node, true);
-      ++applied_;
-      break;
-    case FaultKind::kRecover:
-      net.set_partitioned(e.node, false);
-      net.request_rejoin(e.node);
-      ++applied_;
-      break;
-    case FaultKind::kLinkDown:
-      net.set_link_state(e.node, e.node2, /*up=*/false);
-      ++applied_;
-      break;
-    case FaultKind::kLinkUp:
-      net.set_link_state(e.node, e.node2, /*up=*/true);
-      ++applied_;
-      break;
-    case FaultKind::kDriftSpike:
-    case FaultKind::kDriftRestore:
-      // VirtualClock rates are fixed at construction; see run_threaded().
-      ++skipped_unsupported_;
-      break;
-    case FaultKind::kByzantineOn:
-    case FaultKind::kByzantineOff:
-      if (auto* byz = dynamic_cast<ByzantineNode*>(&net.algorithm_mutable(e.node))) {
-        byz->set_active(e.kind == FaultKind::kByzantineOn);
-      }
-      ++applied_;
-      break;
-    case FaultKind::kChannelOn:
-    case FaultKind::kChannelOff:
-      ++applied_;  // markers; the channel hook applies windows by time
-      break;
-    case FaultKind::kScramble:
-      // Threaded nodes own their state behind a mutex the scheduler does
-      // not hold; no safe corruption hook exists yet.
-      ++skipped_unsupported_;
-      break;
   }
 }
 

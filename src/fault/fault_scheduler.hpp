@@ -1,18 +1,16 @@
-// Drives a FaultTimeline against a running system.
+// Drives a FaultTimeline against a running simulator.
 //
 // run() interleaves sim.run_until() with fault application, so faults
-// land at exact simulated times; run_threaded() sleeps real wall-clock
-// time between faults (best effort — real threads have no exact time).
-// A listener fires for every applied event; tbcs_sim uses it to call
-// SkewTracker::note_fault() so the recovery probe stays anchored at the
-// *last* fault.
+// land at exact simulated times.  A listener fires for every applied
+// event; the one tbcs_sim and tbcs_sweep install (cli::fault_listener)
+// calls SkewTracker::note_fault() so the recovery probe stays anchored at
+// the *last* fault.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 
 #include "fault/fault_plan.hpp"
-#include "runtime/threaded_network.hpp"
 #include "sim/simulator.hpp"
 
 namespace tbcs::fault {
@@ -31,25 +29,15 @@ class FaultScheduler {
   /// previous one stopped.
   void run(sim::Simulator& sim, double t_end);
 
-  /// Real-time analogue over the threaded runtime (1 unit = 1 ms):
-  /// crash/recover become partition/unpartition + rejoin, link faults
-  /// flip the live link state, Byzantine events toggle the decorator.
-  /// Drift spikes are *unsupported* there (VirtualClock rates are fixed
-  /// at construction) and are counted in skipped_unsupported().
-  void run_threaded(runtime::ThreadedNetwork& net, double t_end_units);
-
   std::size_t applied() const { return applied_; }
-  std::size_t skipped_unsupported() const { return skipped_unsupported_; }
 
  private:
   void apply_sim(sim::Simulator& sim, const FaultEvent& e);
-  void apply_threaded(runtime::ThreadedNetwork& net, const FaultEvent& e);
 
   FaultTimeline timeline_;
   std::size_t next_ = 0;
   Listener listener_;
   std::size_t applied_ = 0;
-  std::size_t skipped_unsupported_ = 0;
 };
 
 }  // namespace tbcs::fault

@@ -11,17 +11,8 @@ ThreadedNetwork::ThreadedNetwork(const graph::Graph& g, Config cfg)
     : graph_(g),
       cfg_(cfg),
       hosts_(static_cast<std::size_t>(g.num_nodes())),
-      rng_(cfg.seed),
-      partitioned_(new std::atomic<bool>[static_cast<std::size_t>(g.num_nodes())]),
-      link_up_(new std::atomic<bool>[g.num_edges()]) {
+      rng_(cfg.seed) {
   assert(cfg_.delay_min >= 0.0 && cfg_.delay_max >= cfg_.delay_min);
-  for (sim::NodeId v = 0; v < g.num_nodes(); ++v) {
-    partitioned_[static_cast<std::size_t>(v)].store(false,
-                                                    std::memory_order_relaxed);
-  }
-  for (std::size_t e = 0; e < g.num_edges(); ++e) {
-    link_up_[e].store(true, std::memory_order_relaxed);
-  }
 }
 
 ThreadedNetwork::~ThreadedNetwork() { stop(); }
@@ -76,67 +67,16 @@ std::size_t ThreadedNetwork::stop() {
 
 void ThreadedNetwork::route_broadcast(sim::NodeId from, const sim::Message& m) {
   const auto now = VirtualClock::SteadyClock::now();
-  if (partitioned_[static_cast<std::size_t>(from)].load(
-          std::memory_order_relaxed)) {
-    messages_dropped_.fetch_add(graph_.degree(from), std::memory_order_relaxed);
-    return;
-  }
   for (const graph::Graph::Arc& a : graph_.arcs(from)) {
-    const sim::NodeId to = a.to;
-    if (!link_up_[a.edge].load(std::memory_order_relaxed) ||
-        partitioned_[static_cast<std::size_t>(to)].load(
-            std::memory_order_relaxed)) {
-      messages_dropped_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
     double delay_units;
     {
       std::lock_guard<std::mutex> lock(route_mu_);
       delay_units = rng_.uniform(cfg_.delay_min, cfg_.delay_max);
     }
-    sim::Message copy = m;
-    bool duplicate = false;
-    if (channel_hook_ &&
-        !channel_hook_(from, to, copy, delay_units, duplicate)) {
-      messages_dropped_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
     const auto at = now + std::chrono::duration_cast<VirtualClock::SteadyClock::duration>(
                               std::chrono::duration<double>(delay_units / 1000.0));
-    ThreadedNodeHost& dst = *hosts_[static_cast<std::size_t>(to)];
-    dst.enqueue(copy, at);
-    if (duplicate) dst.enqueue(copy, at);
+    hosts_[static_cast<std::size_t>(a.to)]->enqueue(m, at);
   }
-}
-
-void ThreadedNetwork::set_partitioned(sim::NodeId v, bool partitioned) {
-  partitioned_[static_cast<std::size_t>(v)].store(partitioned,
-                                                  std::memory_order_relaxed);
-}
-
-bool ThreadedNetwork::partitioned(sim::NodeId v) const {
-  return partitioned_[static_cast<std::size_t>(v)].load(
-      std::memory_order_relaxed);
-}
-
-void ThreadedNetwork::set_link_state(sim::NodeId u, sim::NodeId v, bool up) {
-  const std::uint32_t e = graph_.find_edge(u, v);
-  assert(e != graph::kNoEdge && "set_link_state on a non-edge");
-  if (e == graph::kNoEdge) return;
-  link_up_[e].store(up, std::memory_order_relaxed);
-}
-
-void ThreadedNetwork::request_rejoin(sim::NodeId v) {
-  hosts_[static_cast<std::size_t>(v)]->request_rejoin();
-}
-
-void ThreadedNetwork::set_channel_hook(ChannelHook hook) {
-  assert(!started_ && "install the channel hook before start()");
-  channel_hook_ = std::move(hook);
-}
-
-sim::Node& ThreadedNetwork::algorithm_mutable(sim::NodeId v) {
-  return hosts_[static_cast<std::size_t>(v)]->algorithm_mutable();
 }
 
 // The null checks below matter after stop(): wedged hosts are moved out

@@ -3,9 +3,7 @@
 // simulator run unmodified on a live system.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -15,15 +13,6 @@
 #include "sim/rng.hpp"
 
 namespace tbcs::runtime {
-
-/// Per-message channel interception (fault injection): called on the
-/// sender's thread for each (from, to) copy about to be routed.  May
-/// mutate the payload and delay, request a duplicate delivery, or return
-/// false to drop the copy.  Installed before start(); the callable itself
-/// must be thread-safe (node threads invoke it concurrently).
-using ChannelHook = std::function<bool(sim::NodeId from, sim::NodeId to,
-                                       sim::Message& m, double& delay_units,
-                                       bool& duplicate)>;
 
 class ThreadedNetwork {
  public:
@@ -64,32 +53,6 @@ class ThreadedNetwork {
   /// delays (called by node hosts).
   void route_broadcast(sim::NodeId from, const sim::Message& m);
 
-  // ---- fault injection ------------------------------------------------------
-
-  /// Cuts (or restores) every link of v: a partitioned node neither sends
-  /// nor receives, but its thread and clock keep running — the threaded
-  /// analogue of the simulator's crash/recover pair.
-  void set_partitioned(sim::NodeId v, bool partitioned);
-  bool partitioned(sim::NodeId v) const;
-
-  /// Takes one undirected link down / up.
-  void set_link_state(sim::NodeId u, sim::NodeId v, bool up);
-
-  /// Runs the algorithm's on_rejoin() on v's own thread (call after
-  /// clearing a partition so the node re-announces itself).
-  void request_rejoin(sim::NodeId v);
-
-  /// Installs the channel fault hook.  Must be called before start().
-  void set_channel_hook(ChannelHook hook);
-
-  /// Node v's algorithm object (for toggling fault decorators).
-  sim::Node& algorithm_mutable(sim::NodeId v);
-
-  /// Copies dropped by partitions, downed links, or the channel hook.
-  std::uint64_t messages_dropped() const {
-    return messages_dropped_.load(std::memory_order_relaxed);
-  }
-
   // ---- sampling ----------------------------------------------------------------
   sim::NodeId num_nodes() const { return graph_.num_nodes(); }
   double logical(sim::NodeId v) const;
@@ -108,12 +71,6 @@ class ThreadedNetwork {
   std::mutex route_mu_;  // guards rng_
   sim::Rng rng_;
   bool started_ = false;
-  // Fault state.  Raw atomic arrays because std::vector<std::atomic<...>>
-  // does not compile (atomics are not movable).
-  std::unique_ptr<std::atomic<bool>[]> partitioned_;
-  std::unique_ptr<std::atomic<bool>[]> link_up_;  // indexed by edge id
-  ChannelHook channel_hook_;
-  std::atomic<std::uint64_t> messages_dropped_{0};
 };
 
 }  // namespace tbcs::runtime

@@ -86,14 +86,6 @@ void ThreadedNodeHost::detach() {
   if (thread_.joinable()) thread_.detach();
 }
 
-void ThreadedNodeHost::request_rejoin() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    rejoin_requested_ = true;
-  }
-  cv_.notify_all();
-}
-
 void ThreadedNodeHost::enqueue(const sim::Message& m,
                                VirtualClock::TimePoint deliver_at) {
   {
@@ -131,18 +123,10 @@ void ThreadedNodeHost::thread_main(bool spontaneous_wake) {
           std::min(next_deadline_locked(),
                    VirtualClock::SteadyClock::now() + std::chrono::seconds(1));
       cv_.wait_until(lock, deadline, [this, deadline] {
-        return stop_.load(std::memory_order_relaxed) || rejoin_requested_ ||
+        return stop_.load(std::memory_order_relaxed) ||
                (!inbox_.empty() && inbox_.top().at <= deadline);
       });
       if (stop_.load(std::memory_order_relaxed)) break;
-      if (rejoin_requested_) {
-        rejoin_requested_ = false;
-        if (awake_) {
-          algorithm_->on_rejoin(*this);
-          flush_outbox(lock);
-        }
-        continue;
-      }
       const auto now = VirtualClock::SteadyClock::now();
 
       // Deliverable message?

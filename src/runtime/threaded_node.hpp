@@ -52,14 +52,6 @@ class ThreadedNodeHost final : public sim::NodeServices {
   /// Detaches a wedged thread (only after join_until() returned false).
   void detach();
 
-  /// Asks the node thread to run the algorithm's on_rejoin() callback
-  /// (fault injection: the node was partitioned and is re-joining).
-  void request_rejoin();
-
-  /// The hosted algorithm (fault injection toggles decorators through
-  /// this; the object itself must only be mutated thread-safely).
-  sim::Node& algorithm_mutable() { return *algorithm_; }
-
   /// Delivers a message at the given host time (called by the network
   /// router from other node threads).
   void enqueue(const sim::Message& m, VirtualClock::TimePoint deliver_at);
@@ -103,7 +95,6 @@ class ThreadedNodeHost final : public sim::NodeServices {
   // dispatch loop additionally bounds each wait slice so a store that
   // races a waiter entering its wait is picked up within one slice.
   std::atomic<bool> stop_{false};
-  bool rejoin_requested_ = false;
   std::thread thread_;
 
   // Exit signaling lives on its own mutex: a thread wedged inside a

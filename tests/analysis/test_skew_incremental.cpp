@@ -281,13 +281,7 @@ SkewTracker expect_audit_silent(const cli::ExperimentConfig& cfg) {
   SkewTracker tracker(*built.simulator, topt);
   tracker.attach(*built.simulator);
   fault::FaultScheduler faults(built.timeline);
-  faults.set_listener([&tracker](const fault::FaultEvent& e, double t) {
-    if (e.kind == fault::FaultKind::kScramble) {
-      tracker.note_scramble(t);
-    } else {
-      tracker.note_fault(t);
-    }
-  });
+  faults.set_listener(cli::fault_listener(tracker));
   EXPECT_NO_THROW(faults.run(*built.simulator, cfg.duration)) << cfg.algorithm;
   EXPECT_GT(tracker.max_global_skew(), 0.0) << cfg.algorithm;
   EXPECT_GT(tracker.max_local_skew(), 0.0) << cfg.algorithm;

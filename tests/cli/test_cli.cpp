@@ -54,6 +54,23 @@ TEST(ArgParser, MalformedNumbersReported) {
   EXPECT_NE(p.errors()[0].find("eps"), std::string::npos);
 }
 
+TEST(ArgParser, NonFiniteNumbersReported) {
+  // strtod parses all of these; none is a usable model quantity.
+  for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                          "1e999", "-1e999"}) {
+    ArgParser p({std::string("--eps=") + bad});
+    EXPECT_EQ(p.get_double("eps", 0.25), 0.25) << bad;  // fallback
+    ASSERT_EQ(p.errors().size(), 1u) << bad;
+    EXPECT_NE(p.errors()[0].find("--eps expects a finite number"),
+              std::string::npos)
+        << bad;
+  }
+  ArgParser ok({"--eps=1e-300", "--delay", "-0.5"});
+  EXPECT_EQ(ok.get_double("eps", 0.0), 1e-300);
+  EXPECT_EQ(ok.get_double("delay", 0.0), -0.5);
+  EXPECT_TRUE(ok.ok());
+}
+
 TEST(ArgParser, UnknownKeysTracked) {
   ArgParser p({"--eps=0.1", "--typo=1"});
   p.get_double("eps", 0.0);
@@ -209,6 +226,41 @@ TEST(ExperimentConfig, NonPositiveOrNonFiniteDurationThrows) {
     ExperimentConfig cfg;
     cfg.duration = d;
     EXPECT_THROW(build_experiment(cfg), ConfigError) << d;
+  }
+}
+
+TEST(ExperimentConfig, OutOfModelBandMinAndTickFrequencyThrow) {
+  // A band floor above T lets delays exceed the bound every theorem
+  // assumes; a tick frequency <= 0 has no tick grid.
+  for (const double b : {-0.1, 1.5, 2.0, std::nan("")}) {
+    ExperimentConfig cfg;
+    cfg.delays = "band";
+    cfg.band_min = b;
+    try {
+      build_experiment(cfg);
+      ADD_FAILURE() << "--band-min " << b << " accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("--band-min"), std::string::npos);
+    }
+  }
+  for (const double f : {0.0, -20.0, std::nan(""), HUGE_VAL}) {
+    ExperimentConfig cfg;
+    cfg.algorithm = "aopt-ticks";
+    cfg.tick_frequency = f;
+    try {
+      build_experiment(cfg);
+      ADD_FAILURE() << "--tick-frequency " << f << " accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("--tick-frequency"),
+                std::string::npos);
+    }
+  }
+  for (const double b : {0.0, 1.0}) {
+    ExperimentConfig cfg;
+    cfg.delays = "band";
+    cfg.band_min = b;
+    cfg.duration = 5.0;
+    EXPECT_NO_THROW(build_experiment(cfg)) << b;
   }
 }
 

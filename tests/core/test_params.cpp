@@ -65,6 +65,30 @@ TEST(SyncParams, CheckThrowsOnInvalid) {
   EXPECT_THROW(p.check(), std::invalid_argument);
 }
 
+TEST(SyncParams, NonFiniteValuesRejected) {
+  // NaN passes every "x <= 0 -> invalid" test, so each field is checked
+  // for finiteness on its own.
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  for (double SyncParams::*field :
+       {&SyncParams::delay_hat, &SyncParams::eps_hat, &SyncParams::mu,
+        &SyncParams::h0, &SyncParams::kappa}) {
+    for (const double bad : {nan, inf, -inf}) {
+      SyncParams p = SyncParams::recommended(1.0, 0.01);
+      p.*field = bad;
+      EXPECT_FALSE(p.valid()) << bad;
+      EXPECT_THROW(p.check(), std::invalid_argument) << bad;
+    }
+  }
+  // with() derives kappa from the other fields, so a non-finite input
+  // must not slip through as a non-finite kappa.
+  EXPECT_THROW(SyncParams::with(nan, 0.01, 0.5, 1.0), std::invalid_argument);
+  EXPECT_THROW(SyncParams::with(inf, 0.01, 0.5, 1.0), std::invalid_argument);
+  EXPECT_THROW(SyncParams::with(1.0, nan, 0.5, 1.0), std::invalid_argument);
+  EXPECT_THROW(SyncParams::with(1.0, 0.01, nan, 1.0), std::invalid_argument);
+  EXPECT_THROW(SyncParams::with(1.0, 0.01, 0.5, inf), std::invalid_argument);
+}
+
 TEST(SyncParams, SigmaIsLargestValidInteger) {
   SyncParams p = SyncParams::recommended(1.0, 0.01, 0.2);
   // sigma = floor(mu (1 - eps) / (7 eps)) = floor(0.2 * 0.99 / 0.07) = 2.

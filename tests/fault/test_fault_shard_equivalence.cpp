@@ -76,36 +76,22 @@ cli::ExperimentConfig chaos_config(const std::string& plan) {
   return cfg;
 }
 
-// Mirrors the tbcs_sim / sweep-runner harness: recovery bounds from the
-// paper theorems, Byzantine nodes excluded, classification on the probe
-// grid.
+// Runs cfg as tbcs_sim and the sweep runner do: the tracker options
+// (recovery bounds from the paper theorems, Byzantine nodes excluded,
+// classification on the probe grid) and the fault listener come from the
+// same cli helpers.
 FaultMetrics run_case(cli::ExperimentConfig cfg, int shards,
                       const std::string& queue) {
   cfg.shards = shards;
   cfg.queue = queue;
   auto built = cli::build_experiment(cfg);
-  const int d = built.graph->diameter();
-
-  analysis::SkewTracker::Options topt;
-  topt.recovery_global_bound =
-      built.params.global_skew_bound(d, cfg.eps, cfg.delay);
-  topt.recovery_local_bound =
-      built.params.local_skew_bound(d, cfg.eps, cfg.delay);
-  topt.recovery_classify_interval = cfg.delay;
-  for (const fault::ByzantineSpec& s : built.timeline.byzantine) {
-    topt.exclude.push_back(s.node);
-  }
-  analysis::SkewTracker tracker(*built.simulator, topt);
+  const cli::Bounds bounds = cli::resolve_bounds(cfg, built);
+  analysis::SkewTracker tracker(*built.simulator,
+                                cli::resolve_tracker(cfg, built, bounds));
   tracker.attach(*built.simulator);
 
   fault::FaultScheduler faults(built.timeline);
-  faults.set_listener([&tracker](const fault::FaultEvent& e, double t) {
-    if (e.kind == fault::FaultKind::kScramble) {
-      tracker.note_scramble(t);
-    } else {
-      tracker.note_fault(t);
-    }
-  });
+  faults.set_listener(cli::fault_listener(tracker));
   faults.run(*built.simulator, cfg.duration);
 
   FaultMetrics m;

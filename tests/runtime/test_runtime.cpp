@@ -1,8 +1,10 @@
 // Integration tests of the threaded runtime: the same A^opt objects that
 // run in the simulator, on real threads with drift-scaled clocks and
-// delay-injected channels.
+// delay-injected channels; and that a node wedged inside a callback
+// cannot hang stop() (the bounded-join watchdog).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -12,6 +14,7 @@
 #include "graph/topologies.hpp"
 #include "runtime/threaded_network.hpp"
 #include "runtime/virtual_time.hpp"
+#include "sim/node.hpp"
 #include "sim/rng.hpp"
 
 namespace tbcs::runtime {
@@ -135,6 +138,62 @@ TEST(ThreadedNetwork, StopIsIdempotentAndJoinsCleanly) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   net.stop();
   net.stop();  // second stop must be a no-op
+}
+
+/// Wakes, arms a short timer, then sleeps for `stall` inside the timer
+/// callback — the deliberately-wedged node of the teardown test.
+class StallingNode final : public sim::Node {
+ public:
+  explicit StallingNode(std::chrono::milliseconds stall) : stall_(stall) {}
+
+  void on_wake(sim::NodeServices& sv, const sim::Message*) override {
+    sv.set_timer(0, sv.hardware_now() + 5.0);
+  }
+  void on_message(sim::NodeServices&, const sim::Message&) override {}
+  void on_timer(sim::NodeServices&, int) override {
+    stalled_.store(true, std::memory_order_seq_cst);
+    std::this_thread::sleep_for(stall_);
+  }
+  sim::ClockValue logical_at(sim::ClockValue h) const override { return h; }
+  double rate_multiplier() const override { return 1.0; }
+
+  bool stalled() const { return stalled_.load(std::memory_order_seq_cst); }
+
+ private:
+  std::chrono::milliseconds stall_;
+  std::atomic<bool> stalled_{false};
+};
+
+TEST(RuntimeFaults, StalledNodeCannotHangTeardown) {
+  const auto g = graph::make_path(2);
+  ThreadedNetwork::Config cfg;
+  cfg.stop_timeout_ms = 300.0;
+  // Heap-allocated and deliberately leaked: the detached wedged thread
+  // keeps referencing the network after stop() returns, so destroying it
+  // before that thread finishes its sleep would be use-after-free.
+  auto* net = new ThreadedNetwork(g, cfg);
+  auto stalling = std::make_unique<StallingNode>(std::chrono::seconds(20));
+  StallingNode* probe = stalling.get();
+  net->add_node(0, std::move(stalling), 1.0);
+  net->add_node(1, std::make_unique<core::AoptNode>(runtime_params()), 1.0);
+  net->start(0);
+
+  // Wait until the node is provably wedged inside its callback.
+  const auto t0 = std::chrono::steady_clock::now();
+  while (!probe->stalled() &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(probe->stalled()) << "the stalling timer never fired";
+
+  const auto stop_start = std::chrono::steady_clock::now();
+  const std::size_t wedged = net->stop();
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - stop_start);
+  EXPECT_GE(wedged, 1u) << "the watchdog must report the wedged thread";
+  EXPECT_LT(elapsed.count(), 5000)
+      << "stop() must time out at ~stop_timeout_ms, not wait for the sleep";
+  // `net` leaks by design (see above).
 }
 
 }  // namespace

@@ -290,13 +290,7 @@ int main(int argc, char** argv) {
       // Faults own the pacing; churn ops (if any) are already installed
       // and fire on their own, but no repartition driver runs.
       faults.emplace(built.timeline);
-      faults->set_listener([&tracker](const fault::FaultEvent& e, double t) {
-        if (e.kind == fault::FaultKind::kScramble) {
-          tracker.note_scramble(t);
-        } else {
-          tracker.note_fault(t);
-        }
-      });
+      faults->set_listener(cli::fault_listener(tracker));
       faults->run(sim, cfg.duration);
     } else if (!built.churn.empty()) {
       dyn::ChurnDriverOptions dopt;
