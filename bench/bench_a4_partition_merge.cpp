@@ -96,7 +96,10 @@ ChurnRow churn_case(const tbcs::core::SyncParams& params, double rate,
   // Stabilized = the inserted edge's skew stays under a service bound
   // well below kappa, so the probe times a real contraction rather than
   // ticking the box at the first sample.
-  dyn::StabilizationProbe probe({/*bound=*/1.0, params.mu});
+  dyn::StabilizationProbe::Options popt;
+  popt.bound = 1.0;
+  popt.mu = params.mu;
+  dyn::StabilizationProbe probe(popt);
   probe.preload(sched);
   analysis::SkewTracker tracker(sim, {});
 

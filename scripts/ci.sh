@@ -28,7 +28,9 @@
 #      plus the churn-equivalence tests (joins/leaves, link churn, and
 #      mid-run repartition migration across concurrent lanes) and the
 #      fault/shard equivalence tests (chaos plans driving scrambles and
-#      Byzantine windows through the concurrent lanes).
+#      Byzantine windows through the concurrent lanes) and the drift
+#      round-trip tests (sine and rwalk record -> replay across shards:
+#      every lane draws its members' first rate change at set-up).
 #      These are the only tests with real cross-thread contention.
 #   4. Sharded smoke + perf gate: smoke_shards.sh equivalence gates plus
 #      SMOKE_SHARDS_PERF=1, which fails if --shards 4 runs >10% slower
@@ -113,11 +115,12 @@ echo "=== sanitizer smoke: TSan threaded runtime + sharded engine (jobs=$JOBS) =
 cmake -B build-tsan -S . -DTBCS_SANITIZE=thread > /dev/null
 cmake --build build-tsan -j "$JOBS" --target \
   test_runtime test_sharded_equivalence test_churn_equivalence \
-  test_fault_shard_equivalence
+  test_fault_shard_equivalence test_drift_roundtrip
 build-tsan/tests/test_runtime
 build-tsan/tests/test_sharded_equivalence
 build-tsan/tests/test_churn_equivalence
 build-tsan/tests/test_fault_shard_equivalence
+build-tsan/tests/test_drift_roundtrip
 
 echo
 echo "=== sharded smoke + perf gate ==="

@@ -114,7 +114,11 @@ double SkewTracker::max_skew_at_distance(int d) const {
 }
 
 void SkewTracker::observe(const sim::Simulator& sim, double t) {
-  do_sample(sim, t, sim.touched());
+  // Only the incremental engine folds touched nodes; a sharded simulator
+  // merges its lanes' touches on the first touched() read, so the other
+  // modes never ask.
+  static const std::vector<sim::Simulator::Touch> kNoTouches;
+  do_sample(sim, t, incremental_ ? sim.touched() : kNoTouches);
 }
 
 void SkewTracker::do_sample(const sim::Simulator& sim, double t,

@@ -377,9 +377,23 @@ BuiltExperiment build_experiment(const ExperimentConfig& cfg) {
   if (!(cfg.tick_frequency > 0.0 && std::isfinite(cfg.tick_frequency))) {
     throw ConfigError("--tick-frequency must be a finite number > 0");
   }
+  // A period far below T multiplies the events per unit of time without
+  // bound (a drift interval of 1e-300 never finishes), so the drift and
+  // beacon periods must be at least T/1000.
+  const double min_period = cfg.delay / 1000.0;
+  if (cfg.drift_interval > 0.0 && cfg.drift_interval < min_period) {
+    throw ConfigError("--drift-interval must be 0 or at least T/1000");
+  }
   BuiltExperiment built;
   built.graph = std::make_unique<graph::Graph>(build_topology(cfg));
   built.params = resolve_params(cfg);
+  if (built.params.h0 < min_period) {
+    throw ConfigError(cfg.h0 > 0.0 ? "--h0 must be at least T/1000"
+                      : cfg.mu > 0.0
+                          ? "--mu puts the beacon period H0 = T/mu below T/1000"
+                          : "--eps puts the beacon period H0 = T/mu below "
+                            "T/1000");
+  }
 
   // Churn resolves against the topology *before* the simulator snapshots
   // it: extend_universe appends the insertion-churn edges, and the sharded

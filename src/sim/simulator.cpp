@@ -284,6 +284,8 @@ ClockValue Simulator::logical(NodeId v) const { return logical_at(v, now()); }
 void Simulator::setup() {
   if (setup_done_) return;
   setup_done_ = true;
+  // Only the global, serial steps run here; setup_lane() does the rest on
+  // every lane.
   delay_->prepare(graph_.num_nodes());
   if (part_) {
     lookahead_ = delay_->min_delay();
@@ -296,36 +298,72 @@ void Simulator::setup() {
     compute_lane_lookahead();
   }
   size_lanes();
+  // Serial, and before any lane runs: drift policies grow their per-node
+  // state on first use (SinusoidalDrift draws its phases in call order),
+  // so this loop sizes it in node-id order and the lanes' next_change
+  // calls only read it.
   for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
     if (!nodes_[static_cast<std::size_t>(v)]) {
       throw std::logic_error("Simulator: node " + std::to_string(v) +
                              " has no algorithm installed");
     }
     clock_slots_[slot(v)].set_rate(0.0, drift_->initial_rate(v));
-    schedule_next_rate_change(v, 0.0);
   }
-  if (cfg_.wake_all_at_zero) {
-    for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-      if ((status_slots_[slot(v)] & kDepartedBit) != 0) continue;  // churn
-      wake_node(lane_of(v), v, nullptr);
-    }
-  } else {
-    if ((status_slots_[slot(cfg_.root)] & kDepartedBit) != 0) {
-      throw std::invalid_argument(
-          "Simulator: the flooding-initialization root is initially absent; "
-          "pick a present root or use wake_all_at_zero");
-    }
-    wake_node(lane_of(cfg_.root), cfg_.root, nullptr);
-    for (const NodeId v : cfg_.extra_roots) {
-      if ((status_slots_[slot(v)] & (kAwakeBit | kDepartedBit)) == 0) {
-        wake_node(lane_of(v), v, nullptr);
-      }
-    }
+  if (!cfg_.wake_all_at_zero &&
+      (status_slots_[slot(cfg_.root)] & kDepartedBit) != 0) {
+    throw std::invalid_argument(
+        "Simulator: the flooding-initialization root is initially absent; "
+        "pick a present root or use wake_all_at_zero");
   }
+  // The t = 0 burst runs as a window ending at 0 on every lane: sends to
+  // other lanes wait in the outboxes, and one barrier delivers them and
+  // merges the lanes' wake records.
+  win_end_ = 0.0;
+  run_lanes(&Simulator::setup_lane, lanes_.size() > 1);
+  barrier_flush(0.0, false, false);
   // Probes never enter a lane queue: the coordinator holds the next probe
   // time and fires it at the matching barrier.  Armed after the wakes, so
   // their trace records do not count it as pending.
   if (cfg_.probe_interval > 0.0) probe_next_ = cfg_.probe_interval;
+}
+
+void Simulator::setup_lane(Lane& ln) {
+  const auto for_each_member = [&](auto&& fn) {
+    if (part_) {
+      for (const NodeId v : part_->members(ln.index)) fn(v);
+    } else {
+      for (NodeId v = 0; v < graph_.num_nodes(); ++v) fn(v);
+    }
+  };
+  for_each_member([&](NodeId v) { schedule_next_rate_change(v, 0.0); });
+  // Each wake's trace records carry the key (0, rank, 0, sub), so the
+  // barrier merges every lane's records into the serial wake order: node
+  // id, or the flooding root and then the extra roots as listed.
+  const auto wake = [&](NodeId v, NodeId rank) {
+    ln.cur_time = 0.0;
+    ln.cur_source = rank;
+    ln.cur_seq = 0;
+    ln.cur_sub = 0;
+    wake_node(ln, v, nullptr);
+  };
+  if (cfg_.wake_all_at_zero) {
+    for_each_member([&](NodeId v) {
+      if ((status_slots_[slot(v)] & kDepartedBit) == 0) wake(v, v);  // churn
+    });
+  } else {
+    if (&lane_of(cfg_.root) == &ln) wake(cfg_.root, 0);
+    NodeId rank = 0;
+    for (const NodeId v : cfg_.extra_roots) {
+      ++rank;
+      if (&lane_of(v) == &ln &&
+          (status_slots_[slot(v)] & (kAwakeBit | kDepartedBit)) == 0) {
+        wake(v, rank);
+      }
+    }
+  }
+  // A ladder queue spawns its first rung over the burst on the first
+  // top(): do it here, on the lane's own thread.
+  if (!ln.queue.empty()) (void)ln.queue.top();
 }
 
 void Simulator::size_lanes() {
@@ -426,9 +464,11 @@ void Simulator::push_delivery(Lane& ln, Event e, NodeId source,
   stamp(e, source);
   ++ln.tally.canon_pushes;
   Lane& dest = lane_of(e.node);
-  if (&dest == &ln || !in_window_) {
-    // Local delivery, or coordinator context (setup / between windows):
-    // straight into the destination queue.
+  // Node callbacks, and so sends, run only inside windows (the t = 0
+  // burst included).
+  assert(in_window_);
+  if (&dest == &ln) {
+    // Local delivery: straight into the destination queue.
     e.msg = dest.slab.put(m, e.time);
     dest.queue.push(e);
     note_queued(dest, e.node, kInvalidNode, e.time);
@@ -536,8 +576,8 @@ RealTime Simulator::safe_horizon() {
 }
 
 void Simulator::run_until(RealTime t_end) {
-  setup();
   start_workers();
+  setup();
   const bool probe_active = cfg_.probe_interval > 0.0;
   // Observation barriers exist only to feed a sharded observer at
   // partition-invariant times; an unsharded observer runs inside the lane.
@@ -675,10 +715,14 @@ void Simulator::run_window_parallel() {
       break;
     }
   }
-  if (!workers_have_work) {
+  run_lanes(&Simulator::process_window, workers_have_work);
+}
+
+void Simulator::run_lanes(LaneTask task, bool on_workers) {
+  if (!on_workers) {
     in_window_ = true;
     try {
-      process_window(lanes_[0]);
+      (this->*task)(lanes_[0]);
     } catch (...) {
       in_window_ = false;
       throw;
@@ -690,11 +734,12 @@ void Simulator::run_window_parallel() {
     std::lock_guard<std::mutex> lk(win_mu_);
     win_done_ = 0;
     in_window_ = true;
+    lane_task_ = task;
     ++win_gen_;
   }
   win_cv_.notify_all();
   try {
-    process_window(lanes_[0]);
+    (this->*task)(lanes_[0]);
   } catch (...) {
     std::lock_guard<std::mutex> lk(win_mu_);
     if (!win_error_) win_error_ = std::current_exception();
@@ -721,14 +766,16 @@ void Simulator::start_workers() {
     workers_.emplace_back([this, i] {
       std::uint64_t seen = 0;
       for (;;) {
+        LaneTask task = nullptr;
         {
           std::unique_lock<std::mutex> lk(win_mu_);
           win_cv_.wait(lk, [&] { return shutdown_ || win_gen_ != seen; });
           if (shutdown_) return;
           seen = win_gen_;
+          task = lane_task_;
         }
         try {
-          process_window(lanes_[i]);
+          (this->*task)(lanes_[i]);
         } catch (...) {
           std::lock_guard<std::mutex> lk(win_mu_);
           if (!win_error_) win_error_ = std::current_exception();
@@ -837,9 +884,19 @@ void Simulator::barrier_flush(RealTime w_end, bool probe_fires,
 
 void Simulator::flush_observer(RealTime t) {
   canon_peak_ = std::max(canon_peak_, canonical_pending());
-  // touched(): the union over lanes, sorted by node and deduplicated
-  // (unsharded, lane 0's touches are already cleared after every event,
-  // so a probe sees none).
+  // touched() merges the lanes' touches on its first read here; touches
+  // nobody read are dropped with the observation point.  (Unsharded, lane
+  // 0's touches are already cleared after every event, so a probe sees
+  // none.)
+  touches_unmerged_ = true;
+  if (observer_) observer_(*this, t);
+  for (Lane& ln : lanes_) ln.touched.clear();
+  touches_unmerged_ = false;
+}
+
+void Simulator::merge_touches() const {
+  // The union over lanes, sorted by node and deduplicated: a pure
+  // function of the event set, whatever the partition.
   std::vector<Touch>& all = lanes_[0].touched;
   for (std::size_t i = 1; i < lanes_.size(); ++i) {
     all.insert(all.end(), lanes_[i].touched.begin(), lanes_[i].touched.end());
@@ -849,8 +906,7 @@ void Simulator::flush_observer(RealTime t) {
     return a.node < b.node;
   });
   all.erase(std::unique(all.begin(), all.end()), all.end());
-  if (observer_) observer_(*this, t);
-  all.clear();
+  touches_unmerged_ = false;
 }
 
 // ---- event processing -------------------------------------------------------
@@ -1014,9 +1070,9 @@ bool Simulator::process(Lane& ln, Event& e) {
 void Simulator::emit(Lane& ln, obs::TracePoint tp, RealTime t, NodeId node,
                      std::uint32_t edge, double a, double b,
                      std::uint16_t flags, std::uint32_t aux) {
-  if (lanes_.size() == 1 || !in_window_) {
-    // A single lane, or coordinator context (setup wakes): straight to the
-    // recorder — the call order is already canonical.
+  if (lanes_.size() == 1) {
+    // A single lane: straight to the recorder — the call order is already
+    // canonical.
     recorder_->record(tp, t, node, edge, a, b, flags, aux);
     return;
   }

@@ -23,11 +23,16 @@
 // unsharded simulator (shards() == 0) is one lane with no partition: its
 // window runs straight to the next probe or the horizon, no lookahead is
 // required, and the observer runs inside the lane after every observable
-// event.
+// event.  Set-up is a window too: after the serial initial-rate pass,
+// every lane schedules its members' first rate changes and runs their t = 0
+// wakes on its own thread, and one barrier delivers the burst's cross-lane
+// mail and merges its trace records back into the serial wake order.
 //
 // One observer: it runs at every observation point (unsharded: each
 // observable event and each probe; sharded: each observation barrier) and
-// reads touched(), the nodes changed since the previous observation point.
+// may read touched(), the nodes changed since the previous observation
+// point.  Sharded, the lanes' touches are merged only when the observer
+// first reads them.
 //
 // Sharded execution (configure_shards): the node set is split by a
 // graph::Partition into per-shard lanes, each with its own event queue and
@@ -202,9 +207,14 @@ class Simulator {
   /// Unsharded: the event's 0-2 nodes in event order (a link change lists
   /// both endpoints, a probe none).  Sharded: the sorted, deduplicated
   /// union over lanes, a pure function of the event set and so identical
-  /// for every shard count.  Lanes record touches only while an observer
-  /// is installed.
-  const std::vector<Touch>& touched() const { return lanes_[0].touched; }
+  /// for every shard count.  It is merged on the first call at each
+  /// observation point, so an observer that never calls it pays no merge;
+  /// touches nobody read are dropped when the observation point ends.
+  /// Lanes record touches only while an observer is installed.
+  const std::vector<Touch>& touched() const {
+    if (touches_unmerged_) merge_touches();
+    return lanes_[0].touched;
+  }
 
   /// Kept for perfbench/, which names them: WindowTouch is Touch, and a
   /// window observer is the one observer handed touched().
@@ -530,9 +540,9 @@ class Simulator {
     std::vector<PlannedDelivery> plan_scratch;
     std::unique_ptr<ServicesImpl> services;
     /// Touches since the previous observation point (recorded only while
-    /// an observer is installed).  Lane 0's doubles as touched(): the
-    /// barrier merges the other lanes' into it.
-    std::vector<Touch> touched;
+    /// an observer is installed).  Lane 0's doubles as touched(): its first
+    /// read at an observation barrier merges the other lanes' into it.
+    mutable std::vector<Touch> touched;
     RealTime now = 0.0;
     int index = 0;
 
@@ -572,6 +582,9 @@ class Simulator {
   };
 
   void setup();
+  /// One lane's share of set-up, in member id order: first rate changes,
+  /// then the spontaneous t = 0 wakes, then the queue's first top().
+  void setup_lane(Lane& ln);
   void init_lanes(std::size_t count);
   /// Lays each shard's members out contiguously in the hot arrays (the
   /// identity when unsharded), moving every node's slot state along.
@@ -659,10 +672,18 @@ class Simulator {
   RealTime safe_horizon();
   void process_window(Lane& ln);
   void run_window_parallel();
+  using LaneTask = void (Simulator::*)(Lane&);
+  /// Runs `task` on every lane inside a window (in_window_ set): lane 0 on
+  /// the calling thread, the others on the window workers.  With
+  /// `on_workers` false only lane 0 runs — the others have nothing to do.
+  void run_lanes(LaneTask task, bool on_workers);
   void barrier_flush(RealTime w_end, bool probe_fires, bool obs_fires);
-  /// An observation point at a barrier: samples the canonical queue peak,
-  /// merges the lanes' touches into touched() and runs the observer.
+  /// An observation point at a barrier: samples the canonical queue peak
+  /// and runs the observer, then drops the lanes' touches.
   void flush_observer(RealTime t);
+  /// touched()'s first read at an observation point: folds the lanes'
+  /// touches into lane 0's, sorted and deduplicated.
+  void merge_touches() const;
   void merge_lane_traces();
   std::size_t canonical_pending() const;
   void start_workers();
@@ -721,6 +742,9 @@ class Simulator {
   RealTime obs_next_ = kInfinity;
   std::size_t canon_peak_ = 0;  // queue peak sampled at observation points
                                 // (read only when sharded)
+  /// Set at an observation barrier until touched() first merges the
+  /// lanes' touches.
+  mutable bool touches_unmerged_ = false;
   bool in_window_ = false;
   RealTime win_end_ = 0.0;
   bool win_inclusive_ = false;
@@ -736,6 +760,7 @@ class Simulator {
   std::condition_variable win_cv_;
   std::condition_variable done_cv_;
   std::uint64_t win_gen_ = 0;
+  LaneTask lane_task_ = nullptr;  // what the lanes run for win_gen_
   int win_done_ = 0;
   bool shutdown_ = false;
   std::exception_ptr win_error_;  // first exception thrown inside a window

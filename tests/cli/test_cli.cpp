@@ -264,6 +264,43 @@ TEST(ExperimentConfig, OutOfModelBandMinAndTickFrequencyThrow) {
   }
 }
 
+// A beacon or drift period far below T makes a run's event count grow
+// without bound; each is refused with the flag that set it.
+TEST(ExperimentConfig, OutOfScalePeriodsThrow) {
+  const auto expect_throw = [](const ExperimentConfig& cfg,
+                               const std::string& flag) {
+    try {
+      build_experiment(cfg);
+      ADD_FAILURE() << flag << " accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  };
+  ExperimentConfig h0;
+  h0.h0 = 1e-300;
+  expect_throw(h0, "--h0");
+  ExperimentConfig mu;
+  mu.mu = 1e300;  // H0 = T/mu
+  expect_throw(mu, "--mu");
+  for (const double iv : {1e-300, 0.9e-3}) {
+    ExperimentConfig walk;
+    walk.drift = "walk";
+    walk.drift_interval = iv;
+    expect_throw(walk, "--drift-interval");
+  }
+  // T/1000 itself is in scale, and 0 keeps each default period.
+  ExperimentConfig edge;
+  edge.h0 = 1e-3;
+  edge.drift = "walk";
+  edge.drift_interval = 1e-3;
+  edge.duration = 1.0;
+  EXPECT_NO_THROW(build_experiment(edge));
+  ExperimentConfig defaults;
+  defaults.drift = "walk";
+  EXPECT_NO_THROW(build_experiment(defaults));
+}
+
 // Above 65536 nodes the exact O(n (n + m)) diameter gives way to the
 // two-sweep estimate, which is exact on a path.
 TEST(ExperimentConfig, ResolveBoundsUsesTwoSweepAbove65536Nodes) {

@@ -14,6 +14,13 @@
 namespace tbcs::dyn {
 namespace {
 
+StabilizationProbe::Options options(double bound, double mu) {
+  StabilizationProbe::Options o;
+  o.bound = bound;
+  o.mu = mu;
+  return o;
+}
+
 core::SyncParams params() {
   return core::SyncParams::recommended(1.0, 0.02, 0.3);
 }
@@ -31,7 +38,7 @@ TEST(StabilizationProbe, PreloadPairsInsertionsWithTheNextRemoval) {
            // A down with no prior up (base edge removed) adds no record.
            link(ChurnOpKind::kLinkDown, 50.0, 7)};
 
-  StabilizationProbe probe({/*bound=*/1.0, /*mu=*/0.1});
+  StabilizationProbe probe(options(1.0, 0.1));
   probe.preload(s);
   ASSERT_EQ(probe.insertions(), 3u);
   const auto& r = probe.records();
@@ -70,7 +77,7 @@ struct TwoNodeRun {
 };
 
 TEST(StabilizationProbe, ConnectedEdgeStabilizesUnderAGenerousBound) {
-  TwoNodeRun run({/*bound=*/100.0, /*mu=*/0.3}, /*cut_link=*/false);
+  TwoNodeRun run(options(100.0, 0.3), /*cut_link=*/false);
   run.sim->run_until(100.0);
   EXPECT_EQ(run.probe.insertions(), 1u);
   EXPECT_EQ(run.probe.stabilized(), 1u);
@@ -89,7 +96,7 @@ TEST(StabilizationProbe, ForGoodSemanticsRevokeEarlyStability) {
   // Cut link, drift gap 0.04/s: skew starts at ~0 (inside the bound) and
   // grows without recourse — early "stable" samples must be revoked by
   // the later excursion.
-  TwoNodeRun run({/*bound=*/0.5, /*mu=*/0.3}, /*cut_link=*/true);
+  TwoNodeRun run(options(0.5, 0.3), /*cut_link=*/true);
   run.sim->run_until(200.0);
   EXPECT_EQ(run.probe.insertions(), 1u);
   const auto& r = run.probe.records()[0];
@@ -101,7 +108,7 @@ TEST(StabilizationProbe, ForGoodSemanticsRevokeEarlyStability) {
 }
 
 TEST(StabilizationProbe, ZeroBoundDisablesTheProbe) {
-  TwoNodeRun run({/*bound=*/0.0, /*mu=*/0.3}, /*cut_link=*/false);
+  TwoNodeRun run(options(0.0, 0.3), /*cut_link=*/false);
   run.sim->run_until(50.0);
   EXPECT_FALSE(run.probe.records()[0].sampled);
   EXPECT_TRUE(std::isnan(run.probe.mean_predicted_time()));

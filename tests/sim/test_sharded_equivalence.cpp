@@ -155,12 +155,26 @@ void expect_equivalent(const RunOutput& serial, const RunOutput& sharded) {
 
 class ShardedEquivalence : public testing::TestWithParam<const char*> {};
 
+// Set-up runs on the lanes: each lane draws its members' first rate
+// change and runs their t = 0 wakes on its own thread.  Every drift family
+// must still start the serial execution, and so must flooding
+// initialization, where only the root wakes at set-up.
 TEST_P(ShardedEquivalence, MatchesSerialAtEveryShardCount) {
-  const cli::ExperimentConfig cfg = base_config(GetParam(), 24);
-  const RunOutput serial = run_case(cfg, 0);
-  for (const int shards : {1, 2, 4}) {
-    SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    expect_equivalent(serial, run_case(cfg, shards));
+  std::vector<cli::ExperimentConfig> cases;
+  for (const char* drift : {"walk", "rwalk", "sine", "square"}) {
+    cases.push_back(base_config(GetParam(), 24));
+    cases.back().drift = drift;
+  }
+  cases.push_back(base_config(GetParam(), 24));
+  cases.back().wake_all = false;
+  for (const cli::ExperimentConfig& cfg : cases) {
+    SCOPED_TRACE(testing::Message() << "drift=" << cfg.drift
+                                    << " wake_all=" << cfg.wake_all);
+    const RunOutput serial = run_case(cfg, 0);
+    for (const int shards : {1, 2, 4}) {
+      SCOPED_TRACE(testing::Message() << "shards=" << shards);
+      expect_equivalent(serial, run_case(cfg, shards));
+    }
   }
 }
 
@@ -293,7 +307,10 @@ TEST(ShardedEquivalenceAudit, AuditOracleAcceptsShardedRuns) {
 // The observer's view of a sharded run — observation-point times and the
 // touched() union at each — is a pure function of the event set, so it is
 // identical for every shard count, through wakes, a cut-edge link flip
-// (primary plus twin) and a crash.
+// (primary plus twin) and a crash.  touched() is merged on its first read
+// at an observation point, and touches nobody read are dropped with it:
+// an observer that reads only at every other call sees exactly what the
+// always-reading one sees at those calls.
 TEST(ShardedEquivalenceObserver, TouchedSequenceIsShardCountInvariant) {
   struct Call {
     double t = 0.0;
@@ -307,22 +324,34 @@ TEST(ShardedEquivalenceObserver, TouchedSequenceIsShardCountInvariant) {
   for (const int shards : {1, 2, 4}) {
     SCOPED_TRACE(testing::Message() << "shards=" << shards);
     cfg.shards = shards;
-    auto built = cli::build_experiment(cfg);
-    sim::Simulator& sim = *built.simulator;
-    // Nodes 11 and 15 are vertical neighbours in the 6x4 grid on either
-    // side of the two-shard block cut.
-    if (shards == 2) {
-      ASSERT_NE(sim.partition()->shard_of(11), sim.partition()->shard_of(15));
+    std::vector<Call> by_stride[2];  // read at every call / every other
+    for (const std::size_t stride : {1u, 2u}) {
+      auto built = cli::build_experiment(cfg);
+      sim::Simulator& sim = *built.simulator;
+      // Nodes 11 and 15 are vertical neighbours in the 6x4 grid on either
+      // side of the two-shard block cut.
+      if (shards == 2) {
+        ASSERT_NE(sim.partition()->shard_of(11),
+                  sim.partition()->shard_of(15));
+      }
+      sim.schedule_link_change(11, 15, false, 15.0);
+      sim.schedule_link_change(11, 15, true, 35.0);
+      sim.schedule_crash(5, 25.0);
+      std::vector<Call>& calls = by_stride[stride - 1];
+      sim.set_observer([&calls, stride](const sim::Simulator& s, double t) {
+        Call c{t, {}};
+        if (calls.size() % stride == 0) c.touched = s.touched();
+        calls.push_back(std::move(c));
+      });
+      sim.run_until(cfg.duration);
     }
-    sim.schedule_link_change(11, 15, false, 15.0);
-    sim.schedule_link_change(11, 15, true, 35.0);
-    sim.schedule_crash(5, 25.0);
-    std::vector<Call> calls;
-    sim.set_observer([&calls](const sim::Simulator& s, double t) {
-      calls.push_back(Call{t, s.touched()});
-    });
-    sim.run_until(cfg.duration);
-    runs.push_back(std::move(calls));
+    const std::vector<Call>& every = by_stride[0];
+    const std::vector<Call>& sparse = by_stride[1];
+    ASSERT_EQ(sparse.size(), every.size());
+    for (std::size_t i = 0; i < every.size(); i += 2) {
+      ASSERT_EQ(sparse[i], every[i]) << "observer call " << i;
+    }
+    runs.push_back(every);
   }
   const std::vector<Call>& ref = runs[0];
   ASSERT_GT(ref.size(), 10u);
