@@ -3,7 +3,7 @@
 // binary bottoms out in.
 //
 //   bench_core_hotpath [--quick] [--filter SUBSTR] [--out FILE] [--label NAME]
-//                      [--repeat N] [--shards K0,K1,...] [--queue Q0,Q1,...]
+//                      [--repeat N] [--shards K0,K1,...]
 //
 // --filter SUBSTR runs only the configurations whose result name contains
 // SUBSTR (e.g. --filter line_n1024_serial_incremental), for targeted
@@ -13,10 +13,6 @@
 // (events_per_sec/seconds stay the best-of-N, so rows remain comparable
 // with single-run baselines) plus eps_median / eps_stddev / repeats
 // columns quantifying the noise.
-//
-// --queue Q0,Q1,... (shard-axis rows only) adds an event-queue
-// implementation axis: "auto" rows keep the historical unsuffixed names,
-// "heap"/"ladder" rows get a _qheap/_qladder suffix.
 //
 // Measures events/sec for A^opt with a random-walk drift and uniform
 // delay adversary on line/tree/grid topologies at n in {64, 1k, 16k}
@@ -94,14 +90,12 @@ graph::Graph make_topology(const std::string& kind, int n) {
 RunResult run_one(const graph::Graph& g, analysis::SkewTracker::Mode mode,
                   double duration, std::uint64_t seed, int shards = -1,
                   int* shards_effective = nullptr,
-                  sim::QueueSelect queue = sim::QueueSelect::kAuto,
                   const dyn::ChurnSchedule* churn = nullptr) {
   // One config shared by every node, as cli::build_experiment builds it.
   const auto config = std::make_shared<const core::AoptConfig>(
       core::SyncParams::recommended(1.0, 0.01, 0.0), core::AoptOptions{});
   sim::SimConfig scfg;
   scfg.wake_all_at_zero = shards >= 0;
-  scfg.queue = queue;
   sim::Simulator sim(g, scfg);
   if (shards > 0) sim.configure_shards(shards, "auto", 64);
   if (shards_effective != nullptr) *shards_effective = sim.shards();
@@ -209,7 +203,6 @@ int main(int argc, char** argv) {
   std::string filter;
   int repeats = 1;
   std::vector<int> shard_axis;  // e.g. --shards 0,1,2,4; 0 = serial engine
-  std::vector<std::string> queue_axis{"auto"};  // e.g. --queue heap,ladder
   std::vector<double> churn_axis;  // e.g. --churn 0,0.005,0.02; 0 = control
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -237,41 +230,19 @@ int main(int argc, char** argv) {
         churn_axis.push_back(std::strtod(p, &end));
         p = (end != nullptr && *end == ',') ? end + 1 : (end != nullptr ? end : p + std::strlen(p));
       }
-    } else if (a == "--queue" && i + 1 < argc) {
-      queue_axis.clear();
-      std::string list = argv[++i];
-      std::size_t pos = 0;
-      while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::size_t n =
-            (comma == std::string::npos ? list.size() : comma) - pos;
-        if (n > 0) queue_axis.push_back(list.substr(pos, n));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
-      if (queue_axis.empty()) queue_axis.push_back("auto");
     } else {
       std::fprintf(stderr,
                    "usage: bench_core_hotpath [--quick] [--filter SUBSTR] "
-                   "[--repeat N] [--shards K0,K1,...] [--queue Q0,Q1,...] "
+                   "[--repeat N] [--shards K0,K1,...] "
                    "[--churn R0,R1,...] [--out FILE] [--label NAME]\n"
                    "  --shards runs ONLY the shard-axis rows (band-delay "
                    "workload; K = 0 is the serial engine)\n"
-                   "  --queue adds an event-queue axis to the shard rows "
-                   "(auto | heap | ladder; auto rows keep unsuffixed "
-                   "names)\n"
                    "  --churn runs ONLY the churn-axis rows (joins/leaves "
                    "at R/2, edge churn at R; R = 0 is the no-churn "
                    "control; combine with --shards for sharded rows)\n");
       return 2;
     }
   }
-  const auto queue_select = [](const std::string& q) {
-    if (q == "heap") return sim::QueueSelect::kHeap;
-    if (q == "ladder") return sim::QueueSelect::kLadder;
-    return sim::QueueSelect::kAuto;
-  };
-
   // --quick runs the n=64 subset with the SAME durations as the full
   // sweep, so its result names and workloads match the recorded baseline
   // exactly and the smoke regression check compares like with like.
@@ -342,7 +313,7 @@ int main(int argc, char** argv) {
             int effective = 0;
             const Repeated rr = repeat_runs(repeats, [&] {
               return run_one(g, tbcs::analysis::SkewTracker::Mode::kIncremental,
-                             dur, 3, k, &effective, sim::QueueSelect::kAuto,
+                             dur, 3, k, &effective,
                              rate > 0.0 ? &sched : nullptr);
             });
             const RunResult& r = rr.best;
@@ -393,39 +364,33 @@ int main(int argc, char** argv) {
         const tbcs::graph::Graph g = make_topology(topo, n);
         const double dur = shard_duration_for(n);
         for (const int k : shard_axis) {
-          for (const std::string& q : queue_axis) {
-            // "auto" rows keep the historical unsuffixed names so they
-            // regress-check against earlier recorded baselines directly.
-            const std::string name = std::string(topo) + "_n" +
-                                     std::to_string(g.num_nodes()) +
-                                     "_shards" + std::to_string(k) +
-                                     "_incremental" +
-                                     (q == "auto" ? "" : "_q" + q);
-            if (!filter.empty() && name.find(filter) == std::string::npos) {
-              continue;
-            }
-            int effective = 0;
-            const Repeated rr = repeat_runs(repeats, [&] {
-              return run_one(g, tbcs::analysis::SkewTracker::Mode::kIncremental,
-                             dur, 3, k, &effective, queue_select(q));
-            });
-            const RunResult& r = rr.best;
-            json.add(name)
-                .metric("n", g.num_nodes())
-                .metric("duration", dur)
-                .metric("shards", k)
-                .metric("shards_effective", effective)
-                .metric("events", static_cast<double>(r.events))
-                .metric("seconds", r.seconds)
-                .metric("events_per_sec", rr.eps_best)
-                .metric("eps_median", rr.eps_median)
-                .metric("eps_stddev", rr.eps_stddev)
-                .metric("repeats", repeats);
-            std::printf("%-40s %12.0f events/s  (%llu events, %.2fs)\n",
-                        name.c_str(), rr.eps_best, (unsigned long long)r.events,
-                        r.seconds);
-            std::fflush(stdout);
+          const std::string name = std::string(topo) + "_n" +
+                                   std::to_string(g.num_nodes()) + "_shards" +
+                                   std::to_string(k) + "_incremental";
+          if (!filter.empty() && name.find(filter) == std::string::npos) {
+            continue;
           }
+          int effective = 0;
+          const Repeated rr = repeat_runs(repeats, [&] {
+            return run_one(g, tbcs::analysis::SkewTracker::Mode::kIncremental,
+                           dur, 3, k, &effective);
+          });
+          const RunResult& r = rr.best;
+          json.add(name)
+              .metric("n", g.num_nodes())
+              .metric("duration", dur)
+              .metric("shards", k)
+              .metric("shards_effective", effective)
+              .metric("events", static_cast<double>(r.events))
+              .metric("seconds", r.seconds)
+              .metric("events_per_sec", rr.eps_best)
+              .metric("eps_median", rr.eps_median)
+              .metric("eps_stddev", rr.eps_stddev)
+              .metric("repeats", repeats);
+          std::printf("%-40s %12.0f events/s  (%llu events, %.2fs)\n",
+                      name.c_str(), rr.eps_best, (unsigned long long)r.events,
+                      r.seconds);
+          std::fflush(stdout);
         }
       }
     }

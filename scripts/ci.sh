@@ -7,7 +7,7 @@
 #      runtime tests, the obs and history-store tests, the skew-tracker
 #      oracle and analysis tests, the simulator and recorder tests, the
 #      graph, topology, partition, churn-plan and fault-plan tests, the
-#      event-queue tests (ladder, heap, heap-vs-ladder differential) and
+#      event-queue tests (the ladder internals and the queue API) and
 #      the A^opt-family tests (aopt unit, adaptive delay, variants,
 #      ftgcs, dyn-gcs) with ASan+UBSan (-DTBCS_SANITIZE=address,undefined)
 #      and run them.  The threaded runtime (detached wedged threads,
@@ -38,8 +38,8 @@
 #      window-stall and tree-partition regressions).
 #   5. Churn determinism smoke: smoke_churn.sh — a dynamic-network run
 #      (node joins/leaves + edge churn through the kllo node) must be
-#      byte-identical serial vs --shards {1,2,4}, heap vs ladder, and
-#      --jobs 1 vs 4 through a churned sweep.
+#      byte-identical serial vs --shards {1,2,4} and --jobs 1 vs 4
+#      through a churned sweep.
 #   6. Fault-tolerant GCS smoke: smoke_ftgcs.sh — a Byzantine chaos plan
 #      through --algo ftgcs must be byte-identical serial vs --shards
 #      {1,2,4}, report engine-independent fault.* metrics, stabilize in
@@ -50,11 +50,7 @@
 #      execution by zero bytes, report engine-invariant sketch figures
 #      serial vs --shards 4, sweep --jobs 1 == 4 with the sketch columns,
 #      and reject the retired sampling flag as unknown.
-#   8. Large-n queue gate: smoke_bench.sh with SMOKE_BENCH_LARGE=1,
-#      which fails if the ladder queue is < 1.2x the heap on the serial
-#      line n=100000 config (and re-checks the small-n geomean so the
-#      ladder can't buy large-n throughput with a small-n regression).
-#   9. Repository benchmark self-test: perfbench/run.py --self-test
+#   8. Repository benchmark self-test: perfbench/run.py --self-test
 #      builds the benchmark driver (Release, under .bench_build/) against
 #      the current src/ and runs every workload at tiny size, so a library
 #      change that breaks the benchmark's build, its metrics, or its
@@ -78,7 +74,7 @@ cmake --build build-asan -j "$JOBS" --target \
   tbcs_sim_tool tbcs_trace test_runtime test_obs test_trace_tools \
   test_history_store test_skew_incremental test_analysis test_simulator \
   test_recorder test_graph test_topologies test_partition test_churn_plan \
-  test_fault_plan test_ladder_queue test_queue_differential test_event_queue \
+  test_fault_plan test_ladder_queue test_event_queue \
   test_aopt_unit test_adaptive_delay test_variants_unit test_ftgcs \
   test_dyn_gcs
 
@@ -102,7 +98,6 @@ build-asan/tests/test_partition
 build-asan/tests/test_churn_plan
 build-asan/tests/test_fault_plan
 build-asan/tests/test_ladder_queue
-build-asan/tests/test_queue_differential
 build-asan/tests/test_event_queue
 build-asan/tests/test_aopt_unit
 build-asan/tests/test_adaptive_delay
@@ -141,11 +136,6 @@ echo
 echo "=== telemetry-backend smoke ==="
 bash scripts/smoke_obs.sh \
   build/tools/tbcs_sim build/tools/tbcs_trace build/tools/tbcs_sweep
-
-echo
-echo "=== large-n queue gate ==="
-SMOKE_BENCH_LARGE=1 bash scripts/smoke_bench.sh \
-  build/bench/bench_core_hotpath BENCH_pr2.json
 
 echo
 echo "=== repository benchmark self-test ==="

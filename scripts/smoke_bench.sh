@@ -13,22 +13,26 @@
 #      to back, so it is robust to absolute machine speed and
 #      ctest-induced CPU contention, unlike raw events/sec; the geomean
 #      smooths the run-to-run noise of the ~10ms quick configs, which a
-#      per-config gate would trip on.
+#      per-config gate would trip on;
+#   4. the event-queue counter gate, on three tbcs_sim runs: the ftgcs
+#      chaos shape (hypercube dims 8, the smoke_ftgcs.sh plan) under
+#      --drift square and under --drift sine, and a line of n = 100000
+#      woken all at once.  From each run's --stats-json, queue_impl
+#      .run_inserts (pushes that paid a sorted insert into the queue's
+#      sorted run) must be at most 5% of queue.pushes, and
+#      queue_impl.peak_rungs at most 16.  A same-time pileup ahead
+#      (square drift flips every rate at one instant) is what once made
+#      nine pushes in ten pay that insert.  Counters, not timings: the
+#      gate reads the same on any machine.
 #
-# With SMOKE_BENCH_LARGE=1 it additionally runs the large-n serial gate:
-# line n=100000, --shards 0, heap vs ladder in one process, each queue
-# run 5 times.  The ladder queue's median events/s must be >= 1.2x the
-# heap's — that is the whole point of the bucket queue, and the
-# within-process ratio is machine-speed independent (medians, because
-# single samples of the ratio scatter across the threshold).  The
-# small-n geomean gate above still runs, so the ladder can never buy
-# large-n throughput by regressing the small-n configs.
-#
-# Usage: smoke_bench.sh /path/to/bench_core_hotpath [baseline.json]
+# Usage: smoke_bench.sh /path/to/bench_core_hotpath /path/to/tbcs_sim
+#                       [baseline.json]
 set -euo pipefail
 
-BENCH_BIN="${1:?usage: smoke_bench.sh /path/to/bench_core_hotpath [baseline.json]}"
-BASELINE="${2:-}"
+USAGE="usage: smoke_bench.sh /path/to/bench_core_hotpath /path/to/tbcs_sim [baseline.json]"
+BENCH_BIN="${1:?$USAGE}"
+SIM_BIN="${2:?$USAGE}"
+BASELINE="${3:-}"
 TMPDIR_SMOKE="$(mktemp -d)"
 trap 'rm -rf "$TMPDIR_SMOKE"' EXIT
 
@@ -68,29 +72,44 @@ EOF
 
 validate "$TMPDIR_SMOKE/quick.json" fresh
 
-if [[ "${SMOKE_BENCH_LARGE:-0}" == "1" ]]; then
-  echo "smoke_bench: large-n serial gate (line n=100000, heap vs ladder, median of 5)"
-  "$BENCH_BIN" --shards 0 --queue heap,ladder --filter line_n100000_ --repeat 5 \
-    --out "$TMPDIR_SMOKE/large.json" --label smoke-large \
-    > "$TMPDIR_SMOKE/large.log"
-  validate "$TMPDIR_SMOKE/large.json" fresh
-  python3 - "$TMPDIR_SMOKE/large.json" <<'EOF'
+cat > "$TMPDIR_SMOKE/chaos.txt" <<'EOF'
+byzantine node=1 from=0 until=120 mode=fixed offset=1000
+byzantine node=2 from=0 until=120 mode=fixed offset=-1000
+crash node=9 at=30
+recover node=9 at=55
+channel from=70 until=95 drop=0.15 jitter=0.3
+scramble node=12 at=150 magnitude=6
+EOF
+
+queue_gate() {  # queue_gate <tag> <tbcs_sim args...>
+  local tag="$1"
+  shift
+  "$SIM_BIN" "$@" --stats-json "$TMPDIR_SMOKE/$tag.stats" > /dev/null
+  python3 - "$TMPDIR_SMOKE/$tag.stats" "$tag" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-eps = {r["name"]: r["eps_median"] for r in doc["results"]
-       if "eps_median" in r}
-heap = eps.get("line_n100000_shards0_incremental_qheap")
-ladder = eps.get("line_n100000_shards0_incremental_qladder")
-assert heap and ladder, f"missing large-n rows, got: {sorted(eps)}"
-ratio = ladder / heap
-print(f"line n=100000 serial, median of 5: ladder {ladder:,.0f} ev/s"
-      f" vs heap {heap:,.0f} ev/s ({ratio:.2f}x)")
-if ratio < 1.2:
-    sys.exit("FAIL: ladder < 1.2x heap at n=100000 (large-n hot path)")
-print("smoke_bench: large-n ladder gate OK")
+pushes = doc["queue"]["pushes"]
+inserts = doc["queue_impl"]["run_inserts"]
+rungs = doc["queue_impl"]["peak_rungs"]
+share = inserts / pushes
+print(f"{sys.argv[2]}: {inserts} run inserts in {pushes} pushes"
+      f" ({100 * share:.2f}%), peak_rungs {rungs}")
+if share > 0.05:
+    sys.exit(f"FAIL: {sys.argv[2]}: run inserts above 5% of pushes")
+if rungs > 16:
+    sys.exit(f"FAIL: {sys.argv[2]}: rungs nested {rungs} deep")
 EOF
-fi
+}
+
+for drift in square sine; do
+  queue_gate "chaos-$drift" --topology hypercube --dims 8 --algo ftgcs \
+    --ftgcs-f 2 --eps 0.02 --delays band --drift "$drift" --duration 200 \
+    --wake-all --faults "$TMPDIR_SMOKE/chaos.txt"
+done
+queue_gate line-n100000 --topology path --nodes 100000 --wake-all \
+  --delays band --band-min 0.25 --duration 10 --obs-backend stair
+echo "smoke_bench: event-queue counter gate OK"
 
 if [[ -z "$BASELINE" || ! -f "$BASELINE" ]]; then
   echo "smoke_bench: OK (no checked-in baseline to regress against)"

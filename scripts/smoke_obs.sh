@@ -18,8 +18,10 @@
 #      the exact-backend header stays unchanged.
 #   5. Trace timeline: tbcs_trace --summary --obs-backend stair appends a
 #      bounded-memory event-rate timeline to the dump summary.
-#   6. Retired flag: the old every-Nth-event sampling flag (superseded by
-#      the stair backend's probe grid) is an unknown flag: exit 2, named.
+#   6. Retired flags: the old every-Nth-event sampling flag (superseded by
+#      the stair backend's probe grid) and the event-queue selector (the
+#      simulator has one queue) are unknown flags to tbcs_sim, the queue
+#      selector to tbcs_sweep too: exit 2, named.
 #
 # Usage: smoke_obs.sh /path/to/tbcs_sim /path/to/tbcs_trace /path/to/tbcs_sweep
 set -euo pipefail
@@ -118,12 +120,25 @@ esac
 grep -q "timeline (stair backend)" "$TMPDIR_SMOKE/trace-summary.out" \
   || { echo "FAIL: no stair timeline in tbcs_trace --summary"; exit 1; }
 
-# Gate 6: the retired sampling flag is rejected as an unknown flag.
+# Gate 6: the retired flags are rejected as unknown flags.
 status=0
 run_sim stair 0 retired --skew-stride 8 || status=$?
 [ "$status" -eq 2 ] \
   || { echo "FAIL: retired flag exited $status, expected 2"; exit 1; }
 grep -q "unknown flag --skew-stride" "$TMPDIR_SMOKE/retired.err" \
   || { echo "FAIL: retired flag not reported as unknown"; exit 1; }
+expect_unknown_queue() {  # expect_unknown_queue <tag> <command...>
+  local tag="$1" status=0
+  shift
+  "$@" > "$TMPDIR_SMOKE/$tag.out" 2> "$TMPDIR_SMOKE/$tag.err" || status=$?
+  [ "$status" -eq 2 ] \
+    || { echo "FAIL: $tag: --queue exited $status, expected 2"; exit 1; }
+  grep -q "unknown flag --queue" "$TMPDIR_SMOKE/$tag.err" \
+    || { echo "FAIL: $tag: --queue not reported as unknown"; exit 1; }
+}
+expect_unknown_queue retired-queue-sim \
+  "$SIM_BIN" --topology grid --rows 6 --cols 6 --duration 10 --queue heap
+expect_unknown_queue retired-queue-sweep \
+  "$SWEEP_BIN" --param eps --values 0.01 --duration 10 --queue ladder
 
-echo "smoke_obs: OK (bound, observer-only, engine-invariant, sweep, timeline, retired flag)"
+echo "smoke_obs: OK (bound, observer-only, engine-invariant, sweep, timeline, retired flags)"

@@ -13,6 +13,11 @@
 #      be byte-identical.
 #   3. Both gates again with a mixed fault plan (crash/recover, link
 #      flaps across shard boundaries, a lossy channel window) active.
+#   4. A written --series-csv, on the tree: the exact tracker's series
+#      byte-identical at --shards {1,2,4} (it samples every event
+#      unsharded and every observation barrier sharded, so serial is
+#      left out), the stair backend's series (grid-sampled in every
+#      engine) byte-identical serial and at --shards {1,2,4}.
 #
 # Every comparison is exit-code gated; any divergence fails the test.
 #
@@ -92,6 +97,23 @@ for topo in path tree er; do
   check_case "$topo" "$topo-plain"
   check_case "$topo" "$topo-faulty" --faults "$PLAN" --fault-seed 7
 done
+
+# Gate 4: a written skew series.
+for backend in exact stair; do
+  for n in 0 1 2 4; do
+    run_sim tree "$n" "series-$backend-s$n" --obs-backend "$backend" \
+            --series-csv "$TMPDIR_SMOKE/series-$backend-s$n.csv"
+  done
+done
+for n in 2 4; do
+  cmp "$TMPDIR_SMOKE/series-exact-s1.csv" "$TMPDIR_SMOKE/series-exact-s$n.csv" \
+    || { echo "FAIL: exact series --shards 1 != --shards $n"; exit 1; }
+done
+for n in 0 2 4; do
+  cmp "$TMPDIR_SMOKE/series-stair-s1.csv" "$TMPDIR_SMOKE/series-stair-s$n.csv" \
+    || { echo "FAIL: stair series --shards 1 != --shards $n"; exit 1; }
+done
+echo "smoke_shards: series OK"
 
 # The sharded run actually applied the plan (sanity that the faulty case
 # exercised crashes, not a silently empty timeline).

@@ -2,11 +2,11 @@
 # Shared stats-JSON canonicalizer for the smoke scripts (sourced, not run).
 #
 # The byte-identity gates compare `tbcs_sim --stats-json` output across
-# shard counts (unsharded included) and queue implementations.  Two
-# blocks are *supposed* to differ and are stripped before the comparison:
+# shard counts (unsharded included).  Two blocks are *supposed* to differ
+# and are stripped before the comparison:
 #
 #   "engine"      — records the requested and effective shard counts
-#   "queue_impl"  — per-lane bucket/wheel internals of the active queue
+#   "queue_impl"  — per-lane bucket/wheel internals of the event queue
 #
 # Everything else (message counters, skew figures, churn/fault ledgers,
 # the "obs" backend block) is shard-count-invariant by contract and stays

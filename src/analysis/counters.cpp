@@ -67,17 +67,15 @@ void write_stats_json(std::ostream& os, const sim::Simulator& sim,
      << ", \"partition\": \""
      << (sim.shards() > 0 ? sim.partition_strategy() : std::string("serial"))
      << "\"},\n";
-  // Concrete queue-implementation detail: bucket churn, wheel cascades and
-  // allocated slots when the stats are written, summed over the lanes.
-  // queue_capacity counts event slots: a heap's reserved vector, or every
-  // slot a ladder holds (run, rung buckets, overflow blocks, pool), which
-  // follows its live events.  Partition- and implementation-dependent by
-  // nature, so the same byte-comparison gates strip this block too.
+  // Queue-internal detail: bucket churn, wheel cascades and allocated
+  // slots when the stats are written, summed over the lanes.
+  // queue_capacity counts every event slot the queue holds (run, rung
+  // buckets, overflow blocks), which follows its live events.
+  // Partition-dependent by nature, so the same byte-comparison gates strip
+  // this block too.
   const sim::Simulator::QueueImplInfo qi = sim.queue_impl_info();
   os << "  \"queue_impl\": {"
-     << "\"impl\": \""
-     << (qi.impl == sim::QueueImpl::kLadder ? "ladder" : "heap")
-     << "\", \"resorts\": " << qi.resorts
+     << "\"resorts\": " << qi.resorts
      << ", \"spills\": " << qi.spills
      << ", \"rebuckets\": " << qi.rebuckets
      << ", \"run_inserts\": " << qi.run_inserts

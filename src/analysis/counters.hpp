@@ -31,9 +31,9 @@ struct CommunicationReport {
 /// cancel share near 1 means timers are re-armed much faster than they
 /// fire — dead weight the wheel removes in O(1) where the old engine
 /// popped stale heap entries.  All fields are canonical (identical across
-/// shard counts and queue implementations); reserved/peak capacity of the
-/// concrete implementation lands in the separate "queue_impl" stats
-/// block, which the byte-compare gates strip.
+/// shard counts); the queue's internal counters and allocated capacity
+/// land in the separate "queue_impl" stats block, which the byte-compare
+/// gates strip.
 struct QueueReport {
   std::size_t peak_size = 0;
   std::uint64_t pushes = 0;
@@ -48,7 +48,7 @@ struct QueueReport {
 
 /// Telemetry history-backend summary for the "obs" stats block.  Every
 /// field here must be engine-invariant (identical across --shards /
-/// --queue / --jobs): backend and budget are configuration, and the stair
+/// --jobs): backend and budget are configuration, and the stair
 /// figures are pure functions of the grid-sampled append sequence, which
 /// the probe grid pins to k * delay in every engine.
 struct ObsBackendReport {

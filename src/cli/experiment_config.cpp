@@ -45,7 +45,6 @@ void apply_model_flags(ArgParser& args, ExperimentConfig& cfg) {
   cfg.shards = args.get_int("shards", cfg.shards);
   cfg.partition = args.get_string("partition", cfg.partition);
   cfg.min_shard_nodes = args.get_int("shards-min-nodes", cfg.min_shard_nodes);
-  cfg.queue = args.get_string("queue", cfg.queue);
   cfg.faults_file = args.get_string("faults", cfg.faults_file);
   cfg.fault_seed = args.get_uint64("fault-seed", cfg.fault_seed);
   cfg.silence_timeout = args.get_double("silence-timeout", cfg.silence_timeout);
@@ -207,7 +206,7 @@ analysis::SkewTracker::Options resolve_tracker(const ExperimentConfig& cfg,
   if (topt.history.backend == obs::HistoryConfig::Backend::kStair) {
     // Sample on the probe grid k * delay (build_experiment arms probes
     // every cfg.delay): the same instants in every engine, so the sketch
-    // is byte-identical across --shards/--queue/--jobs.  Between grid
+    // is byte-identical across --shards/--jobs.  Between grid
     // points logical rates stay within [1-eps, (1+eps)(1+mu)], which
     // bounds how far a skew extremum can drift: that span times the grid
     // step is the advertised error bound.
@@ -365,6 +364,10 @@ std::unique_ptr<sim::Node> build_node(
 }  // namespace
 
 BuiltExperiment build_experiment(const ExperimentConfig& cfg) {
+  if (cfg.queue != "auto") {
+    throw ConfigError("unknown queue implementation: " + cfg.queue +
+                      " (expected auto)");
+  }
   if (!std::isfinite(cfg.duration) || cfg.duration <= 0.0) {
     throw ConfigError("--duration must be a finite number > 0");
   }
@@ -413,16 +416,6 @@ BuiltExperiment build_experiment(const ExperimentConfig& cfg) {
   sim::SimConfig scfg;
   scfg.wake_all_at_zero = cfg.wake_all;
   scfg.probe_interval = cfg.delay;
-  if (cfg.queue == "auto" || cfg.queue.empty()) {
-    scfg.queue = sim::QueueSelect::kAuto;
-  } else if (cfg.queue == "heap") {
-    scfg.queue = sim::QueueSelect::kHeap;
-  } else if (cfg.queue == "ladder") {
-    scfg.queue = sim::QueueSelect::kLadder;
-  } else {
-    throw ConfigError("unknown queue implementation: " + cfg.queue +
-                      " (expected auto|heap|ladder)");
-  }
   built.simulator = std::make_unique<sim::Simulator>(*built.graph, scfg);
   if (cfg.shards > 0) {
     built.simulator->configure_shards(cfg.shards, cfg.partition,

@@ -80,10 +80,9 @@ struct ExperimentConfig {
   std::string partition = "auto";
   int min_shard_nodes = 64;
 
-  // Event-queue implementation: "auto" (ladder at or above
-  // sim::Simulator::kLadderAutoThreshold nodes, binary heap below) |
-  // "heap" | "ladder".  Pop order is byte-identical across all three;
-  // only throughput differs.
+  // The simulator has one event queue; "auto" is the only accepted value
+  // (anything else throws ConfigError).  No flag sets it: it stays only
+  // because perfbench/workloads.cpp checks it.
   std::string queue = "auto";
 
   // Fault injection (docs/FAULTS.md).

@@ -57,7 +57,7 @@
 //
 // With f = 0 and the filter off the node is bit-identical to A^opt; the
 // equivalence suites pin that, and the usual byte-identity across
-// --shards / --queue / --jobs holds like for every other node.
+// --shards / --jobs holds like for every other node.
 #pragma once
 
 #include <cstdint>

@@ -23,7 +23,7 @@
 // Both stores are strictly deterministic functions of the append
 // sequence: feed them the same (t, value) stream and every query answer,
 // window boundary, and byte count comes out identical — which is what
-// lets sketch output stay byte-stable across --shards/--queue/--jobs
+// lets sketch output stay byte-stable across --shards/--jobs
 // when the appends are grid-locked (see SkewTracker::Options::sample_grid).
 //
 // This header is part of tbcs_obs and must stay simulator-free (any

@@ -5,12 +5,12 @@
 // by who *caused* the event (and that node's own creation order), never by
 // global insertion order — so the pop sequence of any queue ordered by
 // event_before() is a pure function of the event set, no matter how pushes
-// from different shards (or different queue implementations) interleave.
+// from different shards interleave.
 //
 // Events are 48 bytes: message payloads live in a MessageSlab (the event
 // carries a handle) and the kind-specific fields overlay each other, so
-// moving one inside a heap sift or a bucket sort copies half a cache line
-// instead of ~96 bytes.
+// moving one inside a bucket sort copies half a cache line instead of ~96
+// bytes.
 #pragma once
 
 #include <cstdint>
@@ -63,10 +63,9 @@ struct Event {
 
 static_assert(sizeof(Event) <= 48, "Event must stay within one cache line");
 
-/// The canonical event order.  Every queue implementation — the 4-ary
-/// heap, the ladder queue, and the timer wheel's merged stream — pops in
-/// exactly this order, which is what makes `--queue` and `--shards`
-/// output byte-identical.
+/// The canonical event order.  The event queue and the timer wheel's
+/// merged stream pop in exactly this order, which is what makes
+/// `--shards` output byte-identical.
 inline bool event_before(const Event& a, const Event& b) {
   if (a.time != b.time) return a.time < b.time;
   if (a.source != b.source) return a.source < b.source;

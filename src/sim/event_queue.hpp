@@ -1,40 +1,76 @@
-// The simulator's event queue, with two interchangeable implementations
-// behind one facade:
+// The simulator's event queue: a ladder (bucket) queue with O(1)
+// amortized push/pop, popping in exactly the canonical event_before()
+// order (time, source, per-source seq, twin; see event.hpp).  Timer
+// events never live here: node self-timers are handled by the TimerWheel
+// and merged with this queue's stream by the simulator.
 //
-//   kHeap    an implicit 4-ary heap — O(log n) push/pop, unbeatable
-//            constants at small n.  The 4-ary layout halves the binary
-//            heap's depth and keeps each child scan inside one or two
-//            cache lines.
-//   kLadder  the ladder/bucket queue (ladder_queue.hpp) — O(1) amortized
-//            push/pop, wins once the heap stops fitting in cache
-//            (large n).
+// Structure (a ladder in the sense of Tang et al.'s ladder queue, adapted
+// to the canonical key):
 //
-// Both pop in exactly the canonical event_before() order (see event.hpp),
-// so the choice is invisible in every output byte; the engine selects
-// kLadder automatically above a node-count threshold (--queue overrides).
-// Timer events no longer live here at all — node self-timers are handled
-// by the TimerWheel and merged with this queue's stream by the simulator.
+//   run_       the *sorted run*: events with time < run_end_, kept sorted
+//              descending so back() is the next pop.  Refilled one bucket
+//              at a time.
+//   rungs_     a stack of rungs.  Each rung splits a time span into
+//              equal-width unsorted buckets; rungs_[k+1] refines one
+//              oversized bucket of rungs_[k] (spawned lazily when a bucket
+//              with more than kSpillAt events reaches the drain position),
+//              or the events of an oversized run (see below).
+//   overflow_  events beyond the outermost rung's span, in fixed-size
+//              blocks.  When every rung is exhausted the overflow is
+//              re-bucketed into a fresh root rung spanning [min, max] of its
+//              events (amortized O(1): each event is re-bucketed at most
+//              once per rung level, and rung depth is bounded by the spill
+//              width floor and kMaxRungs).
 //
-// The dispatch is a branch, not a virtual call: push/pop/top are the
-// hottest few instructions in the whole engine, and the branch is
-// perfectly predicted (the impl never changes mid-run).
+// A push appends to the bucket covering its time (O(1)); only events that
+// land *below* run_end_ pay a sorted insert into the run, which requires a
+// delay shorter than one bucket width — rare by construction, since widths
+// adapt to ~kTargetPerBucket events per bucket.  A pop takes the run's
+// back; when the run is empty the next non-empty bucket is sorted and
+// becomes the run (O(B log B) for B ~ kTargetPerBucket, contiguous data).
+//
+// The sorted run is bounded.  A same-time pileup far ahead (square drift
+// flips every node's rate at one instant) can be sorted into the run on
+// its own, which moves run_end_ up to the pileup; every push until then
+// would land below run_end_.  So once the run holds kSpillAt events that,
+// with the pushed one, span more than the width floor, a push below
+// run_end_ turns the run back into a rung over [earliest, run_end_)
+// instead of inserting.  Inner rungs left with nothing to drain are
+// dropped first, and the rung is spawned only while fewer than kMaxRungs
+// remain, which bounds how deep such rungs nest.
+//
+// Storage follows the live events: there is no up-front reservation and no
+// pool of spare buckets.  The overflow grows block by block without
+// copying, each new block sized to about an eighth of the live events,
+// and each block is freed as the root rung is built from it.  A
+// new rung sizes every bucket from a counting pass: a burst of at least
+// kExactRung events starts with exactly its events' slots, a smaller rung
+// rounds each bucket up to a power of two (at least kTargetPerBucket
+// slots, where a bucket first opened by a push starts too).  A drained
+// bucket hands its storage to the run and keeps none, and the run's
+// previous storage, a spilled bucket's carrier and a respawned run are
+// freed.  capacity() therefore stays within a small factor of size().
+//
+// Determinism: bucket membership never affects pop order — buckets are
+// drained in time order, floor() is monotone (equal times always share a
+// bucket, smaller times never land in a later bucket), every boundary a
+// push compares against (run_end_, a rung's end) is the exact point where
+// bucket_index moves on, and each bucket is fully sorted by event_before
+// before anything pops.  The pop sequence is
+// therefore a pure function of the event set, for any push interleaving.
+//
+// The run doubles as the prefetch window: upcoming() exposes the next few
+// pops so the simulator can prefetch their destination node slots.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/event.hpp"
-#include "sim/ladder_queue.hpp"
 #include "sim/types.hpp"
 
 namespace tbcs::sim {
-
-enum class QueueImpl : std::uint8_t { kHeap, kLadder };
-
-/// User-facing selection: kAuto resolves to kHeap or kLadder from the
-/// topology size when the simulator is constructed.
-enum class QueueSelect : std::uint8_t { kAuto, kHeap, kLadder };
 
 class EventQueue {
  public:
@@ -44,125 +80,113 @@ class EventQueue {
     std::uint64_t pops = 0;
   };
 
-  QueueImpl impl() const { return impl_; }
+  /// Ladder-internal counters (the stats "queue_impl" block).
+  struct ImplStats {
+    std::uint64_t resorts = 0;  // buckets sorted into the run
+    // Oversized buckets or runs refined into a new rung.
+    std::uint64_t spills = 0;
+    std::uint64_t rebuckets = 0;  // overflow redistributions into a root rung
+    std::uint64_t run_inserts = 0;  // pushes that paid a sorted run insert
+    std::size_t peak_rungs = 0;
+  };
 
-  /// Switches implementation.  Only legal while empty (the engine sets the
-  /// impl per lane before any events are queued).
-  void set_impl(QueueImpl impl) {
-    if (impl == impl_) return;
-    heap_.clear();
-    ladder_.clear();
-    impl_ = impl;
-  }
+  void push(const Event& e);
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
 
-  void push(const Event& e) {
-    if (impl_ == QueueImpl::kHeap) {
-      heap_.push_back(e);
-      sift_up(heap_.size() - 1);
-    } else {
-      ladder_.push(e);
-    }
-    ++stats_.pushes;
-    const std::size_t sz = size();
-    if (sz > stats_.peak_size) stats_.peak_size = sz;
-  }
-
-  bool empty() const {
-    return impl_ == QueueImpl::kHeap ? heap_.empty() : ladder_.empty();
-  }
-  std::size_t size() const {
-    return impl_ == QueueImpl::kHeap ? heap_.size() : ladder_.size();
-  }
-
-  /// Non-const: the ladder lazily sorts its next bucket on first access.
+  /// The next event to pop.  Non-const: lazily advances (sorts the next
+  /// bucket) when the run is empty.  Precondition: !empty().
   const Event& top() {
-    return impl_ == QueueImpl::kHeap ? heap_.front() : ladder_.top();
+    if (run_.empty()) advance();
+    return run_.back();
   }
 
   Event pop() {
+    if (run_.empty()) advance();
+    const Event out = run_.back();
+    run_.pop_back();
+    --size_;
     ++stats_.pops;
-    if (impl_ == QueueImpl::kLadder) return ladder_.pop();
-    Event out = heap_.front();
-    const Event last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      heap_.front() = last;
-      sift_down(0);
-    }
     return out;
   }
 
+  /// Empties the queue and frees its storage (keys are stamped by the
+  /// producer, so ordering stays correct across a clear).  The stats keep
+  /// their history.
+  void clear();
+
   /// Up to `max_n` upcoming events in reverse pop order (out[count-1] pops
-  /// first); used to prefetch destination node slots.  Heap: the root's
-  /// children are the candidates for the next pop, order approximate —
-  /// fine for prefetching.  Valid until the next push/pop.
+  /// first), contiguous; valid until the next push/pop/clear.  May return
+  /// fewer than available when the run is short.  Precondition: !empty().
   const Event* upcoming(std::size_t max_n, std::size_t& count) {
-    if (impl_ == QueueImpl::kLadder) return ladder_.upcoming(max_n, count);
-    count = std::min(max_n, heap_.size());
-    return heap_.data();
+    if (run_.empty()) advance();
+    count = run_.size() < max_n ? run_.size() : max_n;
+    return run_.data() + (run_.size() - count);
   }
 
-  /// Pre-sizes the heap for an expected event population.  The ladder
-  /// takes no reservation: its storage follows its live events.
-  void reserve(std::size_t expected) {
-    if (impl_ == QueueImpl::kHeap) heap_.reserve(expected);
-  }
-
-  /// Allocated event slots (stats-time only).
-  std::size_t capacity() const {
-    return impl_ == QueueImpl::kHeap ? heap_.capacity() : ladder_.capacity();
-  }
-
-  /// Empties the queue.  Event keys are stamped by the producer, so
-  /// ordering stays correct across a clear.
-  void clear() {
-    heap_.clear();
-    ladder_.clear();
-  }
+  /// Allocated event slots across the run, all rung buckets and the
+  /// overflow blocks (an O(#buckets) walk; stats-time only).
+  std::size_t capacity() const;
 
   const Stats& stats() const { return stats_; }
-
-  /// Ladder-internal counters (zeros under kHeap).
-  const LadderQueue::ImplStats& ladder_stats() const {
-    return ladder_.impl_stats();
-  }
+  const ImplStats& impl_stats() const { return istats_; }
 
  private:
-  static constexpr std::size_t kArity = 4;
+  // ~kTargetPerBucket events per bucket keeps the per-pop sort at a few
+  // comparisons over contiguous memory; buckets above kSpillAt are refined
+  // instead of sorted so one hot bucket never degrades to O(B log B) for
+  // large B.  A bucket whose events share one time (within a width floor
+  // relative to that time) is sorted whatever its size: no refinement
+  // splits a same-time pileup.
+  static constexpr std::size_t kTargetPerBucket = 8;
+  static constexpr std::size_t kSpillAt = 64;
+  static constexpr std::size_t kMinBuckets = 32;
+  static constexpr std::size_t kMaxBuckets = 4096;
+  // Overflow blocks: from 6 KiB, so a small queue holds little slack, up
+  // to 48 KiB, so a burst of a million events needs a short block list.
+  static constexpr std::size_t kMinOverflowBlock = 128;
+  static constexpr std::size_t kMaxOverflowBlock = 1024;
+  // Rungs of at least this many events reserve their buckets exactly.
+  static constexpr std::size_t kExactRung = std::size_t{1} << 14;
+  // A run is turned back into a rung (respawn_run) only below this depth;
+  // deeper, a push below run_end_ pays the sorted insert.
+  static constexpr std::size_t kMaxRungs = 16;
 
-  void sift_up(std::size_t i) {
-    const Event e = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      if (!event_before(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
-  }
+  struct Rung {
+    double base = 0.0;
+    double width = 1.0;
+    double end = 0.0;     // pushes below this time land in this rung
+    std::size_t pos = 0;  // next bucket to drain
+    std::vector<std::vector<Event>> buckets;
+    // Upper time bound of bucket i: the smallest time placed after it,
+    // capped at `end`.  Push (t < run_end_, t < end) and placement then
+    // split times at exactly the same point.
+    double bucket_end(std::size_t i) const;
+  };
 
-  void sift_down(std::size_t i) {
-    const Event e = heap_[i];
-    const std::size_t n = heap_.size();
-    while (true) {
-      const std::size_t first = i * kArity + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t last = std::min(first + kArity, n);
-      for (std::size_t c = first + 1; c < last; ++c) {
-        if (event_before(heap_[c], heap_[best])) best = c;
-      }
-      if (!event_before(heap_[best], e)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = e;
-  }
+  void advance();  // refill run_ from the rungs / overflow
+  // Turns a long run that spans real time back into a rung over
+  // [min(earliest, t), run_end_), so a push at t need not be inserted;
+  // false (nothing changed) when the run must take the insert.
+  bool respawn_run(double t);
+  // Skips the innermost rung's empty buckets and pops the rungs left with
+  // none to drain, so rungs_ is empty or its back() has a live bucket at
+  // pos.
+  void drop_drained_rungs();
+  // Builds a rung over [lo, end) from the `count` events in `chunks`
+  // (times in [lo, hi], hi <= end), each chunk freed once distributed.
+  // The buckets split [lo, hi]; times past it land in the last one.
+  void spawn_rung(std::span<std::vector<Event>> chunks, std::size_t count,
+                  double lo, double hi, double end);
 
-  QueueImpl impl_ = QueueImpl::kHeap;
-  std::vector<Event> heap_;
-  LadderQueue ladder_;
+  std::vector<Event> run_;  // sorted descending by event_before
+  double run_end_ = -kInfinity;
+  std::vector<Rung> rungs_;
+  std::vector<std::vector<Event>> overflow_;  // blocks, oldest first
+  std::vector<std::uint32_t> counts_;         // spawn_rung's counting pass
+  std::size_t size_ = 0;
   Stats stats_;
+  ImplStats istats_;
 };
 
 }  // namespace tbcs::sim

@@ -75,18 +75,6 @@ Simulator::Simulator(const graph::Graph& g, SimConfig cfg)
     }
   }
   const auto n = static_cast<std::size_t>(g.num_nodes());
-  switch (cfg_.queue) {
-    case QueueSelect::kHeap:
-      queue_impl_ = QueueImpl::kHeap;
-      break;
-    case QueueSelect::kLadder:
-      queue_impl_ = QueueImpl::kLadder;
-      break;
-    case QueueSelect::kAuto:
-      queue_impl_ = g.num_nodes() >= kLadderAutoThreshold ? QueueImpl::kLadder
-                                                          : QueueImpl::kHeap;
-      break;
-  }
   slot_of_.resize(n);
   for (std::size_t v = 0; v < n; ++v) {
     slot_of_[v] = static_cast<std::uint32_t>(v);  // identity until sharded
@@ -109,7 +97,6 @@ void Simulator::init_lanes(std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     Lane& ln = lanes_[i];
     ln.index = static_cast<int>(i);
-    ln.queue.set_impl(queue_impl_);
     ln.link_up.assign(graph_.num_edges(), 1);
     ln.outbox.resize(count);
     ln.services = std::make_unique<ServicesImpl>(*this, ln);
@@ -361,21 +348,20 @@ void Simulator::setup_lane(Lane& ln) {
       }
     }
   }
-  // A ladder queue spawns its first rung over the burst on the first
-  // top(): do it here, on the lane's own thread.
+  // The queue spawns its first rung over the burst on the first top():
+  // do it here, on the lane's own thread.
   if (!ln.queue.empty()) (void)ln.queue.top();
 }
 
 void Simulator::size_lanes() {
   // Pre-size the per-lane hot structures from the topology so warm-up
   // never pays growth, and calibrate each lane's timer wheel to its
-  // member count (must precede the lane's first arm).  Only a heap queue
-  // is reserved; a ladder queue sizes itself from its live events.
+  // member count (must precede the lane's first arm).  The event queue
+  // takes no reservation: its storage follows its live events.
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     Lane& ln = lanes_[i];
     const std::size_t members =
         part_ ? part_->members(static_cast<int>(i)).size() : slot_of_.size();
-    ln.queue.reserve(members * 2);
     ln.slab.reserve(members);
     ln.wheel.configure(members);
     ln.wheel.reserve(members * 2);

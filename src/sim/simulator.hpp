@@ -74,8 +74,8 @@
 // delivery/link events store their edge index so processing is array
 // lookups only.  Node self-timers live in a per-lane TimerWheel (O(1)
 // cancel/re-arm) merged with the event queue's pop stream; the queue
-// itself is a 4-ary heap or, at large n, a ladder queue (see
-// event_queue.hpp), both popping in the identical canonical order.
+// itself is a ladder queue popping in the canonical event order (see
+// event_queue.hpp).
 // Per-node hot state (hardware clock, timer slots, awake/crashed bits) is
 // struct-of-arrays, indexed by a *slot* permutation that lays each
 // shard's members out contiguously — a lane's working set is a dense
@@ -131,12 +131,6 @@ struct SimConfig {
   /// same-instant events) so observers get called even during event-free
   /// stretches.
   Duration probe_interval = 0.0;
-
-  /// Event-queue implementation.  kAuto picks the ladder queue at or above
-  /// kLadderAutoThreshold nodes and the 4-ary heap below; both pop in the
-  /// identical canonical order, so every output byte is the same either
-  /// way (asserted by the differential tests and the smoke gates).
-  QueueSelect queue = QueueSelect::kAuto;
 };
 
 class Simulator {
@@ -298,8 +292,8 @@ class Simulator {
   /// adversarial values at time `at` (Node::on_scramble, drawn from `seed`
   /// bounded by `magnitude`).  Rides the canonical event stream like a
   /// rate change, so scrambled runs stay byte-identical across shard
-  /// counts and queue implementations; a crashed, departed, or never-woken
-  /// node has no state to scramble and the event is a traced no-op.
+  /// counts; a crashed, departed, or never-woken node has no state to
+  /// scramble and the event is a traced no-op.
   void schedule_scramble(NodeId v, RealTime at, std::uint64_t seed,
                          double magnitude);
 
@@ -397,8 +391,7 @@ class Simulator {
   /// re-arms of a pending slot, rate-change and recovery re-anchors, and
   /// crash-suppressed fires — exactly the population the pre-wheel engine
   /// counted as stale heap pops, now removed in O(1) instead of popped.
-  /// All three are canonical (identical across shard counts and queue
-  /// implementations).
+  /// All three are canonical (identical across shard counts).
   std::uint64_t timer_arms() const {
     std::uint64_t s = carry_arms_;  // history lost to repartition's fresh wheels
     for (const Lane& ln : lanes_) s += ln.wheel.stats().arms;
@@ -411,13 +404,10 @@ class Simulator {
   }
   std::uint64_t timer_cancels() const { return sum_lanes(&Tally::t_cancels); }
 
-  QueueImpl queue_impl() const { return queue_impl_; }
-
   /// Implementation-internal detail for the stats "queue_impl" block:
   /// NOT canonical (bucket/cascade counts depend on the partition), so the
   /// byte-compare gates strip it like the "engine" block.
   struct QueueImplInfo {
-    QueueImpl impl = QueueImpl::kHeap;
     std::uint64_t resorts = 0;
     std::uint64_t spills = 0;
     std::uint64_t rebuckets = 0;
@@ -431,9 +421,8 @@ class Simulator {
   };
   QueueImplInfo queue_impl_info() const {
     QueueImplInfo info;
-    info.impl = queue_impl_;
     for (const Lane& ln : lanes_) {
-      const LadderQueue::ImplStats& ls = ln.queue.ladder_stats();
+      const EventQueue::ImplStats& ls = ln.queue.impl_stats();
       info.resorts += ls.resorts;
       info.spills += ls.spills;
       info.rebuckets += ls.rebuckets;
@@ -473,13 +462,6 @@ class Simulator {
   static constexpr std::uint8_t kCrashedBit = 2;
   static constexpr std::uint8_t kDepartedBit = 4;  // churn: not in the network
 
- public:
-  /// kAuto queue selection: ladder at or above this many nodes.  Below it
-  /// the whole heap fits in cache and its constants win; above it pops
-  /// start missing on every sift level.
-  static constexpr int kLadderAutoThreshold = 32768;
-
- private:
   /// Horizon cut-distance cap (== Lane::bnd array size).
   static constexpr int kMaxCutDist = 4;
 
@@ -589,7 +571,7 @@ class Simulator {
   /// Lays each shard's members out contiguously in the hot arrays (the
   /// identity when unsharded), moving every node's slot state along.
   void install_slots();
-  /// Reserves each lane's queue, slab, and wheel for its member count.
+  /// Reserves each lane's slab and wheel for its member count.
   void size_lanes();
   /// Multi-source BFS from the cut-edge endpoints over intra-shard edges,
   /// capped at kMaxCutDist; fills cut_dist_ (configure_shards/repartition).
@@ -711,7 +693,6 @@ class Simulator {
   Observer observer_;
   obs::FlightRecorder* recorder_ = nullptr;
   std::vector<Lane> lanes_;  // size 1 (unsharded) or the shard count
-  QueueImpl queue_impl_ = QueueImpl::kHeap;  // resolved from cfg_.queue
   std::vector<std::uint64_t> next_seq_;  // per-source creation counters
   /// Scramble payloads, indexed by Event::generation (events must stay 48
   /// bytes, so the (seed, magnitude) pair lives out-of-line; the table is

@@ -2,7 +2,7 @@
 // the stair sketch must stay within its advertised error bound of the
 // exact tracker on every standard scenario (topology families, faults,
 // churn), must be a pure function of the execution (byte-identical
-// figures across engines/queues), and must never change the execution
+// figures across engines), and must never change the execution
 // itself (record/trace bytes identical across backends).
 #include <gtest/gtest.h>
 
@@ -260,23 +260,18 @@ TEST(HistoryBackend, StairDeterministicAcrossEngines) {
   cfg.cols = 5;
   const Outcome serial = run_case(cfg, "stair", 0);
   const Outcome sharded = run_case(cfg, "stair", 2);
-  cli::ExperimentConfig ladder_cfg = cfg;
-  ladder_cfg.queue = "ladder";
-  const Outcome ladder = run_case(ladder_cfg, "stair", 0);
 
-  for (const Outcome* other : {&sharded, &ladder}) {
-    // The execution itself is byte-identical across engines...
-    expect_execution_identical_across_engines(serial, *other, "engines");
-    // ... and so is the sketch: same grid instants, same appends, same
-    // merge cascade, hence bit-identical samples and footprint.
-    EXPECT_EQ(serial.appends, other->appends);
-    EXPECT_EQ(serial.memory, other->memory);
-    ASSERT_EQ(serial.series.size(), other->series.size());
-    for (std::size_t i = 0; i < serial.series.size(); ++i) {
-      EXPECT_EQ(serial.series[i].t, other->series[i].t);
-      EXPECT_EQ(serial.series[i].global_skew, other->series[i].global_skew);
-      EXPECT_EQ(serial.series[i].local_skew, other->series[i].local_skew);
-    }
+  // The execution itself is byte-identical across engines...
+  expect_execution_identical_across_engines(serial, sharded, "engines");
+  // ... and so is the sketch: same grid instants, same appends, same
+  // merge cascade, hence bit-identical samples and footprint.
+  EXPECT_EQ(serial.appends, sharded.appends);
+  EXPECT_EQ(serial.memory, sharded.memory);
+  ASSERT_EQ(serial.series.size(), sharded.series.size());
+  for (std::size_t i = 0; i < serial.series.size(); ++i) {
+    EXPECT_EQ(serial.series[i].t, sharded.series[i].t);
+    EXPECT_EQ(serial.series[i].global_skew, sharded.series[i].global_skew);
+    EXPECT_EQ(serial.series[i].local_skew, sharded.series[i].local_skew);
   }
 }
 

@@ -221,6 +221,18 @@ TEST(ExperimentConfig, EmptyTopologiesThrow) {
   EXPECT_THROW(build_topology(tree), ConfigError);
 }
 
+// The simulator has one event queue: "auto" is the only queue value.
+TEST(ExperimentConfig, QueueOtherThanAutoThrows) {
+  for (const char* q : {"heap", "ladder", "", "Auto"}) {
+    ExperimentConfig cfg;
+    cfg.queue = q;
+    EXPECT_THROW(build_experiment(cfg), ConfigError) << '"' << q << '"';
+  }
+  ExperimentConfig cfg;
+  cfg.duration = 1.0;
+  EXPECT_NO_THROW(build_experiment(cfg));
+}
+
 TEST(ExperimentConfig, NonPositiveOrNonFiniteDurationThrows) {
   for (const double d : {0.0, -5.0, std::nan(""), HUGE_VAL}) {
     ExperimentConfig cfg;

@@ -1,9 +1,8 @@
 // Churned runs must stay deterministic and engine-independent: the same
 // experiment with node/edge churn active produces byte-identical results
-// on the serial engine and at every shard count, under both event-queue
-// implementations, through a record/replay round trip, and with mid-run
-// repartitioning — the dynamic-network extension of the sharded
-// equivalence suite.
+// on the serial engine and at every shard count, through a record/replay
+// round trip, and with mid-run repartitioning — the dynamic-network
+// extension of the sharded equivalence suite.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -145,12 +144,18 @@ void expect_equivalent(const RunOutput& a, const RunOutput& b) {
   expect_same_trace(a.trace, b.trace);
 }
 
+// The instances keep the names of the two event queues the simulator had
+// before the ladder became its only one, so results stay comparable by
+// name across that change.  Both now run the one queue: "ladder" the
+// case both used to run, "heap" the same case on the next seed, so the
+// pair covers two churn schedules.
 class ChurnEquivalence : public testing::TestWithParam<const char*> {};
 
-// Serial vs --shards {1, 2, 4} under one queue implementation, churn on.
+// Serial vs --shards {1, 2, 4}, churn on.  Churn's up-front event flood
+// is exactly the load that would expose a tie-break divergence.
 TEST_P(ChurnEquivalence, ChurnedRunMatchesSerialAtEveryShardCount) {
   cli::ExperimentConfig cfg = churn_config();
-  cfg.queue = GetParam();
+  if (std::string(GetParam()) == "heap") ++cfg.seed;
   const RunOutput serial = run_case(cfg, 0);
   EXPECT_GT(serial.joins, 0u);
   EXPECT_GT(serial.leaves, 0u);
@@ -162,17 +167,6 @@ TEST_P(ChurnEquivalence, ChurnedRunMatchesSerialAtEveryShardCount) {
 
 INSTANTIATE_TEST_SUITE_P(Queues, ChurnEquivalence,
                          testing::Values("heap", "ladder"));
-
-// The two queue implementations must agree with each other too (pop
-// order is specified to be identical; churn's up-front event flood is
-// exactly the load that would expose a tie-break divergence).
-TEST(ChurnEquivalenceQueues, HeapAndLadderAgree) {
-  cli::ExperimentConfig cfg = churn_config();
-  cfg.queue = "heap";
-  const RunOutput heap = run_case(cfg, 2);
-  cfg.queue = "ladder";
-  expect_equivalent(heap, run_case(cfg, 2));
-}
 
 // The ftgcs axis: churn exercises the defense layer's forget/re-anchor
 // paths (on_neighbor_forgotten, rejoin purges, first-contact credential

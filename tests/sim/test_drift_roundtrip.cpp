@@ -1,8 +1,8 @@
 // Record/replay round-trips for the oscillator families, across engines:
 // an execution recorded under each drift model (including the clamped
-// random walk, rwalk) must replay bit-identically on the serial
-// heap, the ladder queue, and the sharded engine — the saved log pins the
-// adversary, and every engine must then reproduce the same execution.
+// random walk, rwalk) must replay bit-identically unsharded and on the
+// sharded engine — the saved log pins the adversary, and every engine
+// must then reproduce the same execution.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -66,9 +66,7 @@ RunOut record_run(const cli::ExperimentConfig& cfg,
 }
 
 RunOut replay_run(cli::ExperimentConfig cfg,
-                  std::shared_ptr<const sim::ExecutionLog> log,
-                  const std::string& queue, int shards) {
-  cfg.queue = queue;
+                  std::shared_ptr<const sim::ExecutionLog> log, int shards) {
   cfg.shards = shards;
   cfg.min_shard_nodes = 0;
   auto built = cli::build_experiment(cfg);
@@ -94,15 +92,10 @@ void roundtrip_all_engines(const cli::ExperimentConfig& cfg,
   std::shared_ptr<const sim::ExecutionLog> log;
   const RunOut recorded = record_run(cfg, std::move(drift), &log);
   EXPECT_GT(recorded.delivered, 0u) << family;
-  const struct {
-    const char* queue;
-    int shards;
-  } engines[] = {{"heap", 0}, {"ladder", 0}, {"heap", 2}, {"ladder", 2}};
-  for (const auto& e : engines) {
-    const RunOut replayed = replay_run(cfg, log, e.queue, e.shards);
+  for (const int shards : {0, 2}) {
+    const RunOut replayed = replay_run(cfg, log, shards);
     expect_identical(recorded, replayed,
-                     family + " @ " + e.queue + "/shards=" +
-                         std::to_string(e.shards));
+                     family + " @ shards=" + std::to_string(shards));
   }
 }
 

@@ -86,7 +86,8 @@ TEST(EventQueue, TieBreakIsSourceThenSeqThenTwin) {
 }
 
 // Key order among ties must hold even when the ties are interleaved with
-// earlier and later events (sift paths move the tied entries around).
+// earlier and later events (bucket sorts and spills move the tied
+// entries around).
 TEST(EventQueue, SeqTieBreakSurvivesSifting) {
   EventQueue q;
   for (int i = 31; i >= 0; --i) {
@@ -170,7 +171,7 @@ TEST(EventQueue, RandomizedOrderingProperty) {
   }
 }
 
-// The 4-ary heap against a reference ordered set under random interleaved
+// The queue against a reference ordered set under random interleaved
 // push/pop: every pop must return the least (time, seq) currently in the
 // queue, including exact time ties.
 TEST(EventQueue, RandomizedMatchesReferenceOrder) {

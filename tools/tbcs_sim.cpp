@@ -119,10 +119,6 @@ run:        --duration T --seed S --wake-all --per-distance
                                id ranges) | ml (multilevel cut-minimizing;
                                best when node ids carry no locality, e.g.
                                ER)
-            --queue Q          event-queue implementation: auto (default:
-                               ladder at >= 32768 nodes, heap below) |
-                               heap | ladder.  Pop order is identical for
-                               all three; only throughput differs
             --progress[=SECS]  stderr heartbeat every SECS wall seconds
                                (default 5): wall time, sim time, events/s,
                                queue depth, current shard horizon
@@ -140,7 +136,7 @@ observe:    --obs-backend B    telemetry history backend: exact (default;
                                the advertised error_bound of exact).
                                Observer-only: --record / --trace bytes
                                and the stair figures themselves are
-                               identical across --shards / --queue
+                               identical across --shards
             --obs-memory-kb N  per-stream stair memory budget (default 64)
             --stats            print communication/queue/obs/metrics/trace
                                counters as one JSON object on exit
@@ -461,8 +457,8 @@ int main(int argc, char** argv) {
               std::to_string(recorder.total_recorded()) + " records kept)");
     if (stats || !stats_json.empty()) {
       // Every figure in the "obs" block is a pure function of the
-      // grid-sampled append sequence, hence identical across
-      // --shards/--queue — the byte-comparison gates rely on that.
+      // grid-sampled append sequence, hence identical across --shards —
+      // the byte-comparison gates rely on that.
       analysis::ObsBackendReport obs_report;
       obs_report.backend = obs::history_backend_name(hcfg.backend);
       obs_report.budget_bytes = hcfg.memory_budget_bytes;
