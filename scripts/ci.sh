@@ -7,10 +7,11 @@
 #      runtime tests, the obs and history-store tests, the skew-tracker
 #      oracle and analysis tests, the simulator and recorder tests, the
 #      graph, topology, partition, churn-plan and fault-plan tests, the
-#      event-queue tests (the ladder internals and the queue API) and
-#      the A^opt-family tests (aopt unit, adaptive delay, variants,
-#      ftgcs, dyn-gcs) with ASan+UBSan (-DTBCS_SANITIZE=address,undefined)
-#      and run them.  The threaded runtime (detached wedged threads,
+#      event-queue tests (the ladder internals and the queue API), the
+#      timer-wheel tests, the churn-equivalence tests (lanes, wheels and
+#      slabs under joins, leaves and link churn) and the A^opt-family
+#      tests (aopt unit, adaptive delay, variants, ftgcs, dyn-gcs) with
+#      ASan+UBSan (-DTBCS_SANITIZE=address,undefined) and run them.  The threaded runtime (detached wedged threads,
 #      leaked hosts), the flight recorder's binary dump round trip, the
 #      tracker's certificate trees, the history stores' window cascade,
 #      the lane rebuild in configure_shards, the execution-log and
@@ -25,8 +26,8 @@
 #      stop() watchdog on a wedged node) and the sharded-engine tests (worker
 #      lanes, window barriers, cross-shard mailboxes, recording policies
 #      under concurrent lanes) with -DTBCS_SANITIZE=thread and run them,
-#      plus the churn-equivalence tests (joins/leaves, link churn, and
-#      mid-run repartition migration across concurrent lanes) and the
+#      plus the churn-equivalence tests (joins/leaves and link churn,
+#      mirrored into both lanes of every cut edge) and the
 #      fault/shard equivalence tests (chaos plans driving scrambles and
 #      Byzantine windows through the concurrent lanes) and the drift
 #      round-trip tests (sine and rwalk record -> replay across shards:
@@ -74,7 +75,8 @@ cmake --build build-asan -j "$JOBS" --target \
   tbcs_sim_tool tbcs_trace test_runtime test_obs test_trace_tools \
   test_history_store test_skew_incremental test_analysis test_simulator \
   test_recorder test_graph test_topologies test_partition test_churn_plan \
-  test_fault_plan test_ladder_queue test_event_queue \
+  test_fault_plan test_ladder_queue test_event_queue test_timer_wheel \
+  test_churn_equivalence \
   test_aopt_unit test_adaptive_delay test_variants_unit test_ftgcs \
   test_dyn_gcs
 
@@ -99,6 +101,8 @@ build-asan/tests/test_churn_plan
 build-asan/tests/test_fault_plan
 build-asan/tests/test_ladder_queue
 build-asan/tests/test_event_queue
+build-asan/tests/test_timer_wheel
+build-asan/tests/test_churn_equivalence
 build-asan/tests/test_aopt_unit
 build-asan/tests/test_adaptive_delay
 build-asan/tests/test_variants_unit

@@ -13,8 +13,8 @@
 #      high-water mark routinely exceed any barrier sample.  Pushes/pops
 #      and every churn counter stay byte-compared.
 #   2. --shards 1 vs 2 vs 4: record, stats JSON (engine/queue_impl
-#      stripped), and trace dump byte-identical — including the
-#      watermark-triggered repartitions the churn driver performs.
+#      stripped), and trace dump byte-identical, under the churn driver's
+#      duration / 20 pacing and each count's own (fixed) partition.
 #   3. tbcs_sweep with churn flags: --jobs 1 == --jobs 4 byte-for-byte.
 #   4. Sanity: the runs actually churned (joins, leaves, and edge
 #      insertions all nonzero in the stats).

@@ -19,9 +19,10 @@
 #   5. Trace timeline: tbcs_trace --summary --obs-backend stair appends a
 #      bounded-memory event-rate timeline to the dump summary.
 #   6. Retired flags: the old every-Nth-event sampling flag (superseded by
-#      the stair backend's probe grid) and the event-queue selector (the
-#      simulator has one queue) are unknown flags to tbcs_sim, the queue
-#      selector to tbcs_sweep too: exit 2, named.
+#      the stair backend's probe grid) is an unknown flag to tbcs_sim; the
+#      event-queue selector (the simulator has one queue) and the three
+#      churn-repartitioning flags (the partition is fixed for the run) are
+#      unknown to tbcs_sim and tbcs_sweep: exit 2, named.
 #
 # Usage: smoke_obs.sh /path/to/tbcs_sim /path/to/tbcs_trace /path/to/tbcs_sweep
 set -euo pipefail
@@ -127,18 +128,29 @@ run_sim stair 0 retired --skew-stride 8 || status=$?
   || { echo "FAIL: retired flag exited $status, expected 2"; exit 1; }
 grep -q "unknown flag --skew-stride" "$TMPDIR_SMOKE/retired.err" \
   || { echo "FAIL: retired flag not reported as unknown"; exit 1; }
-expect_unknown_queue() {  # expect_unknown_queue <tag> <command...>
-  local tag="$1" status=0
-  shift
+expect_unknown() {  # expect_unknown <tag> <flag> <command...>
+  local tag="$1" flag="$2" status=0
+  shift 2
   "$@" > "$TMPDIR_SMOKE/$tag.out" 2> "$TMPDIR_SMOKE/$tag.err" || status=$?
   [ "$status" -eq 2 ] \
-    || { echo "FAIL: $tag: --queue exited $status, expected 2"; exit 1; }
-  grep -q "unknown flag --queue" "$TMPDIR_SMOKE/$tag.err" \
-    || { echo "FAIL: $tag: --queue not reported as unknown"; exit 1; }
+    || { echo "FAIL: $tag: --$flag exited $status, expected 2"; exit 1; }
+  grep -q "unknown flag --$flag" "$TMPDIR_SMOKE/$tag.err" \
+    || { echo "FAIL: $tag: --$flag not reported as unknown"; exit 1; }
 }
-expect_unknown_queue retired-queue-sim \
+expect_unknown retired-queue-sim queue \
   "$SIM_BIN" --topology grid --rows 6 --cols 6 --duration 10 --queue heap
-expect_unknown_queue retired-queue-sweep \
+expect_unknown retired-queue-sweep queue \
   "$SWEEP_BIN" --param eps --values 0.01 --duration 10 --queue ladder
+CHURN_FLAGS=(--churn-node-rate 0.01 --churn-edge-rate 0.01)
+for retired in churn-repartition=1 churn-cut-growth=2 \
+               churn-check-interval=5; do
+  flag="${retired%%=*}"
+  expect_unknown "retired-$flag-sim" "$flag" \
+    "$SIM_BIN" --topology ring --nodes 16 --delays band --duration 10 \
+    "${CHURN_FLAGS[@]}" --shards 2 --shards-min-nodes 0 "--$retired"
+  expect_unknown "retired-$flag-sweep" "$flag" \
+    "$SWEEP_BIN" --topology ring --nodes 16 --delays band --duration 10 \
+    "${CHURN_FLAGS[@]}" --param eps --values 0.01 "--$retired"
+done
 
 echo "smoke_obs: OK (bound, observer-only, engine-invariant, sweep, timeline, retired flags)"

@@ -65,12 +65,6 @@ void apply_model_flags(ArgParser& args, ExperimentConfig& cfg) {
   cfg.churn_min_present =
       args.get_int("churn-min-present", cfg.churn_min_present);
   cfg.churn_seed = args.get_uint64("churn-seed", cfg.churn_seed);
-  cfg.churn_repartition =
-      args.get_bool("churn-repartition", cfg.churn_repartition);
-  cfg.churn_cut_growth =
-      args.get_double("churn-cut-growth", cfg.churn_cut_growth);
-  cfg.churn_check_interval =
-      args.get_double("churn-check-interval", cfg.churn_check_interval);
   cfg.stab_tolerance = args.get_double("stab-tolerance", cfg.stab_tolerance);
   cfg.stab_time = args.get_double("stab-time", cfg.stab_time);
   cfg.stab_bound = args.get_double("stab-bound", cfg.stab_bound);
@@ -367,6 +361,10 @@ BuiltExperiment build_experiment(const ExperimentConfig& cfg) {
   if (cfg.queue != "auto") {
     throw ConfigError("unknown queue implementation: " + cfg.queue +
                       " (expected auto)");
+  }
+  if (cfg.churn_repartition) {
+    throw ConfigError(
+        "churn_repartition must be false: the partition is fixed for the run");
   }
   if (!std::isfinite(cfg.duration) || cfg.duration <= 0.0) {
     throw ConfigError("--duration must be a finite number > 0");

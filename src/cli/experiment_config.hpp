@@ -114,11 +114,11 @@ struct ExperimentConfig {
   int churn_min_present = 2;
   std::uint64_t churn_seed = 0;    // 0 -> derive from seed
 
-  // Churn driver (sharded runs): repartition when the live cut fraction
-  // grows past churn_cut_growth x the post-partition baseline.
-  bool churn_repartition = true;
+  // Kept for perfbench/, which reads both: the partition is fixed for
+  // the run, so churn_repartition must stay false (true throws
+  // ConfigError) and churn_cut_growth has no effect.  No flag sets them.
+  bool churn_repartition = false;
   double churn_cut_growth = 1.5;
-  double churn_check_interval = 0.0;  // 0 -> duration / 20
 
   // KLLO dynamic-GCS node (--algo kllo): initial per-edge tolerance and
   // its decay period (0 = derived: tau0 = 8 kappa, T_stab = tau0 / mu).

@@ -12,8 +12,10 @@ ChurnDriver::ChurnDriver(sim::Simulator& sim, ChurnDriverOptions opt)
   if (opt_.check_interval <= 0.0) {
     throw std::invalid_argument("ChurnDriver: check_interval must be > 0");
   }
-  if (opt_.cut_growth <= 1.0) {
-    throw std::invalid_argument("ChurnDriver: cut_growth must be > 1");
+  if (opt_.repartition) {
+    throw std::invalid_argument(
+        "ChurnDriver: repartition must be false (the partition is fixed "
+        "for the run)");
   }
 }
 
@@ -41,17 +43,6 @@ void ChurnDriver::run(double t_end) {
     if (!sharded) continue;
     ++checks_;
     last_fraction_ = live_cut_fraction();
-    if (baseline_ < 0.0) {
-      baseline_ = last_fraction_;
-      continue;
-    }
-    if (opt_.repartition && t < t_end &&
-        last_fraction_ > opt_.min_cut_fraction &&
-        last_fraction_ > opt_.cut_growth * std::max(baseline_, 0.0)) {
-      sim_.repartition(opt_.strategy);
-      ++repartitions_;
-      baseline_ = live_cut_fraction();  // re-anchor under the new placement
-    }
   }
 }
 

@@ -1,26 +1,23 @@
-// Drives a churned run and keeps the sharded partition honest.
+// Paces a churned run and reports how much of its live topology the
+// shards cut.
 //
-// The churn schedule itself is installed up front (ChurnSchedule::apply);
-// what remains at run time is pacing and placement.  The driver advances
-// the simulator in fixed check intervals and, when the engine is sharded,
-// evaluates how much of the *live* topology crosses shards under the
-// current partition.  Churn erodes any static placement: every removed
-// intra-shard edge and every inserted cross-shard edge raises the live
-// cut fraction, and with it the twin-event and horizon-synchronization
-// overhead.  When the fraction grows past `cut_growth` times the
-// post-partition baseline (and above an absolute floor, so quiet runs
-// never thrash) the driver calls Simulator::repartition at the interval
-// boundary — a window barrier, where migration is exact — and re-anchors
-// the baseline.
+// The churn schedule itself is installed up front (ChurnSchedule::apply),
+// and the partition configure_shards picks is final for the whole run.
+// What remains at run time is pacing: the driver advances the simulator
+// in fixed check intervals and, when the engine is sharded, evaluates at
+// each boundary how much of the *live* topology crosses shards.  Churn
+// erodes any static placement, but no mid-run repartition wins it back:
+// inserted edges are uniformly random non-edges, and any k-way split cuts
+// about (k - 1) / k of them (DESIGN.md §3e).
 //
-// Repartitioning is a pure performance action: the migration preserves
-// every event identity and canonical counter, so a driven run's output is
-// byte-identical at any shard count, repartitions included.  The serial
-// engine has no partition; the driver then just paces run_until.
+// Pacing leaves the execution untouched: a driven run's events, records
+// and counters equal the undriven run's.  Each boundary is a run_until
+// horizon, though, and so an observation point of a sharded run; keeping
+// the cadence keeps a sharded run's skew figures where they are.  The
+// serial engine has no partition; the driver then just paces run_until.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "sim/simulator.hpp"
 
@@ -29,44 +26,33 @@ namespace tbcs::dyn {
 struct ChurnDriverOptions {
   /// Spacing of run_until boundaries (and cut checks).  Must be > 0.
   double check_interval = 50.0;
-  /// Repartition when live_cut_fraction > cut_growth * baseline.
+  /// Kept for perfbench/, which sets both: the partition is fixed for
+  /// the run, so `cut_growth` has no effect and `repartition` must stay
+  /// false (true throws std::invalid_argument).
   double cut_growth = 1.5;
-  /// ... and above this absolute fraction (keeps near-zero baselines
-  /// from triggering on noise).
-  double min_cut_fraction = 0.02;
-  /// Partition strategy for repartitions ("" = keep the configured one;
-  /// "ml" recovers locality on a live graph whose id order means
-  /// nothing anymore).
-  std::string strategy = "ml";
-  /// Master switch (false: pace only, never repartition).
-  bool repartition = true;
+  bool repartition = false;
 };
 
 class ChurnDriver {
  public:
   ChurnDriver(sim::Simulator& sim, ChurnDriverOptions opt);
 
-  /// Runs the simulator to t_end in check_interval steps, repartitioning
-  /// at boundaries where the watermark tripped.  Resumable.
+  /// Runs the simulator to t_end in check_interval steps.  Resumable.
   void run(double t_end);
 
   // ---- inspection ------------------------------------------------------------
   std::uint64_t checks() const { return checks_; }
-  std::uint64_t repartitions() const { return repartitions_; }
-  double baseline_cut_fraction() const { return baseline_; }
   double last_cut_fraction() const { return last_fraction_; }
 
   /// Fraction of live (link-up) edges that cross shards under the
-  /// current partition; 0 when serial or no live edges.
+  /// partition; 0 when serial or no live edges.
   double live_cut_fraction() const;
 
  private:
   sim::Simulator& sim_;
   ChurnDriverOptions opt_;
-  double baseline_ = -1.0;  // < 0: unset, anchored at the first check
   double last_fraction_ = 0.0;
   std::uint64_t checks_ = 0;
-  std::uint64_t repartitions_ = 0;
 };
 
 }  // namespace tbcs::dyn

@@ -411,35 +411,6 @@ Partition Partition::make(const Graph& g, int num_shards,
                               "' (expected auto|block|ml)");
 }
 
-Partition Partition::from_assignment(const Graph& g,
-                                     std::vector<int> shard_of,
-                                     int num_shards) {
-  check_args(g, num_shards);
-  if (shard_of.size() != static_cast<std::size_t>(g.num_nodes())) {
-    throw std::invalid_argument(
-        "Partition::from_assignment: assignment size != num_nodes");
-  }
-  std::vector<std::size_t> count(static_cast<std::size_t>(num_shards), 0);
-  for (const int s : shard_of) {
-    if (s < 0 || s >= num_shards) {
-      throw std::invalid_argument(
-          "Partition::from_assignment: shard index out of range");
-    }
-    ++count[static_cast<std::size_t>(s)];
-  }
-  for (const std::size_t c : count) {
-    if (c == 0) {
-      throw std::invalid_argument(
-          "Partition::from_assignment: empty shard");
-    }
-  }
-  Partition p;
-  p.num_shards_ = num_shards;
-  p.shard_of_ = std::move(shard_of);
-  p.finish(g);
-  return p;
-}
-
 void Partition::finish(const Graph& g) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   num_edges_ = g.num_edges();

@@ -7,20 +7,24 @@
 // assignment so every consumer agrees on which lane owns a node.
 //
 // Two strategies are provided:
-//   - block:      contiguous id ranges [i*n/k, (i+1)*n/k).  Optimal for
-//                 the generated topologies (line/ring/torus/trees), whose
-//                 id order is already locality-preserving — cut edges are
-//                 O(k) on a line.
+//   - block:      contiguous id ranges [i*n/k, (i+1)*n/k).  Near-optimal
+//                 for the generated line, ring, grid and torus, whose id
+//                 order is already locality-preserving — cut edges are
+//                 O(k) on a line.  On a BFS-numbered tree it cuts whole
+//                 level bands instead.
 //   - multilevel: coarsen by repeated heavy-edge matching, split the
 //                 coarsest graph into weighted BFS-ordered blocks, then
 //                 project back up with Kernighan–Lin boundary refinement
-//                 at every level.  Cut-minimizing on graphs whose id
-//                 order carries no locality (ER, shuffled meshes), where
-//                 block cuts a constant fraction of all edges.
+//                 at every level.  Cut-minimizing on trees (it keeps
+//                 subtrees whole) and on graphs whose id order carries no
+//                 locality (ER, shuffled meshes), where block cuts a
+//                 constant fraction of all edges.
+// "auto" picks multilevel on a tree and block elsewhere.
 //
 // Both are pure functions of (graph, num_shards) — no RNG, id-ordered
 // tie-breaking throughout — so a partition is reproducible from the CLI
-// flags alone.
+// flags alone.  The sharded engine partitions once, before the run; the
+// partition is final for the run.
 #pragma once
 
 #include <cstdint>
@@ -71,15 +75,6 @@ class Partition {
   /// num_shards > n.
   static Partition make(const Graph& g, int num_shards,
                         const std::string& strategy);
-
-  /// Builds a partition of `g` from an explicit node -> shard assignment
-  /// (cut tables computed against g's full edge set).  Used by the sharded
-  /// engine's repartition: the assignment is computed on the *live*
-  /// subgraph, but horizon safety needs cut accounting over every
-  /// schedulable edge.  Throws std::invalid_argument when the assignment
-  /// has the wrong size, an out-of-range shard, or an empty shard.
-  static Partition from_assignment(const Graph& g, std::vector<int> shard_of,
-                                   int num_shards);
 
   int num_shards() const { return num_shards_; }
   NodeId num_nodes() const { return static_cast<NodeId>(shard_of_.size()); }

@@ -21,8 +21,6 @@ const char* trace_point_name(TracePoint p) {
     case TracePoint::kLinkChange: return "link_change";
     case TracePoint::kModeChange: return "mode_change";
     case TracePoint::kProbe: return "probe";
-    case TracePoint::kRuntimeDeliver: return "rt_deliver";
-    case TracePoint::kRuntimeTimer: return "rt_timer";
     case TracePoint::kFault: return "fault";
     case TracePoint::kChurn: return "churn";
   }

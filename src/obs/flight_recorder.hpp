@@ -31,7 +31,9 @@ namespace tbcs::obs {
 /// Whether the tracing hooks are compiled in (see TBCS_TRACE in CMake).
 inline constexpr bool kTraceCompiled = TBCS_OBS_TRACE_ENABLED != 0;
 
-/// What happened at an instrumentation site.
+/// What happened at an instrumentation site.  The values are part of the
+/// dump format; 10 and 11 are retired, so kFault and kChurn keep theirs
+/// explicitly.
 enum class TracePoint : std::uint16_t {
   kWake = 0,        // node initialized (a = logical, b = hardware)
   kBroadcast,       // node sent (a = msg logical, b = msg logical_max)
@@ -43,14 +45,13 @@ enum class TracePoint : std::uint16_t {
   kLinkChange,      // link `edge` flipped (flags bit kFlagLinkUp = new state)
   kModeChange,      // logical rate multiplier changed (a = old, b = new)
   kProbe,           // periodic probe event
-  kRuntimeDeliver,  // threaded runtime: message dispatched to a node thread
-  kRuntimeTimer,    // threaded runtime: timer dispatched to a node thread
-  kFault,           // injected fault applied (a = the FaultKind value,
+  kFault = 12,      // injected fault applied (a = the FaultKind value,
                     //   b = site-specific value, e.g. the node's L)
-  kChurn,           // dynamic membership event (a = 0 join / 1 leave,
+  kChurn = 13,      // dynamic membership event (a = 0 join / 1 leave,
                     //   b = the node's L at that instant)
 };
 
+/// One past the largest TracePoint value (the size of per-kind tables).
 inline constexpr int kNumTracePoints = 14;
 
 const char* trace_point_name(TracePoint p);

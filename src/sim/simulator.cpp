@@ -9,7 +9,6 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
 #include "obs/flight_recorder.hpp"
 
@@ -162,10 +161,10 @@ void Simulator::configure_shards(int shards, const std::string& strategy,
 
 void Simulator::install_slots() {
   // Each shard's members become one contiguous block of the hot arrays, in
-  // member (ascending id) order — the identity with one shard or none —
-  // and every node's slot state moves with it.  Before setup only status
-  // bits can be set (a churn plan may mark absences first); clocks and
-  // timers are still default-constructed and stay put.
+  // member (ascending id) order — the identity with one shard or none.
+  // This runs before set-up, where only status bits can be set (a churn
+  // plan may mark absences first); clocks and timers are still
+  // default-constructed and need not move.
   const std::size_t n = slot_of_.size();
   std::vector<std::uint32_t> next(n);
   std::iota(next.begin(), next.end(), 0u);
@@ -177,20 +176,9 @@ void Simulator::install_slots() {
       }
     }
   }
-  const auto move_slots = [&](auto& slots, std::size_t per) {
-    std::remove_reference_t<decltype(slots)> moved(slots.size());
-    for (std::size_t v = 0; v < n; ++v) {
-      for (std::size_t i = 0; i < per; ++i) {
-        moved[next[v] * per + i] = slots[slot_of_[v] * per + i];
-      }
-    }
-    slots.swap(moved);
-  };
-  move_slots(status_slots_, 1);
-  if (setup_done_) {
-    move_slots(clock_slots_, 1);
-    move_slots(timer_slots_, static_cast<std::size_t>(kMaxTimerSlots));
-  }
+  std::vector<std::uint8_t> status(n);
+  for (std::size_t v = 0; v < n; ++v) status[next[v]] = status_slots_[slot_of_[v]];
+  status_slots_.swap(status);
   slot_of_.swap(next);
 }
 
@@ -198,11 +186,10 @@ void Simulator::compute_cut_dist() {
   // Cut distances for the cut-aware horizon: multi-source BFS (over
   // intra-shard edges) from the cut-edge endpoints, capped at kMaxCutDist.
   // An event at a distance-d node needs >= d intra-shard hops before
-  // anything can happen at a cut node.  Computed before any event can be
-  // scheduled against the partition — at configure_shards, and again at
-  // repartition (whose event migration re-files every queued time into
-  // the boundary heaps) — so every queue push and timer arm lands in the
-  // right heap.  A single lane has no cut and keeps the table empty.
+  // anything can happen at a cut node.  Computed at configure_shards,
+  // before any event can be scheduled against the partition, so every
+  // queue push and timer arm lands in the right heap.  A single lane has
+  // no cut and keeps the table empty.
   cut_dist_.clear();
   if (part_->num_shards() > 1) {
     cut_dist_.assign(static_cast<std::size_t>(graph_.num_nodes()),
@@ -1250,141 +1237,6 @@ void Simulator::schedule_node_join(NodeId v, RealTime at) {
 
 void Simulator::schedule_node_leave(NodeId v, RealTime at) {
   push_event(node_event(EventKind::kLeave, v, at), v);
-}
-
-void Simulator::repartition(const std::string& strategy) {
-  if (!part_) {
-    throw std::logic_error("Simulator::repartition requires shards");
-  }
-  if (in_window_ || !setup_done_) {
-    throw std::logic_error(
-        "Simulator::repartition must run between run_until calls");
-  }
-  const auto n = static_cast<std::size_t>(graph_.num_nodes());
-  const auto k = static_cast<int>(lanes_.size());
-  const RealTime now_at = now();
-  // 1. New assignment, guided by the *live* subgraph (links currently up —
-  // under churn the dead weight of absent nodes and removed edges is
-  // exactly what the old partition is mis-balanced around).  The installed
-  // Partition must cover the full edge universe: its cut tables drive the
-  // conservative horizons for every schedulable event, not just the live
-  // ones.  The owning lanes' views are exact here, between windows.
-  const auto& universe = graph_.edges();
-  std::vector<std::uint8_t> links(universe.size());
-  std::vector<graph::Edge> live_edges;
-  for (std::uint32_t e = 0; e < universe.size(); ++e) {
-    links[e] = link_up(e) ? 1 : 0;
-    if (links[e]) live_edges.push_back(universe[e]);
-  }
-  const graph::Graph live(static_cast<graph::NodeId>(n), std::move(live_edges));
-  const std::string strat = strategy.empty() ? partition_strategy_ : strategy;
-  const graph::Graph& guide = live.num_edges() > 0 ? live : graph_;
-  graph::Partition next = graph::Partition::from_assignment(
-      graph_, graph::Partition::make(guide, k, strat).shard_assignment(), k);
-  // 2. Drain every lane into partition-independent snapshots.  Twins are
-  // dropped (recreated below from their primaries against the new cut);
-  // message payloads ride along so they can enter the destination slab.
-  // Timer identity is read off the wheel — the exact (deadline, seq) pair
-  // must survive, since recomputing either would change the canonical
-  // order.
-  std::vector<Event> events;
-  std::vector<std::pair<Event, Message>> deliveries;
-  std::uint64_t old_arms = 0;
-  std::uint64_t old_fires = 0;
-  for (Lane& ln : lanes_) {
-    for (const auto& box : ln.outbox) {
-      (void)box;
-      assert(box.empty() && "outboxes drain at every barrier");
-    }
-    assert(ln.trace.empty());
-    old_arms += ln.wheel.stats().arms;
-    old_fires += ln.wheel.stats().fires;
-    while (!ln.queue.empty()) {
-      Event e = ln.queue.pop();
-      if (e.twin) continue;
-      if (e.kind == EventKind::kMessageDelivery) {
-        deliveries.emplace_back(e, ln.slab.take(e.msg));
-      } else {
-        events.push_back(e);
-      }
-    }
-  }
-  struct LiveTimer {
-    NodeId node;
-    int slot;
-    RealTime time;
-    std::uint64_t seq;
-  };
-  std::vector<LiveTimer> timers;
-  for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-    for (int sl = 0; sl < kMaxTimerSlots; ++sl) {
-      TimerState& ts = timer(v, sl);
-      if (ts.pending == TimerWheel::kNull) continue;
-      const TimerWheel::Fired fi = lane_of(v).wheel.entry_info(ts.pending);
-      timers.push_back(LiveTimer{v, sl, fi.time, fi.seq});
-      ts.pending = TimerWheel::kNull;  // re-armed on the new wheel below
-    }
-  }
-  // 3. Install the partition: the per-node hot state moves to the new slot
-  // permutation, cut distances are recomputed, and fresh lanes get their
-  // link views from the snapshot of step 1 and their counter blocks from
-  // the old lanes (only the sums are canonical).
-  std::vector<Tally> counts;
-  for (const Lane& ln : lanes_) counts.push_back(ln.tally);
-  part_ = std::make_unique<graph::Partition>(std::move(next));
-  if (!strategy.empty()) partition_strategy_ = strategy;
-  install_slots();
-  compute_cut_dist();
-  init_lanes(static_cast<std::size_t>(k));
-  size_lanes();
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    lanes_[i].now = now_at;
-    lanes_[i].link_up = links;
-    lanes_[i].tally = counts[i];
-  }
-  compute_lane_lookahead();
-  // 4. Re-file everything WITHOUT re-stamping: keys are immutable.  Twins
-  // are recreated for link changes that are cut edges under the new
-  // partition; canonical push counters are untouched (each logical event
-  // was counted at creation).
-  for (const Event& e : events) {
-    Lane& dest = lane_of(e.node);
-    dest.queue.push(e);
-    if (e.kind == EventKind::kLinkChange) {
-      note_queued(dest, e.node, e.node2, e.time);
-      Lane& other = lane_of(e.node2);
-      if (&other != &dest) {
-        Event tw = e;
-        tw.twin = true;
-        other.queue.push(tw);
-        ++other.twins_in_queue;
-        note_queued(other, e.node, e.node2, e.time);
-      }
-    } else {
-      note_queued(dest, e.node, kInvalidNode, e.time);
-    }
-  }
-  for (auto& [e, m] : deliveries) {
-    Lane& dest = lane_of(e.node);
-    Event ev = e;
-    ev.msg = dest.slab.put(m, ev.time);
-    dest.queue.push(ev);
-    note_queued(dest, ev.node, kInvalidNode, ev.time);
-  }
-  for (const LiveTimer& lt : timers) {
-    Lane& dest = lane_of(lt.node);
-    timer(lt.node, lt.slot).pending = dest.wheel.arm(
-        lt.time, lt.seq, lt.node, static_cast<std::uint8_t>(lt.slot));
-    note_queued(dest, lt.node, kInvalidNode, lt.time);
-  }
-  // 5. Wheel-stat carry: the fresh wheels count one arm per live re-arm
-  // and zero fires; the canonical totals must read as if nothing happened.
-  std::uint64_t new_arms = 0;
-  for (const Lane& ln : lanes_) new_arms += ln.wheel.stats().arms;
-  assert(old_arms >= new_arms);
-  carry_arms_ += old_arms - new_arms;
-  carry_fires_ += old_fires;
-  ++repartitions_;
 }
 
 void Simulator::apply_link_change(Lane& ln, const Event& e) {

@@ -35,15 +35,15 @@
 // first reads them.
 //
 // Sharded execution (configure_shards): the node set is split by a
-// graph::Partition into per-shard lanes, each with its own event queue and
-// message slab.  Lanes advance in lock-step conservative time windows
-// [W_start, W_end) bounded by the *cut-aware safe horizon*: no cross-shard
-// send processed inside the window can be delivered before W_end.  The
-// horizon is computed per lane from how soon an event can reach a cut
-// node — nodes carry their intra-shard BFS distance to the nearest cut
-// endpoint (capped at kMaxCutDist), lanes keep a lazy min-heap of queued
-// event times per distance class, and the earliest possible cross-shard
-// arrival from lane i is
+// graph::Partition, fixed for the run, into per-shard lanes, each with its
+// own event queue and message slab.  Lanes advance in lock-step
+// conservative time windows [W_start, W_end) bounded by the *cut-aware
+// safe horizon*: no cross-shard send processed inside the window can be
+// delivered before W_end.  The horizon is computed per lane from how
+// soon an event can reach a cut node — nodes carry their intra-shard BFS
+// distance to the nearest cut endpoint (capped at kMaxCutDist), lanes
+// keep a lazy min-heap of queued event times per distance class, and the
+// earliest possible cross-shard arrival from lane i is
 //
 //   boundary_time(i) + la_out(i),   where
 //   boundary_time(i) = min( min_d( bnd_top(i, d) + d * delta_intra(i) ),
@@ -152,7 +152,8 @@ class Simulator {
   void set_delay_policy(std::shared_ptr<DelayPolicy> policy);
 
   /// Splits the nodes into `shards` lanes over a graph::Partition
-  /// (`strategy`: "auto" | "block" | "ml").  Must be called before the
+  /// (`strategy`: "auto" | "block" | "ml"), final for the whole run: no
+  /// event, timer or slot ever changes lanes.  Must be called before the
   /// first run and before any schedule_* or set_link_initially_down call
   /// (it rebuilds the lanes that hold queued events and link state), or
   /// it throws std::logic_error; set_initially_absent may come either
@@ -339,17 +340,9 @@ class Simulator {
   std::uint64_t joins() const { return sum_lanes(&Tally::joins); }
   std::uint64_t leaves() const { return sum_lanes(&Tally::leaves); }
 
-  /// Sharded only, between run_until calls: recomputes the
-  /// partition over the *live* subgraph (links currently up) with
-  /// `strategy` (empty: the configure_shards strategy) and migrates every
-  /// queued event, armed timer, and per-node hot slot into the new lanes
-  /// — preserving each event's exact (time, source, seq) identity and all
-  /// canonical counters, so a repartitioned run stays byte-identical to an
-  /// unrepartitioned one.  The shard count is unchanged.  Used by the
-  /// churn driver when cut growth crosses its watermark.
-  void repartition(const std::string& strategy = "");
-
-  std::uint64_t repartitions() const { return repartitions_; }
+  /// Kept for perfbench/, which reads it: the partition configure_shards
+  /// picks is final for the run, so this is always 0.
+  std::uint64_t repartitions() const { return 0; }
 
   // ---- inspection (metrics layer; not visible to algorithms) --------------
 
@@ -393,12 +386,12 @@ class Simulator {
   /// counted as stale heap pops, now removed in O(1) instead of popped.
   /// All three are canonical (identical across shard counts).
   std::uint64_t timer_arms() const {
-    std::uint64_t s = carry_arms_;  // history lost to repartition's fresh wheels
+    std::uint64_t s = 0;
     for (const Lane& ln : lanes_) s += ln.wheel.stats().arms;
     return s;
   }
   std::uint64_t timer_fires() const {
-    std::uint64_t s = carry_fires_;
+    std::uint64_t s = 0;
     for (const Lane& ln : lanes_) s += ln.wheel.stats().fires;
     return s;
   }
@@ -487,7 +480,7 @@ class Simulator {
   };
 
   /// Per-lane counters, folded by the accessors.  Only the sums are
-  /// canonical; repartition carries each lane's block over whole.
+  /// canonical.
   struct Tally {
     std::uint64_t broadcasts = 0;
     std::uint64_t delivered = 0;
@@ -569,15 +562,15 @@ class Simulator {
   void setup_lane(Lane& ln);
   void init_lanes(std::size_t count);
   /// Lays each shard's members out contiguously in the hot arrays (the
-  /// identity when unsharded), moving every node's slot state along.
+  /// identity when unsharded), moving the status bits set so far along.
   void install_slots();
   /// Reserves each lane's slab and wheel for its member count.
   void size_lanes();
   /// Multi-source BFS from the cut-edge endpoints over intra-shard edges,
-  /// capped at kMaxCutDist; fills cut_dist_ (configure_shards/repartition).
+  /// capped at kMaxCutDist; fills cut_dist_ (configure_shards).
   void compute_cut_dist();
   /// Per-lane la_out/delta_intra from the delay policy's per-edge bounds,
-  /// floored at the global lookahead (setup/repartition).
+  /// floored at the global lookahead (setup).
   void compute_lane_lookahead();
   std::size_t lane_index(NodeId v) const {
     return part_ ? static_cast<std::size_t>(part_->shard_of(v)) : 0;
@@ -696,8 +689,7 @@ class Simulator {
   std::vector<std::uint64_t> next_seq_;  // per-source creation counters
   /// Scramble payloads, indexed by Event::generation (events must stay 48
   /// bytes, so the (seed, magnitude) pair lives out-of-line; the table is
-  /// append-only and simulator-global, so lane migration never invalidates
-  /// an index).
+  /// append-only and simulator-global, shared by every lane).
   struct ScramblePayload {
     std::uint64_t seed = 0;
     double magnitude = 0.0;
@@ -729,11 +721,6 @@ class Simulator {
   bool in_window_ = false;
   RealTime win_end_ = 0.0;
   bool win_inclusive_ = false;
-  // Wheel arm/fire history carried across repartition (fresh lanes start
-  // their wheels at zero; the canonical totals must not).
-  std::uint64_t carry_arms_ = 0;
-  std::uint64_t carry_fires_ = 0;
-  std::uint64_t repartitions_ = 0;
 
   // Window worker pool (lanes 1..N-1; the caller runs lane 0).
   std::vector<std::thread> workers_;

@@ -73,15 +73,6 @@ class TimerWheel {
   /// O(1) removal of a pending timer.  `h` must be live (not yet fired).
   void cancel(Handle h);
 
-  /// Key fields of a live (not yet fired) entry.  Used by the sharded
-  /// engine's repartition to migrate timers between lane wheels with their
-  /// exact (deadline, seq) identity — recomputing either would change the
-  /// canonical order.
-  Fired entry_info(Handle h) const {
-    const Entry& e = pool_[h];
-    return Fired{e.time, e.seq, e.node, e.slot};
-  }
-
   bool empty() const { return live_ == 0; }
   std::size_t live() const { return live_; }
 

@@ -233,6 +233,25 @@ TEST(ExperimentConfig, QueueOtherThanAutoThrows) {
   EXPECT_NO_THROW(build_experiment(cfg));
 }
 
+// The partition is fixed for the run: no flag sets churn_repartition, and
+// true is rejected on a churned, sharded run as on any other.
+TEST(ExperimentConfig, ChurnRepartitionOtherThanFalseThrows) {
+  ExperimentConfig cfg;
+  cfg.topology = "ring";
+  cfg.nodes = 16;
+  cfg.delays = "band";
+  cfg.duration = 20.0;
+  cfg.shards = 2;
+  cfg.min_shard_nodes = 0;
+  cfg.churn_node_rate = 0.01;
+  cfg.churn_edge_rate = 0.01;
+  EXPECT_NO_THROW(build_experiment(cfg));
+  cfg.churn_repartition = true;
+  EXPECT_THROW(build_experiment(cfg), ConfigError);
+  cfg.shards = 0;
+  EXPECT_THROW(build_experiment(cfg), ConfigError);
+}
+
 TEST(ExperimentConfig, NonPositiveOrNonFiniteDurationThrows) {
   for (const double d : {0.0, -5.0, std::nan(""), HUGE_VAL}) {
     ExperimentConfig cfg;

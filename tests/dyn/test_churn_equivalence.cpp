@@ -1,12 +1,14 @@
 // Churned runs must stay deterministic and engine-independent: the same
 // experiment with node/edge churn active produces byte-identical results
 // on the serial engine and at every shard count, through a record/replay
-// round trip, and with mid-run repartitioning — the dynamic-network
+// round trip, and under the churn driver's pacing — the dynamic-network
 // extension of the sharded equivalence suite.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,8 +59,7 @@ cli::ExperimentConfig churn_config() {
 // Runs one churned experiment end to end; shards = 0 is serial.  The
 // schedule is installed by build_experiment, so run_until drives it.
 RunOutput run_case(cli::ExperimentConfig cfg, int shards,
-                   bool record = false, bool drive = false,
-                   bool repartition = false) {
+                   bool record = false, bool drive = false) {
   cfg.shards = shards;
   auto built = cli::build_experiment(cfg);
   sim::Simulator& sim = *built.simulator;
@@ -78,9 +79,6 @@ RunOutput run_case(cli::ExperimentConfig cfg, int shards,
   if (drive) {
     dyn::ChurnDriverOptions opt;
     opt.check_interval = 25.0;
-    opt.repartition = repartition;
-    opt.min_cut_fraction = 0.0;
-    opt.cut_growth = 1.000001;  // hair trigger: repartition eagerly
     dyn::ChurnDriver driver(sim, opt);
     driver.run(cfg.duration);
     // Checks happen at every interval boundary, but only sharded runs
@@ -144,18 +142,14 @@ void expect_equivalent(const RunOutput& a, const RunOutput& b) {
   expect_same_trace(a.trace, b.trace);
 }
 
-// The instances keep the names of the two event queues the simulator had
-// before the ladder became its only one, so results stay comparable by
-// name across that change.  Both now run the one queue: "ladder" the
-// case both used to run, "heap" the same case on the next seed, so the
-// pair covers two churn schedules.
-class ChurnEquivalence : public testing::TestWithParam<const char*> {};
+// One instance per seed, so the pair covers two churn schedules.
+class ChurnEquivalence : public testing::TestWithParam<std::uint64_t> {};
 
 // Serial vs --shards {1, 2, 4}, churn on.  Churn's up-front event flood
 // is exactly the load that would expose a tie-break divergence.
 TEST_P(ChurnEquivalence, ChurnedRunMatchesSerialAtEveryShardCount) {
   cli::ExperimentConfig cfg = churn_config();
-  if (std::string(GetParam()) == "heap") ++cfg.seed;
+  cfg.seed = GetParam();
   const RunOutput serial = run_case(cfg, 0);
   EXPECT_GT(serial.joins, 0u);
   EXPECT_GT(serial.leaves, 0u);
@@ -165,8 +159,9 @@ TEST_P(ChurnEquivalence, ChurnedRunMatchesSerialAtEveryShardCount) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Queues, ChurnEquivalence,
-                         testing::Values("heap", "ladder"));
+INSTANTIATE_TEST_SUITE_P(Seeds, ChurnEquivalence,
+                         testing::Values(std::uint64_t{20090817},
+                                         std::uint64_t{20090818}));
 
 // The ftgcs axis: churn exercises the defense layer's forget/re-anchor
 // paths (on_neighbor_forgotten, rejoin purges, first-contact credential
@@ -213,45 +208,9 @@ TEST(ChurnEquivalenceRecord, RecordReplayRoundTripsAcrossEngines) {
   }
 }
 
-// Mid-run repartitioning is a pure placement action: an explicit
-// repartition at a run_until boundary must leave every observable byte
-// unchanged relative to the undisturbed sharded run and to serial.
-TEST(ChurnEquivalenceRepartition, ExplicitRepartitionIsInvisible) {
-  const cli::ExperimentConfig cfg = churn_config();
-  const RunOutput serial = run_case(cfg, 0);
-
-  cli::ExperimentConfig scfg = cfg;
-  scfg.shards = 2;
-  auto built = cli::build_experiment(scfg);
-  sim::Simulator& sim = *built.simulator;
-  obs::FlightRecorder fr(obs::FlightRecorder::Options{1u << 20, 1});
-  sim.set_flight_recorder(&fr);
-  sim.run_until(60.0);
-  sim.repartition("ml");
-  sim.run_until(100.0);
-  sim.repartition("block");
-  sim.run_until(cfg.duration);
-  EXPECT_EQ(sim.repartitions(), 2u);
-
-  RunOutput out;
-  for (sim::NodeId v = 0; v < built.graph->num_nodes(); ++v) {
-    out.logical.push_back(sim.logical(v));
-  }
-  out.broadcasts = sim.broadcasts();
-  out.delivered = sim.messages_delivered();
-  out.dropped = sim.messages_dropped();
-  out.events = sim.events_processed();
-  out.joins = sim.joins();
-  out.leaves = sim.leaves();
-  out.queue_pushes = sim.queue_stats().pushes;
-  out.queue_pops = sim.queue_stats().pops;
-  out.trace = fr.snapshot();
-  expect_equivalent(serial, out);
-}
-
-// The churn driver only paces (serial) or paces + repartitions (sharded);
-// either way the driven run must equal the undriven one.
-TEST(ChurnEquivalenceDriver, DriverPacingAndRepartitioningAreInvisible) {
+// The churn driver only paces: the driven run, serial or sharded, must
+// equal the undriven one.
+TEST(ChurnEquivalenceDriver, DriverPacingIsInvisible) {
   const cli::ExperimentConfig cfg = churn_config();
   const RunOutput plain = run_case(cfg, 0);
   {
@@ -259,14 +218,23 @@ TEST(ChurnEquivalenceDriver, DriverPacingAndRepartitioningAreInvisible) {
     expect_equivalent(plain, run_case(cfg, 0, false, /*drive=*/true));
   }
   {
-    SCOPED_TRACE("sharded driver, repartition off");
+    SCOPED_TRACE("sharded driver");
     expect_equivalent(plain, run_case(cfg, 2, false, /*drive=*/true));
   }
-  {
-    SCOPED_TRACE("sharded driver, hair-trigger repartition");
-    expect_equivalent(plain, run_case(cfg, 2, false, /*drive=*/true,
-                                      /*repartition=*/true));
-  }
+}
+
+// The partition is fixed for the run: a driver asked to repartition is
+// refused.
+TEST(ChurnDriver, RepartitionOtherThanFalseThrows) {
+  cli::ExperimentConfig cfg = churn_config();
+  cfg.shards = 2;
+  auto built = cli::build_experiment(cfg);
+  dyn::ChurnDriverOptions opt;
+  opt.repartition = true;
+  EXPECT_THROW((void)dyn::ChurnDriver(*built.simulator, opt),
+               std::invalid_argument);
+  opt.repartition = false;
+  EXPECT_NO_THROW((void)dyn::ChurnDriver(*built.simulator, opt));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -126,16 +127,13 @@ void expect_same_fault_metrics(const FaultMetrics& a, const FaultMetrics& b) {
   EXPECT_EQ(a.events, b.events);
 }
 
-// The instances keep the names of the two event queues the simulator had
-// before the ladder became its only one, so results stay comparable by
-// name across that change.  Both now run the one queue: "ladder" the
-// case both used to run, "heap" the same plan on the next seed.
-class FaultShardEquivalence : public testing::TestWithParam<const char*> {};
+// One instance per seed, each on its own plan file.
+class FaultShardEquivalence : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FaultShardEquivalence, ChaosMetricsMatchSerialAtEveryShardCount) {
-  const std::string plan = write_plan(GetParam());
+  const std::string plan = write_plan(std::to_string(GetParam()));
   cli::ExperimentConfig cfg = chaos_config(plan);
-  if (std::string(GetParam()) == "heap") ++cfg.seed;
+  cfg.seed = GetParam();
   const FaultMetrics serial = run_case(cfg, 0);
   // The plan really ran: all 12 events applied, both scrambles seen, and
   // the scramble probe produced a finite self-stabilization time.
@@ -161,8 +159,8 @@ TEST_P(FaultShardEquivalence, ChaosMetricsMatchSerialAtEveryShardCount) {
   std::remove(plan.c_str());
 }
 
-INSTANTIATE_TEST_SUITE_P(Queues, FaultShardEquivalence,
-                         testing::Values("heap", "ladder"));
+INSTANTIATE_TEST_SUITE_P(Seeds, FaultShardEquivalence,
+                         testing::Values(std::uint64_t{11}, std::uint64_t{12}));
 
 TEST(FaultShardEquivalence, CleanupPlanFile) {
   std::remove((testing::TempDir() + "/tbcs_chaos_plan.txt").c_str());

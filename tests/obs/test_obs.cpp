@@ -139,6 +139,17 @@ TEST(FlightRecorder, TracePointNamesAreStable) {
   (void)make_record;  // helper shared with other suites
 }
 
+// The kind values are dump bytes: kFault and kChurn keep 12 and 13 across
+// the retirement of the two values below them.
+TEST(FlightRecorder, TracePointValuesAreStable) {
+  EXPECT_EQ(static_cast<int>(TracePoint::kProbe), 9);
+  EXPECT_EQ(static_cast<int>(TracePoint::kFault), 12);
+  EXPECT_EQ(static_cast<int>(TracePoint::kChurn), 13);
+  EXPECT_EQ(kNumTracePoints, 14);
+  EXPECT_STREQ(trace_point_name(TracePoint::kFault), "fault");
+  EXPECT_STREQ(trace_point_name(TracePoint::kChurn), "churn");
+}
+
 // ---- simulator integration --------------------------------------------------
 
 TEST(FlightRecorderSim, CapturesWakesBroadcastsAndDeliveries) {

@@ -194,7 +194,7 @@ TEST(LadderQueue, ClearEmptiesAndQueueIsReusable) {
 
 // The core property, fuzzed: pops == the sorted event set for random
 // event sets with heavy time ties and negative/zero times.
-TEST(LadderQueue, MatchesHeapOnRandomSets) {
+TEST(LadderQueue, MatchesSortedReferenceOnRandomSets) {
   Rng rng(20090817);
   for (int round = 0; round < 20; ++round) {
     std::vector<Event> events;
@@ -214,7 +214,7 @@ TEST(LadderQueue, MatchesHeapOnRandomSets) {
 
 // Same property under interleaved push/pop, which is how the simulator
 // drives the queue: every pop is the least pending key.
-TEST(LadderQueue, FacadeMatchesHeapUnderInterleaving) {
+TEST(LadderQueue, MatchesSortedReferenceUnderInterleaving) {
   Rng rng(424242);
   ReferenceQueue ref;
   EventQueue q;
@@ -240,7 +240,7 @@ TEST(LadderQueue, FacadeMatchesHeapUnderInterleaving) {
   EXPECT_EQ(q.stats().pops, i);
 }
 
-TEST(LadderQueue, ReserveAndCapacityAccounting) {
+TEST(LadderQueue, CapacityCoversSize) {
   EventQueue q;
   for (int i = 0; i < 2000; ++i) {
     q.push(keyed(static_cast<double>(i % 97), 0,

@@ -93,12 +93,6 @@ churn:      --churn-node-rate R / --churn-edge-rate R
                                ends whole
             --churn-min-present N / --churn-seed S
                                presence floor; 0 = derive seed from --seed
-            --churn-repartition[=0]
-                               sharded runs: repartition over the live
-                               subgraph when the live cut fraction grows
-                               past --churn-cut-growth x the baseline
-                               (default 1.5); --churn-check-interval sets
-                               the run/check cadence (0 = duration / 20)
 run:        --duration T --seed S --wake-all --per-distance
             --audit-oracle     run the incremental skew tracker and the
                                full-rescan oracle side by side; abort on
@@ -284,17 +278,13 @@ int main(int argc, char** argv) {
     std::optional<dyn::ChurnDriver> churn_driver;
     if (!built.timeline.empty()) {
       // Faults own the pacing; churn ops (if any) are already installed
-      // and fire on their own, but no repartition driver runs.
+      // and fire on their own, but no churn driver runs.
       faults.emplace(built.timeline);
       faults->set_listener(cli::fault_listener(tracker));
       faults->run(sim, cfg.duration);
     } else if (!built.churn.empty()) {
       dyn::ChurnDriverOptions dopt;
-      dopt.check_interval = cfg.churn_check_interval > 0.0
-                                ? cfg.churn_check_interval
-                                : cfg.duration / 20.0;
-      dopt.cut_growth = cfg.churn_cut_growth;
-      dopt.repartition = cfg.churn_repartition;
+      dopt.check_interval = cfg.duration / 20.0;
       churn_driver.emplace(sim, dopt);
       churn_driver->run(cfg.duration);
     } else {
@@ -353,14 +343,8 @@ int main(int argc, char** argv) {
                " leaves)"});
       if (churn_driver) {
         summary.add_row(
-            {"repartitions",
-             analysis::Table::integer(
-                 static_cast<long long>(sim.repartitions())) +
-                 " (live cut " +
-                 analysis::Table::num(churn_driver->last_cut_fraction(), 3) +
-                 ", baseline " +
-                 analysis::Table::num(churn_driver->baseline_cut_fraction(), 3) +
-                 ")"});
+            {"live cut fraction",
+             analysis::Table::num(churn_driver->last_cut_fraction(), 3)});
       }
       if (probe && probe->insertions() > 0) {
         summary.add_row({"edge insertions observed",
@@ -477,7 +461,7 @@ int main(int argc, char** argv) {
         }
       }
       // The run's drop, churn and fault figures.  Only canonical
-      // (shard-count-invariant) ones: the repartition count is
+      // (shard-count-invariant) ones: the live cut fraction is
       // placement-dependent and stays out of the byte-compared stats JSON.
       analysis::StatsMetrics metrics;
       auto& counters = metrics.counters;
