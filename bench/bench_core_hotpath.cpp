@@ -27,6 +27,16 @@
 //     conservative lower bound on the speedup versus the pre-change core,
 //     and being a ratio it is robust to machine-load differences.
 //
+// The full sweep also times one run of perfbench's chaos_sweep shape
+// serially in both engines (chaos_hypercube_n256_serial_*): ftgcs with
+// f = 2 on a hypercube of dimension 8, eps 0.02, band delays, square
+// drift, every node awake at t = 0 and the smoke_ftgcs.sh chaos plan
+// (Byzantine liars excluded from the skews, a crash and recovery, a lossy
+// window, a scramble), to horizon 200, built and tracked as
+// exec::SweepRunner runs it.  Its skews sit on their running maxima with
+// many clocks tied, the plateaus that force the certificate trees to
+// evaluate leaves exactly.
+//
 // Results go to BENCH_pr2.json ("tbcs-bench-v1", see bench_json.hpp) so
 // later PRs can regress-check against the recorded baseline
 // (scripts/smoke_bench.sh).
@@ -36,16 +46,24 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "analysis/skew_tracker.hpp"
 #include "bench_json.hpp"
+#include "cli/experiment_config.hpp"
 #include "core/aopt.hpp"
 #include "core/params.hpp"
 #include "dyn/churn_plan.hpp"
+#include "exec/run_spec.hpp"
 #include "exec/thread_pool.hpp"
+#include "fault/fault_scheduler.hpp"
+#include "graph/partition.hpp"
 #include "graph/topologies.hpp"
 #include "sim/simulator.hpp"
 
@@ -87,17 +105,19 @@ graph::Graph make_topology(const std::string& kind, int n) {
 // serial-vs-sharded rows in one file compare like with like.  Sharded
 // rows use the default auto-clamp (64 nodes per lane minimum), so the
 // recorded shards_effective shows the clamp rescuing the tiny sizes.
+// `partition` is the strategy configure_shards gets.
 RunResult run_one(const graph::Graph& g, analysis::SkewTracker::Mode mode,
                   double duration, std::uint64_t seed, int shards = -1,
                   int* shards_effective = nullptr,
-                  const dyn::ChurnSchedule* churn = nullptr) {
+                  const dyn::ChurnSchedule* churn = nullptr,
+                  const std::string& partition = "auto") {
   // One config shared by every node, as cli::build_experiment builds it.
   const auto config = std::make_shared<const core::AoptConfig>(
       core::SyncParams::recommended(1.0, 0.01, 0.0), core::AoptOptions{});
   sim::SimConfig scfg;
   scfg.wake_all_at_zero = shards >= 0;
   sim::Simulator sim(g, scfg);
-  if (shards > 0) sim.configure_shards(shards, "auto", 64);
+  if (shards > 0) sim.configure_shards(shards, partition, 64);
   if (shards_effective != nullptr) *shards_effective = sim.shards();
   sim.set_all_nodes(
       [&config](sim::NodeId) { return std::make_unique<core::AoptNode>(config); });
@@ -133,6 +153,54 @@ RunResult run_one(const graph::Graph& g, analysis::SkewTracker::Mode mode,
     r.global_skew = tracker->max_global_skew();
     r.local_skew = tracker->max_local_skew();
   }
+  return r;
+}
+
+// The smoke_ftgcs.sh chaos plan.
+constexpr const char* kChaosPlan =
+    "byzantine node=1 from=0 until=120 mode=fixed offset=1000\n"
+    "byzantine node=2 from=0 until=120 mode=fixed offset=-1000\n"
+    "crash node=9 at=30\n"
+    "recover node=9 at=55\n"
+    "channel from=70 until=95 drop=0.15 jitter=0.3\n"
+    "scramble node=12 at=150 magnitude=6\n";
+
+// One run of the chaos_sweep shape (see the file header), the first of
+// perfbench's chaos_sweep at --seed 1; only the run is timed.
+RunResult run_chaos(analysis::SkewTracker::Mode mode,
+                    const std::string& plan_path) {
+  cli::ExperimentConfig cfg;
+  cfg.topology = "hypercube";
+  cfg.dims = 8;
+  cfg.algorithm = "ftgcs";
+  cfg.ftgcs_f = 2;
+  cfg.eps = 0.02;
+  cfg.delays = "band";
+  cfg.drift = "square";
+  cfg.wake_all = true;
+  cfg.faults_file = plan_path;
+  cfg.duration = 200.0;
+  cfg.seed = exec::derive_seed(1, 0);
+  cli::BuiltExperiment built = cli::build_experiment(cfg);
+  const cli::Bounds bounds = cli::resolve_bounds(cfg, built);
+  analysis::SkewTracker::Options topt = cli::resolve_tracker(cfg, built, bounds);
+  topt.mode = mode;
+  analysis::SkewTracker tracker(*built.simulator, topt);
+  tracker.attach(*built.simulator);
+  fault::FaultScheduler faults(built.timeline);
+  faults.set_listener(cli::fault_listener(tracker));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  faults.run(*built.simulator, cfg.duration);
+  const auto t1 = std::chrono::steady_clock::now();
+
+  RunResult r;
+  r.events = built.simulator->events_processed();
+  r.seconds = std::chrono::duration<double>(t1 - t0).count();
+  r.samples = tracker.samples_taken();
+  r.full_scans = tracker.full_scans();
+  r.global_skew = tracker.max_global_skew();
+  r.local_skew = tracker.max_local_skew();
   return r;
 }
 
@@ -287,6 +355,10 @@ int main(int argc, char** argv) {
           // The plan extends the graph with extra churnable non-edges,
           // so each rate gets its own copy of the topology.
           tbcs::graph::Graph g = make_topology(topo, n);
+          // "auto" asks whether the topology is a tree; the plan's extra
+          // edges would hide that, so resolve it first.
+          const std::string partition =
+              tbcs::graph::Partition::resolve_strategy(g, "auto");
           tbcs::dyn::ChurnSchedule sched;
           if (rate > 0.0) {
             tbcs::dyn::ChurnConfig ccfg;
@@ -314,7 +386,7 @@ int main(int argc, char** argv) {
             const Repeated rr = repeat_runs(repeats, [&] {
               return run_one(g, tbcs::analysis::SkewTracker::Mode::kIncremental,
                              dur, 3, k, &effective,
-                             rate > 0.0 ? &sched : nullptr);
+                             rate > 0.0 ? &sched : nullptr, partition);
             });
             const RunResult& r = rr.best;
             json.add(name)
@@ -441,6 +513,46 @@ int main(int argc, char** argv) {
         }
       }
     }
+  }
+  if (!quick) {
+    const std::string plan =
+        (std::filesystem::temp_directory_path() /
+         ("bench_core_hotpath_chaos_" + std::to_string(::getpid()) + ".plan"))
+            .string();
+    {
+      std::ofstream os(plan);
+      os << kChaosPlan;
+    }
+    for (const bool oracle : {false, true}) {
+      const auto mode = oracle ? tbcs::analysis::SkewTracker::Mode::kFullRescan
+                               : tbcs::analysis::SkewTracker::Mode::kIncremental;
+      const std::string name = std::string("chaos_hypercube_n256_serial") +
+                               (oracle ? "_oracle" : "_incremental");
+      if (!filter.empty() && name.find(filter) == std::string::npos) continue;
+      const Repeated rr =
+          repeat_runs(repeats, [&] { return run_chaos(mode, plan); });
+      const RunResult& r = rr.best;
+      json.add(name)
+          .metric("n", 256)
+          .metric("duration", 200.0)
+          .metric("jobs", 1)
+          .metric("events", static_cast<double>(r.events))
+          .metric("seconds", r.seconds)
+          .metric("events_per_sec", rr.eps_best)
+          .metric("eps_median", rr.eps_median)
+          .metric("eps_stddev", rr.eps_stddev)
+          .metric("repeats", repeats)
+          .metric("samples", static_cast<double>(r.samples))
+          .metric("full_scans", static_cast<double>(r.full_scans))
+          .metric("global_skew", r.global_skew)
+          .metric("local_skew", r.local_skew);
+      std::printf("%-40s %12.0f events/s  (%llu events, %.2fs, %llu/%llu scans)\n",
+                  name.c_str(), rr.eps_best, (unsigned long long)r.events,
+                  r.seconds, (unsigned long long)r.full_scans,
+                  (unsigned long long)r.samples);
+      std::fflush(stdout);
+    }
+    std::remove(plan.c_str());
   }
   json.write_file(out);
   std::printf("wrote %s\n", out.c_str());

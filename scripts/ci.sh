@@ -5,7 +5,7 @@
 #      keep green (same commands as ROADMAP.md).
 #   2. Sanitizer smoke: rebuild the simulator tool, the trace tool, the
 #      runtime tests, the obs and history-store tests, the skew-tracker
-#      oracle and analysis tests, the simulator and recorder tests, the
+#      oracle, fuzz and analysis tests, the simulator and recorder tests, the
 #      graph, topology, partition, churn-plan and fault-plan tests, the
 #      event-queue tests (the ladder internals and the queue API), the
 #      timer-wheel tests, the churn-equivalence tests (lanes, wheels and
@@ -73,7 +73,8 @@ echo "=== sanitizer smoke: ASan+UBSan (jobs=$JOBS) ==="
 cmake -B build-asan -S . -DTBCS_SANITIZE=address,undefined > /dev/null
 cmake --build build-asan -j "$JOBS" --target \
   tbcs_sim_tool tbcs_trace test_runtime test_obs test_trace_tools \
-  test_history_store test_skew_incremental test_analysis test_simulator \
+  test_history_store test_skew_incremental test_tracker_fuzz test_analysis \
+  test_simulator \
   test_recorder test_graph test_topologies test_partition test_churn_plan \
   test_fault_plan test_ladder_queue test_event_queue test_timer_wheel \
   test_churn_equivalence \
@@ -91,6 +92,7 @@ build-asan/tests/test_obs
 build-asan/tests/test_trace_tools
 build-asan/tests/test_history_store
 build-asan/tests/test_skew_incremental
+build-asan/tests/test_tracker_fuzz
 build-asan/tests/test_analysis
 build-asan/tests/test_simulator
 build-asan/tests/test_recorder

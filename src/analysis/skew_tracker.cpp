@@ -282,57 +282,68 @@ double SkewTracker::envelope_violation(double L, double t, double tv) const {
 
 // ---- affine clock cache -----------------------------------------------------
 
-void SkewTracker::refresh(const sim::Simulator& sim, sim::NodeId v) {
-  CachedClock& c = cache_[static_cast<std::size_t>(v)];
-  if (c.active && !c.bounded) --unbounded_;
-  const sim::HardwareClock& clock = sim.clock(v);
-  const sim::Node& node = sim.node(v);
-  c.ha = clock.anchor_value();
-  c.ta = clock.anchor_time();
-  c.h = clock.rate();
-  c.start = clock.start_time();
-  sim::Node::Affine a;
-  c.view = node.affine_logical(a);
-  c.offset = a.offset;
-  c.slope = a.slope;
-  c.h_ref = a.h_ref;
-  if (c.view) {
-    // A line of slope rho_v: its rate is exact.
-    c.rate = c.r_lo = c.r_hi = a.slope * clock.rate();
-    c.bounded = true;
-  } else {
-    const double rho = node.rate_multiplier();
-    c.rate = rho * clock.rate();
-    c.r_lo = std::min(1.0, rho) * clock.rate();
-    c.r_hi = std::max(1.0, rho) * clock.rate();
-    c.bounded = node.slope_bounded();
+void SkewTracker::refresh(const sim::Simulator& sim, sim::NodeId node) {
+  const auto v = static_cast<std::size_t>(node);
+  ClockCache& c = cache_;
+  if (c.active[v] != 0) {
+    if (c.bounded[v] == 0) --unbounded_;
+    if (c.view[v] == 0) --leaf_virtual_[v / kNodeBlock];
   }
-  c.active = !excluded(v) && sim.awake(v);
-  if (c.active && !c.bounded) ++unbounded_;
+  const sim::HardwareClock& clock = sim.clock(node);
+  const sim::Node& n = sim.node(node);
+  c.ha[v] = clock.anchor_value();
+  c.ta[v] = clock.anchor_time();
+  c.h[v] = clock.rate();
+  c.start[v] = clock.start_time();
+  sim::Node::Affine a;
+  const bool view = n.affine_logical(a);
+  c.offset[v] = a.offset;
+  c.slope[v] = a.slope;
+  c.h_ref[v] = a.h_ref;
+  bool bounded = true;
+  if (view) {
+    // A line of slope rho_v: its rate is exact.
+    c.rate[v] = c.r_lo[v] = c.r_hi[v] = a.slope * clock.rate();
+  } else {
+    const double rho = n.rate_multiplier();
+    c.rate[v] = rho * clock.rate();
+    c.r_lo[v] = std::min(1.0, rho) * clock.rate();
+    c.r_hi[v] = std::max(1.0, rho) * clock.rate();
+    bounded = n.slope_bounded();
+  }
+  const bool active = !excluded(node) && sim.awake(node);
+  c.view[v] = view;
+  c.bounded[v] = bounded;
+  c.active[v] = active;
+  if (active) {
+    if (!bounded) ++unbounded_;
+    if (!view) ++leaf_virtual_[v / kNodeBlock];
+  }
 }
 
 void SkewTracker::touch(const sim::Simulator& sim, sim::NodeId v, double t) {
   if (excluded(v)) return;
   refresh(sim, v);
-  const CachedClock& c = cache_[static_cast<std::size_t>(v)];
-  if (!c.active) return;  // a stale bound stays an upper bound
+  const auto k = static_cast<std::size_t>(v);
+  if (cache_.active[k] == 0) return;  // a stale bound stays an upper bound
   any_awake_seen_ = true;
-  min_logical_rate_ = std::min(min_logical_rate_, c.rate);
-  max_logical_rate_ = std::max(max_logical_rate_, c.rate);
+  min_logical_rate_ = std::min(min_logical_rate_, cache_.rate[k]);
+  max_logical_rate_ = std::max(max_logical_rate_, cache_.rate[k]);
   // Every node that enters the awake set is touched, so folding each
   // touched node keeps this equal to the oracle's running minimum.
-  earliest_start_ = std::min(earliest_start_, c.start);
+  earliest_start_ = std::min(earliest_start_, cache_.start[k]);
 
   const double now = sim.now();
-  const double L = cached_logical(sim, v, c, now);
+  const double L = cached_logical(sim, k, now);
   magnitude_ = std::max(magnitude_, std::abs(L));
   raise_node(v, t, L,
-             opt_.audit_epsilon > 0.0 ? envelope_violation(L, t, c.start)
-                                      : -sim::kInfinity);
+             opt_.audit_epsilon > 0.0
+                 ? envelope_violation(L, t, cache_.start[k])
+                 : -sim::kInfinity);
   for (const graph::Graph::Arc& a : sim.topology().arcs(v)) {
-    const CachedClock& cw = cache_[static_cast<std::size_t>(a.to)];
-    if (!cw.active || !sim.link_up(a.edge)) continue;
-    const double d = std::abs(L - cached_logical(sim, a.to, cw, now));
+    const auto w = static_cast<std::size_t>(a.to);
+    if (cache_.active[w] == 0 || !sim.link_up(a.edge)) continue;
+    const double d = std::abs(L - cached_logical(sim, w, now));
     raise_edge(a.edge, t, d, v, a.to);
   }
 }
@@ -387,45 +398,64 @@ void SkewTracker::merge(EdgeCert& a, const EdgeCert& b) {
   merge_rates(a, b, empty);
 }
 
-// A certificate that already covers the point (its line, without the
-// guard, reaches the point's value and its rates span the point's) stays
-// valid unchanged: extrapolating it later adds the guard then.  Each level
-// is checked on its own, so skipping one never relies on another.
+// Raises the path above a touched point.  Each level whose certificate
+// does not cover what was raised below it (its line, without the guard,
+// reaches that certificate's values and its rates span that
+// certificate's) becomes its advanced self merged with it; the walk stops
+// at the first level that covers it, which stays valid unchanged
+// (extrapolating it later adds the guard).
+//
+// Stopping is safe because every certificate dominates its children's:
+// from now on its lines lie on or outside theirs and its rates span
+// theirs, so the level that covers the raised certificate below it proves
+// that every level above covers it too.  Every write keeps that:
+// re-tightening merges the advanced children; a raise merges the raised
+// child's certificate into its own advanced one, so rates only widen on
+// the way up; a leaf evaluation replaces a certificate with exact values
+// that the certificate already bounded, and each caller re-tightens the
+// path above the leaf before the sample ends.  A raise merges the child's
+// certificate and not just the point because the advance lifts the child
+// by one guard: a parent that covered only the point could sit below it,
+// and repeated raises could open that gap wider than any fixed margin.
+// Dominance holds up to the rounding of each comparison, a few ulps per
+// level, which the guard (hundreds of ulps) absorbs.
 void SkewTracker::raise_node(sim::NodeId v, double t, double L, double env) {
   const auto k = static_cast<std::size_t>(v);
-  const CachedClock& cv = cache_[k];
-  const NodeCert point{t, L, L, env, cv.r_hi, cv.r_lo};
+  NodeCert raised{t, L, L, env, cache_.r_hi[k], cache_.r_lo[k]};
   const bool audit = opt_.audit_epsilon > 0.0;
   for (std::size_t i = nleaf0_ + k / kNodeBlock; i >= 1; i /= 2) {
     NodeCert& c = ntree_[i];
     const double dt = t - c.t;
-    if (c.hi != -sim::kInfinity && c.r_hi >= point.r_hi &&
-        c.r_lo <= point.r_lo && c.hi + c.r_hi * dt >= L &&
-        c.lo + c.r_lo * dt <= L &&
-        (!audit || c.env + env_growth(c) * dt >= env)) {
-      continue;
+    if (c.hi != -sim::kInfinity && c.r_hi >= raised.r_hi &&
+        c.r_lo <= raised.r_lo && c.hi + c.r_hi * dt >= raised.hi &&
+        c.lo + c.r_lo * dt <= raised.lo &&
+        (!audit || c.env + env_growth(c) * dt >= raised.env)) {
+      return;
     }
     NodeCert m = advanced(c, t);
-    merge(m, point);
+    merge(m, raised);
     c = m;
+    raised = m;
   }
 }
 
 void SkewTracker::raise_edge(std::size_t e, double t, double d, sim::NodeId u,
                              sim::NodeId w) {
-  const CachedClock& cu = cache_[static_cast<std::size_t>(u)];
-  const CachedClock& cw = cache_[static_cast<std::size_t>(w)];
-  const EdgeCert point{t, d, std::max(cu.r_hi, cw.r_hi),
-                       std::min(cu.r_lo, cw.r_lo)};
+  const auto ui = static_cast<std::size_t>(u);
+  const auto wi = static_cast<std::size_t>(w);
+  EdgeCert raised{t, d, std::max(cache_.r_hi[ui], cache_.r_hi[wi]),
+                  std::min(cache_.r_lo[ui], cache_.r_lo[wi])};
   for (std::size_t i = eleaf0_ + e / kEdgeBlock; i >= 1; i /= 2) {
     EdgeCert& c = etree_[i];
-    if (c.loc != -sim::kInfinity && c.r_hi >= point.r_hi &&
-        c.r_lo <= point.r_lo && c.loc + (c.r_hi - c.r_lo) * (t - c.t) >= d) {
-      continue;
+    if (c.loc != -sim::kInfinity && c.r_hi >= raised.r_hi &&
+        c.r_lo <= raised.r_lo &&
+        c.loc + (c.r_hi - c.r_lo) * (t - c.t) >= raised.loc) {
+      return;
     }
     EdgeCert m = advanced(c, t);
-    merge(m, point);
+    merge(m, raised);
     c = m;
+    raised = m;
   }
 }
 
@@ -449,29 +479,54 @@ void SkewTracker::eval_node_leaf(const sim::Simulator& sim, std::size_t i,
   const std::size_t k = i - nleaf0_;
   if (nstamp_[k] == samples_) return;  // already exact at this sample
   nstamp_[k] = samples_;
-  const std::size_t end = std::min(cache_.size(), (k + 1) * kNodeBlock);
-  const double now = sim.now();
-  const bool audit = opt_.audit_epsilon > 0.0;
-  const CachedClock* cache = cache_.data();
-  double hi = -sim::kInfinity, lo = sim::kInfinity, env = -sim::kInfinity;
-  double r_hi = -sim::kInfinity, r_lo = sim::kInfinity;
-  for (std::size_t v = k * kNodeBlock; v < end; ++v) {
-    const CachedClock& c = cache[v];
-    if (!c.active) continue;
-    const double L = cached_logical(sim, static_cast<sim::NodeId>(v), c, now);
-    hi = std::max(hi, L);
-    lo = std::min(lo, L);
-    r_hi = std::max(r_hi, c.r_hi);
-    r_lo = std::min(r_lo, c.r_lo);
-    if (audit) env = std::max(env, envelope_violation(L, t, c.start));
+  const std::size_t begin = k * kNodeBlock;
+  const std::size_t end = std::min(cache_.active.size(), begin + kNodeBlock);
+  const bool lines = leaf_virtual_[k] == 0;
+  NodeCert c;
+  if (opt_.audit_epsilon > 0.0) {
+    lines ? fold_node_leaf<true, true>(sim, begin, end, t, c)
+          : fold_node_leaf<false, true>(sim, begin, end, t, c);
+    if (c.hi != -sim::kInfinity) {
+      max_envelope_violation_ = std::max(max_envelope_violation_, c.env);
+    }
+  } else {
+    lines ? fold_node_leaf<true, false>(sim, begin, end, t, c)
+          : fold_node_leaf<false, false>(sim, begin, end, t, c);
   }
-  if (hi == -sim::kInfinity) {
+  if (c.hi == -sim::kInfinity) {
     ntree_[i] = NodeCert{t};
     return;
   }
-  magnitude_ = std::max({magnitude_, std::abs(hi), std::abs(lo)});
-  if (audit) max_envelope_violation_ = std::max(max_envelope_violation_, env);
-  ntree_[i] = NodeCert{t, hi, lo, env, r_hi, r_lo};
+  magnitude_ = std::max({magnitude_, std::abs(c.hi), std::abs(c.lo)});
+  ntree_[i] = c;
+}
+
+// With kLines every clock is read from the cache arrays and an inactive
+// one folds as the identity of min and max, so the loop has no branch;
+// otherwise inactive clocks are skipped and clocks without a view are
+// read through Simulator::logical().  Either way each active clock's
+// value is the oracle's, and the fold meets the clocks in id order.
+template <bool kLines, bool kAudit>
+void SkewTracker::fold_node_leaf(const sim::Simulator& sim, std::size_t begin,
+                                 std::size_t end, double t,
+                                 NodeCert& out) const {
+  constexpr double kInf = sim::kInfinity;
+  const double now = sim.now();
+  const ClockCache& c = cache_;
+  double hi = -kInf, lo = kInf, env = -kInf, r_hi = -kInf, r_lo = kInf;
+  for (std::size_t v = begin; v < end; ++v) {
+    const bool on = c.active[v] != 0;
+    if (!kLines && !on) continue;
+    const double L = kLines ? line_at(v, now) : cached_logical(sim, v, now);
+    hi = std::max(hi, on ? L : -kInf);
+    lo = std::min(lo, on ? L : kInf);
+    r_hi = std::max(r_hi, on ? c.r_hi[v] : -kInf);
+    r_lo = std::min(r_lo, on ? c.r_lo[v] : kInf);
+    if constexpr (kAudit) {
+      env = std::max(env, on ? envelope_violation(L, t, c.start[v]) : -kInf);
+    }
+  }
+  out = NodeCert{t, hi, lo, env, r_hi, r_lo};
 }
 
 void SkewTracker::eval_edge_leaf(const sim::Simulator& sim, std::size_t i,
@@ -484,16 +539,15 @@ void SkewTracker::eval_edge_leaf(const sim::Simulator& sim, std::size_t i,
   const double now = sim.now();
   double loc = -sim::kInfinity;
   double r_hi = -sim::kInfinity, r_lo = sim::kInfinity;
-  const CachedClock* cache = cache_.data();
+  const ClockCache& c = cache_;
   for (std::size_t e = k * kEdgeBlock; e < end; ++e) {
-    const auto [u, w] = edges[e];
-    const CachedClock& cu = cache[static_cast<std::size_t>(u)];
-    const CachedClock& cw = cache[static_cast<std::size_t>(w)];
-    if (!cu.active || !cw.active || !sim.link_up(e)) continue;
-    loc = std::max(loc, std::abs(cached_logical(sim, u, cu, now) -
-                                 cached_logical(sim, w, cw, now)));
-    r_hi = std::max({r_hi, cu.r_hi, cw.r_hi});
-    r_lo = std::min({r_lo, cu.r_lo, cw.r_lo});
+    const auto u = static_cast<std::size_t>(edges[e].first);
+    const auto w = static_cast<std::size_t>(edges[e].second);
+    if (c.active[u] == 0 || c.active[w] == 0 || !sim.link_up(e)) continue;
+    loc = std::max(loc, std::abs(cached_logical(sim, u, now) -
+                                 cached_logical(sim, w, now)));
+    r_hi = std::max({r_hi, c.r_hi[u], c.r_hi[w]});
+    r_lo = std::min({r_lo, c.r_lo[u], c.r_lo[w]});
   }
   if (loc == -sim::kInfinity) {
     etree_[i] = EdgeCert{t};
@@ -599,9 +653,19 @@ void SkewTracker::full_scan(const sim::Simulator& sim, double t) {
   if (!scanned_once_) {
     // First pass: allocate the cache and the trees, fill every entry.
     const sim::NodeId n = sim.num_nodes();
-    cache_.assign(static_cast<std::size_t>(n), CachedClock{});
+    const auto un = static_cast<std::size_t>(n);
+    for (std::vector<double>* a :
+         {&cache_.offset, &cache_.slope, &cache_.h_ref, &cache_.ha, &cache_.ta,
+          &cache_.h, &cache_.start, &cache_.rate, &cache_.r_lo, &cache_.r_hi}) {
+      a->assign(un, 0.0);
+    }
+    for (std::vector<char>* a :
+         {&cache_.view, &cache_.bounded, &cache_.active}) {
+      a->assign(un, 0);
+    }
+    nleaf0_ = leaf_base(un, kNodeBlock);
+    leaf_virtual_.assign(nleaf0_, 0);
     for (sim::NodeId v = 0; v < n; ++v) refresh(sim, v);
-    nleaf0_ = leaf_base(cache_.size(), kNodeBlock);
     ntree_.assign(2 * nleaf0_, NodeCert{});
     nstamp_.assign(nleaf0_, 0);
     const std::size_t ne = sim.topology().edges().size();
@@ -640,14 +704,14 @@ void SkewTracker::full_scan_impl(const sim::Simulator& sim, double t) {
       continue;
     }
     any_awake = true;
-    const double L = kCached ? cached_logical(sim, v, now) : sim.logical(v);
+    const double L = kCached ? cached_logical(sim, i, now) : sim.logical(v);
     logical_scratch_[i] = L;
     lo = std::min(lo, L);
     hi = std::max(hi, L);
 
     // Rate audit: instantaneous logical rate = rho_v * h_v.
     const double rate =
-        kCached ? cache_[i].rate
+        kCached ? cache_.rate[i]
                 : sim.node(v).rate_multiplier() * sim.clock(v).rate();
     min_logical_rate_ = std::min(min_logical_rate_, rate);
     max_logical_rate_ = std::max(max_logical_rate_, rate);

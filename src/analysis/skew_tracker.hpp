@@ -26,8 +26,13 @@
 //      lists.  The cache holds both lines per node, refreshed for touched
 //      nodes only, so an exact read is a few flops:
 //      offset + slope * ((H_a + h (now - t_a)) - h_ref), the operations of
-//      Simulator::logical() in its order and hence bit-identical to it.
-//      Nodes without a view are read through Simulator::logical(); their
+//      Simulator::logical() in its order, with no fused multiply-add,
+//      and hence bit-identical to it.  It is a struct of arrays,
+//      one array per field, so a leaf of 16 clocks is a few contiguous
+//      runs, folded without a branch when every active clock in it has a
+//      view (inactive ones fold as the identity of min and max).  Nodes
+//      without a view are read through Simulator::logical(), and a
+//      per-leaf count of them sends their leaves down that path; their
 //      slope lies between min(1, rho_v) h_v and max(1, rho_v) h_v
 //      (Node::slope_bounded()), and the certificates extrapolate them at
 //      those two rates.
@@ -36,14 +41,25 @@
 //      tree over node ids (leaves of 16) bounds each subtree's max clock,
 //      min clock and Condition (1) violation; one over edge ids (leaves of
 //      32) bounds each subtree's local skew.  Each tree node keeps its own
-//      bound, anchor time and rate span, extrapolated plus a guard.  Per
-//      sample, the touched nodes are read exactly and raise the paths
-//      above their leaves, and the roots are checked against the running
-//      maxima: O(log n + deg log E).  A root that reaches its maximum
-//      sends a descent into only the subtrees whose bounds reach it; their
-//      leaves are evaluated exactly and the visited paths re-tightened.
-//      Ties and new records (the skew sitting exactly on its maximum, or
-//      growing during wake-up) cost one cached read per node.
+//      bound, anchor time and rate span, extrapolated plus a guard, and
+//      dominates its children: its lines lie on or outside theirs from
+//      now on and its rates span theirs.  Per sample, the touched nodes
+//      are read exactly and raise the paths above their leaves; a raise
+//      stops at the first level that already covers what was raised
+//      below it, since dominance makes every level above cover it too.
+//      The roots are then checked against the running maxima: a root that
+//      reaches its maximum sends a descent into only the subtrees whose
+//      bounds reach it; their leaves are evaluated exactly and the
+//      visited paths re-tightened.
+//
+//      Plateaus are what this cannot prune.  When a skew sits on its
+//      running maximum (ftgcs under square drift holds it there for long
+//      stretches, with many clocks tied within the guard), the root
+//      reaches the maximum at every sample, and every leaf holding a
+//      clock within a guard of the extreme has a bound that reaches it
+//      too, so the descent evaluates those leaves exactly: one cached
+//      read per clock.  Only an exact fold can tell a tie from a new
+//      record, which is why the leaf fold is kept branch-free and cheap.
 //
 //    Only exact values write a running maximum, so every reported figure
 //    is bit-identical to the oracle's.  Every node and edge is evaluated
@@ -334,30 +350,33 @@ class SkewTracker {
   double envelope_violation(double L, double t, double tv) const;
 
   // ---- incremental engine: affine clock cache -------------------------------
-  /// One node's entry: its Affine view and its hardware clock's line, as
-  /// of the node's last event.
-  struct CachedClock {
-    double offset = 0.0, slope = 0.0, h_ref = 0.0;  // the node's Affine view
-    double ha = 0.0, ta = 0.0, h = 0.0, start = 0.0;  // its hardware clock
-    double rate = 0.0;  // the logical rate rho_v * h_v (Condition (2))
-    double r_lo = 0.0, r_hi = 0.0;  // bounds on dL/dt until the next event
-    bool view = false;     // the node returned a view
-    bool bounded = false;  // Node::slope_bounded()
-    bool active = false;   // awake and not excluded
+  /// Every node's Affine view and its hardware clock's line, as of the
+  /// node's last event: one array per field, indexed by node id, so a leaf
+  /// of kNodeBlock clocks is read as a few contiguous runs.
+  struct ClockCache {
+    std::vector<double> offset, slope, h_ref;  // the node's Affine view
+    std::vector<double> ha, ta, h, start;      // its hardware clock
+    std::vector<double> rate;  // the logical rate rho_v * h_v (Condition (2))
+    std::vector<double> r_lo, r_hi;  // bounds on dL/dt until the next event
+    std::vector<char> view;     // the node returned a view
+    std::vector<char> bounded;  // Node::slope_bounded()
+    std::vector<char> active;   // awake and not excluded
   };
   void refresh(const sim::Simulator& sim, sim::NodeId v);
-  /// L_v(now) through the cache: Simulator::logical()'s operations in its
-  /// order, so bit-identical to it; nodes without a view take the virtual
-  /// path.
-  static double cached_logical(const sim::Simulator& sim, sim::NodeId v,
-                               const CachedClock& c, double now) {
-    if (!c.view) return sim.logical(v);
-    const double h = now <= c.start ? 0.0 : c.ha + c.h * (now - c.ta);
-    return c.offset + c.slope * (h - c.h_ref);
+  /// L_v(now) from the cached lines: Simulator::logical()'s operations in
+  /// its order, so bit-identical to it for a node with a view.
+  double line_at(std::size_t v, double now) const {
+    const ClockCache& c = cache_;
+    const double h =
+        now <= c.start[v] ? 0.0 : c.ha[v] + c.h[v] * (now - c.ta[v]);
+    return c.offset[v] + c.slope[v] * (h - c.h_ref[v]);
   }
-  double cached_logical(const sim::Simulator& sim, sim::NodeId v,
+  /// L_v(now) through the cache; nodes without a view take the virtual
+  /// path.
+  double cached_logical(const sim::Simulator& sim, std::size_t v,
                         double now) const {
-    return cached_logical(sim, v, cache_[static_cast<std::size_t>(v)], now);
+    if (cache_.view[v] == 0) return sim.logical(static_cast<sim::NodeId>(v));
+    return line_at(v, now);
   }
 
   // ---- incremental engine: per-subtree certificates ----------------------
@@ -385,6 +404,12 @@ class SkewTracker {
   void retighten_node(std::size_t i, double t);
   void retighten_edge(std::size_t i, double t);
   void eval_node_leaf(const sim::Simulator& sim, std::size_t i, double t);
+  /// eval_node_leaf()'s fold over the leaf's clocks [begin, end), into
+  /// `out`.  kLines: every active clock has a view, so the fold reads the
+  /// cache arrays without a branch.
+  template <bool kLines, bool kAudit>
+  void fold_node_leaf(const sim::Simulator& sim, std::size_t begin,
+                      std::size_t end, double t, NodeCert& out) const;
   void eval_edge_leaf(const sim::Simulator& sim, std::size_t i, double t);
   void search_hi(const sim::Simulator& sim, std::size_t i, double t,
                  double& hi);
@@ -437,15 +462,20 @@ class SkewTracker {
 
   // ---- incremental-engine state -------------------------------------------
   // Allocated at the first full scan of the incremental engine only.
-  // The affine clock cache, by node id, refreshed for every touched node.
-  std::vector<CachedClock> cache_;
+  // The affine clock cache, refreshed for every touched node.
+  ClockCache cache_;
+  // Active clocks without a view, per node leaf: a leaf with none is
+  // evaluated from the cache arrays alone.
+  std::vector<std::uint32_t> leaf_virtual_;
   // Certificate trees: implicit binary heaps (root 1, children 2i and
   // 2i+1) whose leaves ntree_[nleaf0_ + k] / etree_[eleaf0_ + k] cover
-  // blocks of kNodeBlock node ids / kEdgeBlock edge ids.  Invariant: each
-  // certificate bounds the oracle's values for its subtree at every time
-  // from its anchor on, so a bound below a running maximum proves the
-  // subtree cannot raise it.  Touches raise the paths above their leaves;
-  // descents evaluate leaves exactly and re-tighten the paths they visit.
+  // blocks of kNodeBlock node ids / kEdgeBlock edge ids.  Invariants:
+  // each certificate bounds the oracle's values for its subtree at every
+  // time from its anchor on, so a bound below a running maximum proves
+  // the subtree cannot raise it; and each certificate dominates its
+  // children's (see raise_node()).  Touches raise the paths above their
+  // leaves; descents evaluate leaves exactly and re-tighten the paths
+  // they visit.
   std::vector<NodeCert> ntree_;
   std::vector<EdgeCert> etree_;
   std::size_t nleaf0_ = 0;

@@ -12,6 +12,7 @@
 #include "core/aopt_variants.hpp"
 #include "core/envelope_sync.hpp"
 #include "core/external_sync.hpp"
+#include "graph/partition.hpp"
 #include "graph/topologies.hpp"
 #include "sim/rng.hpp"
 #include "sim/tick_quantizer.hpp"
@@ -396,6 +397,11 @@ BuiltExperiment build_experiment(const ExperimentConfig& cfg) {
                             "T/1000");
   }
 
+  // --partition auto asks whether the topology is a tree, so it resolves
+  // before churn's extra edges make every graph look like it is not one.
+  const std::string partition =
+      graph::Partition::resolve_strategy(*built.graph, cfg.partition);
+
   // Churn resolves against the topology *before* the simulator snapshots
   // it: extend_universe appends the insertion-churn edges, and the sharded
   // engine's cut tables must cover them.
@@ -416,7 +422,7 @@ BuiltExperiment build_experiment(const ExperimentConfig& cfg) {
   scfg.probe_interval = cfg.delay;
   built.simulator = std::make_unique<sim::Simulator>(*built.graph, scfg);
   if (cfg.shards > 0) {
-    built.simulator->configure_shards(cfg.shards, cfg.partition,
+    built.simulator->configure_shards(cfg.shards, partition,
                                       cfg.min_shard_nodes);
   }
   // After configure_shards: initial absences/downed links address the

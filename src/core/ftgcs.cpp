@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <utility>
 
 #include "core/rate_rule.hpp"
@@ -93,6 +92,31 @@ bool FtGcsNode::accept_report(sim::NodeId from, double recv_l,
   return true;
 }
 
+namespace {
+
+// One step of a one-pass rank: buf[0, cap) holds the `cap` largest values
+// met so far, largest first (-inf while fewer were met), and x bubbles
+// through it with a compare-exchange per entry, without a branch.  After
+// a pass over at least cap values, buf[cap - 1] is the cap-th largest.
+// keep_smallest() is its mirror image (+inf while fewer were met).
+void keep_largest(double* buf, std::size_t cap, double x) {
+  for (std::size_t j = 0; j < cap; ++j) {
+    const double kept = std::max(buf[j], x);
+    x = std::min(buf[j], x);
+    buf[j] = kept;
+  }
+}
+
+void keep_smallest(double* buf, std::size_t cap, double x) {
+  for (std::size_t j = 0; j < cap; ++j) {
+    const double kept = std::min(buf[j], x);
+    x = std::max(buf[j], x);
+    buf[j] = kept;
+  }
+}
+
+}  // namespace
+
 double FtGcsNode::adopt_lmax(sim::NodeId from, double recv_lmax) {
   if (!vouched_adoption()) return AoptNode::adopt_lmax(from, recv_lmax);
   // The (f+1)-th largest vouch (largest when f = 0 or trimming is off):
@@ -103,40 +127,40 @@ double FtGcsNode::adopt_lmax(sim::NodeId from, double recv_lmax) {
   const std::size_t f =
       ft_.trim ? static_cast<std::size_t>(ft_.f) : std::size_t{0};
   if (creds_.size() <= f) return -sim::kInfinity;  // cannot out-vote f liars
-  if (f == 0) {
-    double best = -sim::kInfinity;
-    for (const Cred& c : creds_) best = std::max(best, c.vouch_lmax);
-    return best;
+  scratch_.assign(f + 1, -sim::kInfinity);
+  for (const Cred& c : creds_) {
+    keep_largest(scratch_.data(), f + 1, c.vouch_lmax);
   }
-  scratch_.clear();
-  for (const Cred& c : creds_) scratch_.push_back(c.vouch_lmax);
-  std::nth_element(scratch_.begin(), scratch_.begin() + static_cast<long>(f),
-                   scratch_.end(), std::greater<double>());
   return scratch_[f];
 }
 
-double FtGcsNode::trimmed_extreme(bool up) const {
+FtGcsNode::Lambdas FtGcsNode::trimmed_lambdas() const {
   const auto f = static_cast<std::size_t>(ft_.f);
-  if (neighbors_.size() <= f) return 0.0;  // cannot out-vote f liars
-  scratch_.clear();
+  if (neighbors_.size() <= f) return {};  // cannot out-vote f liars
+  // The (f+1)-th largest and smallest estimates, in one pass: at most f
+  // ranks beyond each are adversarial, so at least one correct neighbor
+  // witnesses a skew this large.
+  scratch_.assign(f + 1, -sim::kInfinity);
+  scratch_.resize(2 * (f + 1), sim::kInfinity);
+  double* top = scratch_.data();
+  double* bottom = top + f + 1;
   for (const NeighborEstimate& nb : neighbors_) {
-    scratch_.push_back(up ? nb.est - L_ : L_ - nb.est);
+    keep_largest(top, f + 1, nb.est);
+    keep_smallest(bottom, f + 1, nb.est);
   }
-  // The (f+1)-th largest: at most f ranks above it are adversarial, so at
-  // least one correct neighbor witnesses a skew this large.
-  std::nth_element(scratch_.begin(), scratch_.begin() + static_cast<long>(f),
-                   scratch_.end(), std::greater<double>());
-  return scratch_[f];
+  // Rounding is monotone, so x - L_ keeps the order of the estimates and
+  // L_ - x reverses it: these are the (f+1)-th largest skews each way.
+  return {top[f] - L_, L_ - bottom[f]};
 }
 
 double FtGcsNode::lambda_up_trimmed() const {
   if (!ft_.trim || ft_.f <= 0) return lambda_up();
-  return neighbors_.empty() ? 0.0 : trimmed_extreme(true);
+  return trimmed_lambdas().up;
 }
 
 double FtGcsNode::lambda_dn_trimmed() const {
   if (!ft_.trim || ft_.f <= 0) return lambda_dn();
-  return neighbors_.empty() ? 0.0 : trimmed_extreme(false);
+  return trimmed_lambdas().dn;
 }
 
 void FtGcsNode::run_set_clock_rate(sim::NodeServices& sv) {
@@ -144,9 +168,9 @@ void FtGcsNode::run_set_clock_rate(sim::NodeServices& sv) {
     AoptNode::run_set_clock_rate(sv);  // bit-identical to A^opt
     return;
   }
-  const double r = clock_increase(trimmed_extreme(true), trimmed_extreme(false),
-                                  params().kappa, Lmax_ - L_);
-  apply_clock_increase(sv, r);
+  const Lambdas lambda = trimmed_lambdas();
+  apply_clock_increase(sv, clock_increase(lambda.up, lambda.dn,
+                                          params().kappa, Lmax_ - L_));
 }
 
 void FtGcsNode::on_scramble(sim::NodeServices& sv, std::uint64_t seed,

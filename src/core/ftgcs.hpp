@@ -135,13 +135,19 @@ class FtGcsNode : public AoptNode {
   /// Whether L^max adoption goes through the vouch vote instead of the
   /// raw report (any defense layer on).
   bool vouched_adoption() const { return ft_.envelope_filter || ft_.trim; }
-  double trimmed_extreme(bool up) const;
+  /// Lambda_up and Lambda_dn trimmed at depth f: the (f+1)-th largest
+  /// neighbor skew each way, or 0 with at most f neighbors.
+  struct Lambdas {
+    double up = 0.0;
+    double dn = 0.0;
+  };
+  Lambdas trimmed_lambdas() const;
 
   FtGcsOptions ft_;
   double rate_env_ = 1.0;
   double slack_ = 0.0;
   std::vector<Cred> creds_;
-  mutable std::vector<double> scratch_;  // trim workspace
+  mutable std::vector<double> scratch_;  // the rank buffers, 2 (f+1) entries
   std::uint64_t filtered_ = 0;
 };
 

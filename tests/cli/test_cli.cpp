@@ -252,6 +252,34 @@ TEST(ExperimentConfig, ChurnRepartitionOtherThanFalseThrows) {
   EXPECT_THROW(build_experiment(cfg), ConfigError);
 }
 
+// --partition auto routes trees to the multilevel partitioner.  Churn's
+// extra edges must not hide the tree: the strategy is resolved on the
+// topology, before the churn plan extends its edge universe.
+TEST(ExperimentConfig, AutoPartitionResolvesOnTopologyBeforeChurn) {
+  ExperimentConfig cfg;
+  cfg.topology = "tree";
+  cfg.arity = 2;
+  cfg.levels = 8;
+  cfg.algorithm = "kllo";
+  cfg.delays = "band";
+  cfg.wake_all = true;
+  cfg.duration = 5.0;
+  cfg.shards = 4;
+  cfg.min_shard_nodes = 0;
+  EXPECT_EQ(build_experiment(cfg).simulator->partition_strategy(), "ml");
+  cfg.churn_node_rate = 0.002;
+  cfg.churn_edge_rate = 0.005;
+  cfg.churn_extra_edges = 0.1;
+  const BuiltExperiment churned = build_experiment(cfg);
+  EXPECT_GT(churned.graph->num_edges() + 1,
+            static_cast<std::size_t>(churned.graph->num_nodes()));
+  EXPECT_EQ(churned.simulator->partition_strategy(), "ml");
+  // Not a tree, with or without churn.
+  cfg.topology = "torus";
+  cfg.rows = cfg.cols = 12;
+  EXPECT_EQ(build_experiment(cfg).simulator->partition_strategy(), "block");
+}
+
 TEST(ExperimentConfig, NonPositiveOrNonFiniteDurationThrows) {
   for (const double d : {0.0, -5.0, std::nan(""), HUGE_VAL}) {
     ExperimentConfig cfg;

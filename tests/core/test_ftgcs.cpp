@@ -9,9 +9,14 @@
 // report, so a Byzantine wake-flood cannot seed arbitrary state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -248,6 +253,81 @@ TEST(FtGcs, ScrambleCorruptsCredsAndRecovers) {
     hi = std::max(hi, L);
   }
   EXPECT_LT(hi - lo, 15.0);
+}
+
+// Feeds the estimate layer directly: neighbor estimates and first-contact
+// vouches, so the trimmed ranks can be read for any multiset.
+class RankProbe : public FtGcsNode {
+ public:
+  explicit RankProbe(int f)
+      : FtGcsNode(SyncParams::recommended(1.0, 0.02, 0.3), AoptOptions{},
+                  FtGcsOptions{f, true, true, 0.0}) {}
+  void set_estimates(double L, const std::vector<double>& est) {
+    L_ = L;
+    neighbors_.clear();
+    for (std::size_t i = 0; i < est.size(); ++i) {
+      neighbors_.push_back(
+          NeighborEstimate{static_cast<sim::NodeId>(i), est[i], est[i], 0.0});
+    }
+  }
+  // Each report is a first contact, whose vouch is the reported L^max.
+  double adopt(const std::vector<double>& vouches) {
+    for (std::size_t i = 0; i < vouches.size(); ++i) {
+      accept_report(static_cast<sim::NodeId>(i), 0.0, vouches[i]);
+    }
+    return adopt_lmax(0, 0.0);
+  }
+};
+
+// The (f+1)-th largest of xs by std::nth_element, the form the one-pass
+// ranks replaced, or `none` with at most f values.
+double nth_largest(std::vector<double> xs, std::size_t f, double none) {
+  if (xs.size() <= f) return none;
+  std::nth_element(xs.begin(), xs.begin() + static_cast<long>(f), xs.end(),
+                   std::greater<double>());
+  return xs[f];
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// The one-pass ranks must equal the nth_element reference bit for bit: on
+// the skews est - L and L - est (rounding is monotone, so ranking the
+// estimates first loses nothing) and on the vouches, with ties,
+// duplicates, and at most f values (Lambda 0, no adoption).
+TEST(FtGcs, OnePassRanksMatchNthElement) {
+  std::mt19937_64 rng(20240);
+  // A small pool makes ties and duplicates common; the wide values make
+  // the subtractions round.
+  const std::vector<double> pool = {-3.0, -1.5, 0.0, 0.1, 0.7, 1.0 / 3.0,
+                                    2.0, 2.0 + 1e-15, 1e9 + 0.3, -7e8};
+  const auto draw = [&] {
+    return pool[std::uniform_int_distribution<std::size_t>(0, pool.size() - 1)(rng)];
+  };
+  for (int f = 0; f <= 3; ++f) {
+    const auto uf = static_cast<std::size_t>(f);
+    for (int trial = 0; trial < 400; ++trial) {
+      const std::size_t n = static_cast<std::size_t>(trial % 13);
+      std::vector<double> est(n), vouch(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        est[i] = draw();
+        vouch[i] = draw();
+      }
+      const double L = draw();
+      std::vector<double> up(n), dn(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        up[i] = est[i] - L;
+        dn[i] = L - est[i];
+      }
+      RankProbe probe(f);
+      probe.set_estimates(L, est);
+      SCOPED_TRACE("f=" + std::to_string(f) + " n=" + std::to_string(n) +
+                   " trial=" + std::to_string(trial));
+      EXPECT_EQ(bits(probe.lambda_up_trimmed()), bits(nth_largest(up, uf, 0.0)));
+      EXPECT_EQ(bits(probe.lambda_dn_trimmed()), bits(nth_largest(dn, uf, 0.0)));
+      EXPECT_EQ(bits(probe.adopt(vouch)),
+                bits(nth_largest(vouch, uf, -sim::kInfinity)));
+    }
+  }
 }
 
 }  // namespace

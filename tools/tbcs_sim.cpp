@@ -300,7 +300,8 @@ int main(int argc, char** argv) {
     if (sim.shards() > 0) {
       const auto bal = sim.partition()->balance();
       summary.add_row(
-          {"shards", std::to_string(sim.shards()) + " (" + cfg.partition +
+          {"shards", std::to_string(sim.shards()) + " (" +
+                         sim.partition_strategy() +
                          ", cut " + std::to_string(bal.cut_edges) + "/" +
                          std::to_string(built.graph->num_edges()) +
                          " edges, imbalance " +
