@@ -338,6 +338,9 @@ int main(int argc, char** argv) {
   // engine-side cost of dynamic membership: presence gating on every
   // delivery, link-up/down flushing, and (sharded) cross-lane membership
   // barriers.  Combine with --shards for sharded rows (default K = 0).
+  // The grid rows are perfbench's churn_torus shape: a block partition
+  // whose extra edges put nearly every node near a cut, so every queue
+  // push and timer arm feeds the cut-aware horizon's bookkeeping.
   if (!churn_axis.empty()) {
     const std::vector<int> churn_sizes =
         quick ? std::vector<int>{64} : std::vector<int>{1024, 16384, 100000};
@@ -348,7 +351,7 @@ int main(int argc, char** argv) {
     };
     const std::vector<int> churn_shards =
         shard_axis.empty() ? std::vector<int>{0} : shard_axis;
-    for (const char* topo : {"line", "tree"}) {
+    for (const char* topo : {"line", "tree", "grid"}) {
       for (const int n : churn_sizes) {
         const double dur = churn_duration_for(n);
         for (const double rate : churn_axis) {

@@ -8,7 +8,8 @@
 #      oracle, fuzz and analysis tests, the simulator and recorder tests, the
 #      graph, topology, partition, churn-plan and fault-plan tests, the
 #      event-queue tests (the ladder internals and the queue API), the
-#      timer-wheel tests, the churn-equivalence tests (lanes, wheels and
+#      timer-wheel tests, the boundary-calendar fuzz (the horizon's
+#      bucket ring and far list), the churn-equivalence tests (lanes, wheels and
 #      slabs under joins, leaves and link churn) and the A^opt-family
 #      tests (aopt unit, adaptive delay, variants, ftgcs, dyn-gcs) with
 #      ASan+UBSan (-DTBCS_SANITIZE=address,undefined) and run them.  The threaded runtime (detached wedged threads,
@@ -77,7 +78,7 @@ cmake --build build-asan -j "$JOBS" --target \
   test_simulator \
   test_recorder test_graph test_topologies test_partition test_churn_plan \
   test_fault_plan test_ladder_queue test_event_queue test_timer_wheel \
-  test_churn_equivalence \
+  test_boundary_calendar test_churn_equivalence \
   test_aopt_unit test_adaptive_delay test_variants_unit test_ftgcs \
   test_dyn_gcs
 
@@ -104,6 +105,7 @@ build-asan/tests/test_fault_plan
 build-asan/tests/test_ladder_queue
 build-asan/tests/test_event_queue
 build-asan/tests/test_timer_wheel
+build-asan/tests/test_boundary_calendar
 build-asan/tests/test_churn_equivalence
 build-asan/tests/test_aopt_unit
 build-asan/tests/test_adaptive_delay

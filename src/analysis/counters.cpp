@@ -58,15 +58,17 @@ void write_stats_json(std::ostream& os, const sim::Simulator& sim,
      << ", \"timer_fires\": " << queue.timer_fires
      << ", \"timer_cancels\": " << queue.timer_cancels
      << ", \"cancel_share\": " << queue.cancel_share << "},\n";
-  // Engine shape: requested vs auto-clamped shard count and the partition
-  // strategy.  Deliberately partition-*dependent* — byte-comparison gates
-  // that check shard-count invariance must filter this block out.
+  // Engine shape: requested vs auto-clamped shard count, the partition
+  // strategy, and the windows and observation barriers run.  Deliberately
+  // partition-*dependent* — byte-comparison gates that check shard-count
+  // invariance must filter this block out.
   os << "  \"engine\": {"
      << "\"shards_requested\": " << sim.shards_requested()
      << ", \"shards_effective\": " << sim.shards()
      << ", \"partition\": \""
      << (sim.shards() > 0 ? sim.partition_strategy() : std::string("serial"))
-     << "\"},\n";
+     << "\", \"windows\": " << sim.windows()
+     << ", \"obs_barriers\": " << sim.obs_barriers() << "},\n";
   // Queue-internal detail: bucket churn, wheel cascades and allocated
   // slots when the stats are written, summed over the lanes.
   // queue_capacity counts every event slot the queue holds (run, rung

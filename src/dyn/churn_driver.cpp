@@ -26,7 +26,7 @@ double ChurnDriver::live_cut_fraction() const {
   std::size_t live = 0;
   std::size_t live_cut = 0;
   for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (!sim_.link_up(edges[e].first, edges[e].second)) continue;
+    if (!sim_.link_up(e)) continue;
     ++live;
     live_cut += part->edge_is_cut(static_cast<std::uint32_t>(e)) ? 1 : 0;
   }
@@ -40,10 +40,12 @@ void ChurnDriver::run(double t_end) {
   while (t < t_end) {
     t = std::min(t + opt_.check_interval, t_end);
     sim_.run_until(t);
-    if (!sharded) continue;
-    ++checks_;
-    last_fraction_ = live_cut_fraction();
+    if (sharded) ++checks_;
   }
+}
+
+double ChurnDriver::last_cut_fraction() const {
+  return checks_ > 0 ? live_cut_fraction() : 0.0;
 }
 
 }  // namespace tbcs::dyn

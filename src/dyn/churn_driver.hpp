@@ -15,6 +15,8 @@
 // horizon, though, and so an observation point of a sharded run; keeping
 // the cadence keeps a sharded run's skew figures where they are.  The
 // serial engine has no partition; the driver then just paces run_until.
+// The cut fraction is a walk over every edge, so it is computed only
+// when read, not at each boundary.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +43,11 @@ class ChurnDriver {
   void run(double t_end);
 
   // ---- inspection ------------------------------------------------------------
+  /// Interval boundaries a sharded run has passed (0 when serial).
   std::uint64_t checks() const { return checks_; }
-  double last_cut_fraction() const { return last_fraction_; }
+  /// live_cut_fraction() at the last boundary, computed when read; 0
+  /// before the first check.
+  double last_cut_fraction() const;
 
   /// Fraction of live (link-up) edges that cross shards under the
   /// partition; 0 when serial or no live edges.
@@ -51,7 +56,6 @@ class ChurnDriver {
  private:
   sim::Simulator& sim_;
   ChurnDriverOptions opt_;
-  double last_fraction_ = 0.0;
   std::uint64_t checks_ = 0;
 };
 

@@ -270,6 +270,13 @@ void Simulator::setup() {
           "lower-bounded delays); this policy cannot");
     }
     compute_lane_lookahead();
+    // Entries filed before now (a churn plan's link changes and joins)
+    // wait in the calendars' far lists until the width is known.
+    if (!cut_dist_.empty()) {
+      for (Lane& ln : lanes_) {
+        for (BoundaryCalendar& c : ln.bnd) c.set_width(lookahead_);
+      }
+    }
   }
   size_lanes();
   // Serial, and before any lane runs: drift policies grow their per-node
@@ -387,8 +394,8 @@ void Simulator::compute_lane_lookahead() {
 
 void Simulator::note_queued(Lane& dest, NodeId a, NodeId b, RealTime t) {
   // A no-op with fewer than two lanes (cut_dist_ is empty).  A push during
-  // a window only ever targets the pushing lane's own queue, so the heaps
-  // need no locking.
+  // a window only ever targets the pushing lane's own queue, so the
+  // calendars need no locking.
   if (cut_dist_.empty()) return;
   std::uint8_t d = cut_dist_[static_cast<std::size_t>(a)];
   if (b != kInvalidNode) {
@@ -396,6 +403,20 @@ void Simulator::note_queued(Lane& dest, NodeId a, NodeId b, RealTime t) {
   }
   if (d < kMaxCutDist) dest.bnd[d].push(t);
 }
+
+namespace {
+
+[[noreturn]] void throw_below_horizon(int lane, RealTime t, RealTime w_end) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "Simulator: lane %d sent a cross-lane delivery at t=%.17g, "
+                "below the window end W_end=%.17g (the safe horizon is "
+                "unsound)",
+                lane, t, w_end);
+  throw std::logic_error(buf);
+}
+
+}  // namespace
 
 void Simulator::push_event(Event e, NodeId source) {
   stamp(e, source);
@@ -447,9 +468,12 @@ void Simulator::push_delivery(Lane& ln, Event e, NodeId source,
     note_queued(dest, e.node, kInvalidNode, e.time);
   } else {
     // Cross-shard: the conservative horizon guarantees e.time >= W_end, so
-    // parking it in the outbox until the barrier loses nothing.
-    assert(e.time >= win_end_ - kTimeTolerance &&
-           "cross-shard delivery below the safe horizon");
+    // parking it in the outbox until the barrier loses nothing.  Checked
+    // in every build, one compare per cross-lane send: a delivery below
+    // W_end would reach a lane that has already run past it.
+    if (e.time < win_end_ - kTimeTolerance) {
+      throw_below_horizon(ln.index, e.time, win_end_);
+    }
     ln.outbox[static_cast<std::size_t>(dest.index)].push_back(
         Lane::OutMsg{e, m});
   }
@@ -516,27 +540,33 @@ void Simulator::prefetch_upcoming(Lane& ln) {
 #endif
 }
 
+RealTime Simulator::boundary_min(Lane& ln, RealTime floor) {
+  RealTime boundary = ln.bnd[0].min_from(floor);
+  if (ln.delta_intra < kInfinity) {
+    for (int d = 1; d < kMaxCutDist; ++d) {
+      boundary = std::min(
+          boundary, ln.bnd[static_cast<std::size_t>(d)].min_from(floor) +
+                        static_cast<double>(d) * ln.delta_intra);
+    }
+  }
+  return boundary;
+}
+
 RealTime Simulator::safe_horizon() {
   // Earliest possible cross-shard arrival, over all lanes: an event must
-  // first reach one of the lane's cut nodes (boundary_time, from the lazy
-  // per-distance heaps and the kMaxCutDist-hop bound), then cross
-  // (la_out).  The heaps are cleaned here, on the coordinator thread
-  // between windows — every entry below the lane's clock belongs to an
-  // already-processed event.
+  // first reach one of the lane's cut nodes (boundary_time, from the
+  // per-distance calendars and the kMaxCutDist-hop bound), then cross
+  // (la_out).  Every calendar entry below the barrier time belongs to an
+  // already-processed event.  A lane that ran this window already dropped
+  // those and cached its minima at the window end (process_window), and
+  // the barrier's outbox entries were folded in as they were filed, so
+  // this is O(1) per calendar; a lane the dispatch fast path left idle
+  // catches up here.
   RealTime horizon = kInfinity;
   for (Lane& ln : lanes_) {
     if (!(ln.la_out < kInfinity)) continue;  // no outgoing cut arcs
-    const auto clean_top = [&ln](Lane::TimeHeap& h) -> RealTime {
-      while (!h.empty() && h.top() < ln.now) h.pop();
-      return h.empty() ? kInfinity : h.top();
-    };
-    RealTime boundary = clean_top(ln.bnd[0]);
+    RealTime boundary = boundary_min(ln, ln.now);
     if (ln.delta_intra < kInfinity) {
-      for (int d = 1; d < kMaxCutDist; ++d) {
-        boundary = std::min(
-            boundary, clean_top(ln.bnd[static_cast<std::size_t>(d)]) +
-                          static_cast<double>(d) * ln.delta_intra);
-      }
       RealTime tn = ln.queue.empty() ? kInfinity : ln.queue.top().time;
       TimerWheel::Fired tf;
       if (ln.wheel.peek(tf)) tn = std::min(tn, tf.time);
@@ -598,6 +628,7 @@ void Simulator::run_until(RealTime t_end) {
         probe_fires || (part_ && (w_end == obs_next_ || w_end == t_end));
     win_end_ = w_end;
     win_inclusive_ = !probe_fires && w_end == t_end;
+    ++windows_;
     run_window_parallel();
     barrier_flush(w_end, probe_fires, obs_fires);
     if (w_end == obs_next_) obs_next_ = kInfinity;
@@ -667,6 +698,12 @@ void Simulator::process_window(Lane& ln) {
         maybe_progress(false);
       }
     }
+  }
+  // The lane's share of the next safe horizon, on its own thread: the
+  // barrier moves every lane to w_end, so drop what this window made
+  // stale and cache the minima safe_horizon() will read.
+  if (!cut_dist_.empty() && ln.la_out < kInfinity) {
+    (void)boundary_min(ln, w_end);
   }
 }
 
@@ -856,6 +893,7 @@ void Simulator::barrier_flush(RealTime w_end, bool probe_fires,
 }
 
 void Simulator::flush_observer(RealTime t) {
+  ++obs_barriers_;
   canon_peak_ = std::max(canon_peak_, canonical_pending());
   // touched() merges the lanes' touches on its first read here; touches
   // nobody read are dropped with the observation point.  (Unsharded, lane

@@ -42,11 +42,12 @@
 // delivered before W_end.  The horizon is computed per lane from how
 // soon an event can reach a cut node — nodes carry their intra-shard BFS
 // distance to the nearest cut endpoint (capped at kMaxCutDist), lanes
-// keep a lazy min-heap of queued event times per distance class, and the
-// earliest possible cross-shard arrival from lane i is
+// file the times of events queued at such nodes in one lazy
+// BoundaryCalendar per distance class, and the earliest possible
+// cross-shard arrival from lane i is
 //
 //   boundary_time(i) + la_out(i),   where
-//   boundary_time(i) = min( min_d( bnd_top(i, d) + d * delta_intra(i) ),
+//   boundary_time(i) = min( min_d( bnd_min(i, d) + d * delta_intra(i) ),
 //                           t_next(i) + kMaxCutDist * delta_intra(i) )
 //
 // with la_out(i) the minimum per-edge DelayPolicy::min_delay(u, v) over
@@ -89,13 +90,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
+#include "sim/boundary_calendar.hpp"
 #include "sim/delay_policy.hpp"
 #include "sim/drift_policy.hpp"
 #include "sim/event_queue.hpp"
@@ -397,6 +398,13 @@ class Simulator {
   }
   std::uint64_t timer_cancels() const { return sum_lanes(&Tally::t_cancels); }
 
+  /// Windows run_until has run (the set-up burst excluded), and barriers
+  /// that were observation points (sharded: the observation cadence,
+  /// probes and each run_until's close; unsharded: probes).  For the stats
+  /// "engine" block: the window count depends on the partition.
+  std::uint64_t windows() const { return windows_; }
+  std::uint64_t obs_barriers() const { return obs_barriers_; }
+
   /// Implementation-internal detail for the stats "queue_impl" block:
   /// NOT canonical (bucket/cascade counts depend on the partition), so the
   /// byte-compare gates strip it like the "engine" block.
@@ -529,21 +537,24 @@ class Simulator {
     std::vector<std::vector<OutMsg>> outbox;  // per destination lane
     std::vector<TraceEntry> trace;
 
-    // Cut-aware horizon state.  bnd[d] is a lazy min-heap of queued event
-    // times (and armed timer deadlines) at this lane's nodes with
-    // cut-distance d (stale entries for already-processed events are
-    // popped when the coordinator reads the top); la_out/delta_intra are
+    // Cut-aware horizon state.  bnd[d] holds the queued event times (and
+    // armed timer deadlines) at this lane's nodes with cut-distance d; an
+    // entry goes stale when its event runs (or its timer is cancelled) and
+    // is dropped once the barrier time passes it.  la_out/delta_intra are
     // the per-lane min-delay bounds over outgoing cut arcs / intra-shard
     // arcs, fixed at setup.  An event at distance d needs >= d intra-shard
     // hops before anything can happen at a cut node, so the lane's
-    // boundary time is min_d(bnd[d].top + d * delta_intra), and nodes
+    // boundary time is min_d(bnd[d] minimum + d * delta_intra), and nodes
     // beyond kMaxCutDist are covered by t_next + kMaxCutDist * delta_intra
-    // without any heap traffic — which is what lets a deep subtree run far
-    // ahead of its cut.
-    using TimeHeap =
-        std::priority_queue<RealTime, std::vector<RealTime>,
-                            std::greater<RealTime>>;
-    std::array<TimeHeap, 4> bnd;  // size == kMaxCutDist
+    // with no bookkeeping at all — which is what lets a deep subtree run
+    // far ahead of its cut.  On a dense cut (a torus with random extra
+    // edges) nearly every node is within kMaxCutDist, so every queue push
+    // and timer arm lands here: pushes are O(1) appends to time buckets,
+    // and each lane drops its stale entries and computes its minima at the
+    // end of its own window, leaving safe_horizon() an O(1) read per
+    // calendar.  The calendars allocate nothing until their first entry,
+    // which only lanes of a multi-lane partition ever file.
+    std::array<BoundaryCalendar, static_cast<std::size_t>(kMaxCutDist)> bnd;
     Duration la_out = kInfinity;
     Duration delta_intra = kInfinity;
     // Key of the event currently being processed (trace buffering).
@@ -588,6 +599,10 @@ class Simulator {
   void push_link_change(NodeId u, NodeId v, std::uint32_t edge, bool up,
                         RealTime at);
   void push_delivery(Lane& ln, Event e, NodeId source, const Message& m);
+  /// min_d(bnd[d] minimum + d * delta_intra) with the floor applied: the
+  /// calendars drop the entries it has passed and cache their minima, so
+  /// a second call at the same floor is O(1).
+  RealTime boundary_min(Lane& ln, RealTime floor);
   /// Bookkeeping for the cut-aware horizon: an event targeting a boundary
   /// node (level 0/1 — for link changes, the better of both endpoints)
   /// just joined `dest`'s queue at time t.
@@ -706,7 +721,7 @@ class Simulator {
   Duration lookahead_ = 0.0;           // delay policy global min_delay()
   /// Intra-shard BFS distance to the nearest cut-edge endpoint, capped at
   /// kMaxCutDist (0 = endpoint of a cut edge).  Drives the per-lane bnd
-  /// heap pushes; empty with fewer than two lanes.
+  /// calendar pushes; empty with fewer than two lanes.
   std::vector<std::uint8_t> cut_dist_;
   /// Next observation barrier (kInfinity = not yet scheduled; set to
   /// t_next + observation interval at the first window after each obs
@@ -721,6 +736,8 @@ class Simulator {
   bool in_window_ = false;
   RealTime win_end_ = 0.0;
   bool win_inclusive_ = false;
+  std::uint64_t windows_ = 0;
+  std::uint64_t obs_barriers_ = 0;
 
   // Window worker pool (lanes 1..N-1; the caller runs lane 0).
   std::vector<std::thread> workers_;

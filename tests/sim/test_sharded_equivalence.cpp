@@ -16,6 +16,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -451,6 +452,93 @@ TEST(ShardedEquivalenceClamp, AutoClampShrinksTinyRuns) {
   cli::ExperimentConfig clamped = base_config("path", 24);
   clamped.min_shard_nodes = 12;
   expect_equivalent(serial, run_case(clamped, 4));
+}
+
+// The window sequence is the cut-aware horizon's fingerprint: in a bare
+// run (no observer or recorder, so no observation cadence) a window ends
+// where safe_horizon() says unless a probe (one per delay) comes first.
+// Pinned at K = 4, with a short lookahead (band-min 0.1) so most windows
+// end at the horizon, on the two shapes whose horizons differ most: a
+// churned torus whose extra edges put nearly every node within
+// kMaxCutDist of a cut (block partition), and a 14-level binary tree
+// with 3 cut edges (ml partition).  The figures are the ones the heap
+// bookkeeping the calendars replaced produced.
+struct WindowCount {
+  std::uint64_t windows = 0;
+  std::uint64_t obs_barriers = 0;
+  std::uint64_t events = 0;
+};
+
+WindowCount bare_windows(cli::ExperimentConfig cfg) {
+  auto built = cli::build_experiment(cfg);
+  built.simulator->run_until(cfg.duration);
+  return {built.simulator->windows(), built.simulator->obs_barriers(),
+          built.simulator->events_processed()};
+}
+
+TEST(ShardedWindows, CountsArePinnedAtFourShards) {
+  cli::ExperimentConfig torus;
+  torus.topology = "torus";
+  torus.rows = torus.cols = 40;
+  torus.algorithm = "kllo";
+  torus.delays = "band";
+  torus.band_min = 0.1;
+  torus.wake_all = true;
+  torus.churn_node_rate = 0.002;
+  torus.churn_edge_rate = 0.005;
+  torus.churn_extra_edges = 0.1;
+  torus.duration = 20.0;
+  torus.seed = 7;
+  torus.shards = 4;
+  const WindowCount t = bare_windows(torus);
+  EXPECT_EQ(t.events, 26482u);
+  EXPECT_EQ(t.windows, 191u);
+  EXPECT_EQ(t.obs_barriers, 21u);  // 20 probes (one per delay) + the close
+
+  cli::ExperimentConfig tree;
+  tree.topology = "tree";
+  tree.arity = 2;
+  tree.levels = 14;
+  tree.algorithm = "aopt";
+  tree.delays = "band";
+  tree.band_min = 0.1;
+  tree.wake_all = true;
+  tree.duration = 10.0;
+  tree.seed = 3;
+  tree.shards = 4;
+  const WindowCount b = bare_windows(tree);
+  EXPECT_EQ(b.events, 98304u);
+  EXPECT_EQ(b.windows, 38u);
+  EXPECT_EQ(b.obs_barriers, 10u);
+}
+
+// A delay policy that certifies more lookahead than it delivers breaks
+// the horizon: the first cross-lane send below the window end must stop
+// the run with a logic_error naming the lane, the time and W_end, in
+// every build (not only where asserts are compiled in).
+class OverclaimingDelay final : public sim::DelayPolicy {
+ public:
+  sim::RealTime delivery_time(sim::NodeId, sim::NodeId, sim::RealTime send,
+                              const sim::Simulator&) override {
+    return send + 0.1;
+  }
+  sim::Duration min_delay() const override { return 1.0; }
+};
+
+TEST(ShardedHorizon, DeliveryBelowTheWindowEndThrows) {
+  cli::ExperimentConfig cfg = base_config("path", 32);
+  cfg.shards = 2;
+  auto built = cli::build_experiment(cfg);
+  built.simulator->set_delay_policy(std::make_shared<OverclaimingDelay>());
+  try {
+    built.simulator->run_until(cfg.duration);
+    FAIL() << "an unsound horizon went unnoticed";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cross-lane delivery"), std::string::npos) << what;
+    EXPECT_NE(what.find("W_end="), std::string::npos) << what;
+    EXPECT_NE(what.find("lane "), std::string::npos) << what;
+  }
 }
 
 }  // namespace
